@@ -1,6 +1,7 @@
 // Array-scale characterisation through the sparse MNA backend: netlist
 // builder invariants, dense-vs-sparse equivalence on a small array, the
-// 64 x 64 write/read acceptance runs, and the nvsim SPICE calibration.
+// 64 x 64 write/read acceptance runs, golden write/read outputs, and the
+// nvsim SPICE calibration.
 #include <cmath>
 #include <gtest/gtest.h>
 
@@ -127,6 +128,79 @@ TEST(ArrayCharacterization, ReadMarginPositiveAtArrayScale) {
   EXPECT_GT(rd.i_cell_p, rd.i_cell_ap); // P reads more current than AP
   EXPECT_GT(rd.delta_i, 1e-6);          // margin above a uA
   EXPECT_GT(rd.energy_read, 0.0);
+}
+
+// ---------------------------------------------------------------------------
+// Golden outputs: the array characterisation numbers pinned, so a solver
+// refactor that moves the physics fails here. Counts are exact; analog
+// values agree to a relative 1e-9 (the factorization-order rounding
+// contract). factor_cols is deliberately not pinned: it measures solver
+// work, not physics.
+// ---------------------------------------------------------------------------
+
+namespace {
+
+constexpr double kGoldenRel = 1e-9;
+
+struct WriteGolden {
+  std::size_t rows;
+  std::size_t segments;
+  mc::WriteDirection dir;
+  std::size_t dim;
+  std::size_t steps;
+  double t_switch;
+  double energy;
+  double i_peak;
+};
+
+void expect_rel(double got, double want, const char* what) {
+  EXPECT_NEAR(got, want, kGoldenRel * std::abs(want)) << what;
+}
+
+} // namespace
+
+TEST(ArrayGolden, WriteOutputsPinned) {
+  const mc::Pdk pdk;
+  constexpr auto kP = mc::WriteDirection::ToParallel;
+  constexpr auto kAp = mc::WriteDirection::ToAntiparallel;
+  const WriteGolden cases[] = {
+      {64, 8, kP, 716, 325, 1.4799999999999999e-09, 7.8283603662430296e-13,
+       0.00014884602871425358},
+      {64, 8, kAp, 716, 325, 3.48e-09, 4.2450241612719137e-13,
+       8.4306212950233716e-05},
+      {256, 8, kP, 2828, 325, 1.5200000000000001e-09, 7.6629654600539963e-13,
+       0.0001454093176186882},
+      {256, 8, kAp, 2828, 325, 3.6199999999999999e-09,
+       4.1899158463985756e-13, 8.252057070372873e-05},
+      // Full fidelity: one RC segment per cell.
+      {64, 0, kAp, 4356, 325, 3.48e-09, 4.2450199797291263e-13,
+       8.423573383889305e-05},
+  };
+  for (const auto& g : cases) {
+    SCOPED_TRACE(::testing::Message()
+                 << g.rows << "^2 segments=" << g.segments << " dir="
+                 << (g.dir == kP ? "P" : "AP"));
+    ArrayNetlistOptions o;
+    o.rows = o.cols = g.rows;
+    o.segments = g.segments;
+    const auto wr = mss::cells::characterize_array_write(pdk, o, g.dir, 5e-9);
+    EXPECT_TRUE(wr.switched);
+    EXPECT_TRUE(wr.converged);
+    EXPECT_EQ(wr.dim, g.dim);
+    EXPECT_EQ(wr.steps, g.steps);
+    expect_rel(wr.t_switch, g.t_switch, "t_switch");
+    expect_rel(wr.energy, g.energy, "energy");
+    expect_rel(wr.i_peak, g.i_peak, "i_peak");
+  }
+}
+
+TEST(ArrayGolden, ReadOutputsPinned) {
+  const mc::Pdk pdk;
+  ArrayNetlistOptions o; // 64 x 64, 8 segments
+  const auto rd = mss::cells::characterize_array_read(pdk, o, 2e-9);
+  EXPECT_EQ(rd.dim, 716u);
+  EXPECT_EQ(rd.steps, 140u);
+  expect_rel(rd.delta_i, 7.1482269999999993e-06, "delta_i");
 }
 
 TEST(ArrayCharacterization, FarRowSwitchesNoFasterThanNearRow) {

@@ -39,7 +39,6 @@
 #include "server/registry.hpp"
 #include "spice/elements.hpp"
 #include "spice/engine.hpp"
-#include "spice/sparse.hpp"
 #include "util/math.hpp"
 #include "vaet/estimator.hpp"
 
@@ -186,66 +185,16 @@ void BM_SpiceArrayWrite(benchmark::State& state) {
     benchmark::DoNotOptimize(wr.t_switch);
   }
 }
-// rows:16..256 route flat sparse (below kSchurAutoDim with the default
-// 8-segment lines); rows:1024 crosses the auto threshold and runs the
-// partitioned Schur backend. MinTime is raised above the 0.5 s default
-// because rows:256 / rows:64 feed the intra-snapshot --max-ratio CI gate:
-// more iterations per measurement dilute scheduler bursts that would
-// otherwise skew a near-the-bound ratio on a loaded runner.
+// Every size runs the flat sparse backend. MinTime is raised above the
+// 0.5 s default because rows:256 / rows:64 feed the intra-snapshot
+// --max-ratio CI gate: more iterations per measurement dilute scheduler
+// bursts that would otherwise skew a near-the-bound ratio on a loaded
+// runner.
 BENCHMARK(BM_SpiceArrayWrite)->ArgName("rows")->Arg(16)->Arg(32)->Arg(64)
     ->Arg(256)
     ->Arg(1024)
     ->MinTime(2.0)
     ->Unit(benchmark::kMillisecond);
-
-/// Supernodal factorization kernel: tridiagonal head + dense trailing
-/// block (n/8 columns) whose nested below-diagonal patterns form panels.
-/// Every iteration restamps and solves, forcing a full refactorization;
-/// the /supernodal:0 rows are the scalar column-by-column baseline the
-/// panel rank-w updates are measured against.
-void BM_SpiceSupernodalFactor(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const bool panels = state.range(1) != 0;
-  const std::size_t w = n / 8;
-  const std::size_t head = n - w;
-  mss::spice::SparseSolver s;
-  s.set_supernodal(panels);
-  std::vector<double> b(n, 1.0), x;
-  double bump = 0.0;
-  for (auto _ : state) {
-    s.begin(n);
-    for (std::size_t i = 0; i < head; ++i) {
-      s.add(i, i, 4.0 + bump);
-      if (i + 1 < head) {
-        s.add(i, i + 1, -1.0);
-        s.add(i + 1, i, -1.0);
-      }
-    }
-    s.add(head - 1, head, -0.5);
-    s.add(head, head - 1, -0.5);
-    for (std::size_t i = head; i < n; ++i) {
-      for (std::size_t j = head; j < n; ++j) {
-        s.add(i, j, i == j ? double(w) + 4.0 : -1.0);
-      }
-    }
-    bump = bump == 0.0 ? 0.25 : 0.0;
-    if (!s.solve(b, x)) {
-      state.SkipWithError("singular factor");
-      break;
-    }
-    benchmark::DoNotOptimize(x[n - 1]);
-  }
-  state.SetItemsProcessed(
-      static_cast<std::int64_t>(state.iterations()) *
-      static_cast<std::int64_t>(n));
-  state.counters["supernodes"] = double(s.supernode_count());
-}
-BENCHMARK(BM_SpiceSupernodalFactor)
-    ->ArgNames({"dim", "supernodal"})
-    ->Args({1024, 0})
-    ->Args({1024, 1})
-    ->Args({4096, 0})
-    ->Args({4096, 1});
 
 // The array write under LTE-controlled adaptive stepping: same waveform
 // within tolerance at a fraction of the steps (the golden regression test

@@ -107,58 +107,38 @@ struct ArrayBuildSpec {
                                   spec.pulse_width + 0.4e-9)));
 
   // --- per-column bitline + source line + the selected-row cell ---
-  // Column elements carry stamp group c (their matrix slots and rhs rows
-  // are exclusive to the column: every row index they stamp is a private
-  // bl/sl/n node — the access MOSFET references the shared wordline only
-  // as a column index, and no gate-row entries exist in its stamp). The
-  // wordline chain and vwl stay in the shared group (-1). The same
-  // exclusivity yields the Schur block map recorded below.
-  std::vector<std::pair<int, std::int32_t>> node_block;
   out.row_mtjs.resize(cols, nullptr);
-  const std::size_t span = std::max<std::size_t>(opt.schur_block_cols, 1);
   for (std::size_t c = 0; c < cols; ++c) {
-    const auto grp = static_cast<std::int32_t>(c);
-    const auto blk = static_cast<std::int32_t>(c / span);
-    const auto claim = [&](int node) { node_block.emplace_back(node, blk); };
     const std::string cs = std::to_string(c);
     const int bl0 = ckt.node("bl." + cs + ".0");
-    claim(bl0);
     int prev = bl0;
     for (std::size_t s = 1; s <= bl.segments; ++s) {
       const int cur = ckt.node("bl." + cs + "." + std::to_string(s));
-      claim(cur);
       ckt.add(std::make_unique<Resistor>("rbl" + cs + "_" + std::to_string(s),
                                          prev, cur,
-                                         std::max(bl.r_seg, 1e-3)))
-          ->set_stamp_group(grp);
+                                         std::max(bl.r_seg, 1e-3)));
       ckt.add(std::make_unique<Capacitor>("cbl" + cs + "_" +
                                               std::to_string(s),
-                                          cur, spice::kGround, bl.c_seg))
-          ->set_stamp_group(grp);
+                                          cur, spice::kGround, bl.c_seg));
       prev = cur;
     }
     const std::size_t bl_tap = tap_index(tr, rows, bl.segments);
     const int bl_cell = ckt.node("bl." + cs + "." + std::to_string(bl_tap));
     const int sl = ckt.node("sl." + cs);
     const int n1 = ckt.node("n." + cs);
-    claim(sl);
-    claim(n1);
     const std::size_t wl_tap = tap_index(c, cols, wl.segments);
     const int gate = ckt.node("wl." + std::to_string(wl_tap));
 
     // Lumped source-line loading mirrors the bitline total.
     ckt.add(std::make_unique<Capacitor>("csl" + cs, sl, spice::kGround,
-                                        bl.c_seg * double(bl.segments)))
-        ->set_stamp_group(grp);
+                                        bl.c_seg * double(bl.segments)));
 
     const MtjState init = c == tc ? spec.target_state : opt.unselected_state;
     out.row_mtjs[c] = ckt.add(std::make_unique<MtjDevice>(
         "xmtj" + cs, bl_cell, n1, pdk.mtj, init));
-    out.row_mtjs[c]->set_stamp_group(grp);
     ckt.add(std::make_unique<Mosfet>(
-               "macc" + cs, n1, gate, sl, cards.nmos,
-               opt.access_width_factor * cards.w_min, cards.l_min))
-        ->set_stamp_group(grp);
+        "macc" + cs, n1, gate, sl, cards.nmos,
+        opt.access_width_factor * cards.w_min, cards.l_min));
 
     if (c == tc) {
       out.target_mtj = out.row_mtjs[c];
@@ -168,11 +148,9 @@ struct ArrayBuildSpec {
     } else {
       // Inhibited column: both line ends tied to ground through the driver.
       ckt.add(std::make_unique<Resistor>("rdbl" + cs, bl0, spice::kGround,
-                                         opt.r_driver_off))
-          ->set_stamp_group(grp);
+                                         opt.r_driver_off));
       ckt.add(std::make_unique<Resistor>("rdsl" + cs, sl, spice::kGround,
-                                         opt.r_driver_off))
-          ->set_stamp_group(grp);
+                                         opt.r_driver_off));
     }
   }
 
@@ -181,36 +159,24 @@ struct ArrayBuildSpec {
   const int sl_drv = ckt.find_node(out.sl_drive_node);
   out.v_bitline = "vbl";
   out.v_sourceline = "vsl";
-  VoltageSource* vbl_src = nullptr;
-  VoltageSource* vsl_src = nullptr;
   if (spec.is_write) {
     const bool to_p = spec.dir == WriteDirection::ToParallel;
-    vbl_src = ckt.add(std::make_unique<VoltageSource>(
+    ckt.add(std::make_unique<VoltageSource>(
         "vbl", bl_drv, spice::kGround,
         std::make_unique<PulseWave>(0.0, to_p ? vdd : 0.0, t_start, 50e-12,
                                     50e-12, spec.pulse_width)));
-    vsl_src = ckt.add(std::make_unique<VoltageSource>(
+    ckt.add(std::make_unique<VoltageSource>(
         "vsl", sl_drv, spice::kGround,
         std::make_unique<PulseWave>(0.0, to_p ? 0.0 : vdd, t_start, 50e-12,
                                     50e-12, spec.pulse_width)));
   } else {
-    vbl_src = ckt.add(std::make_unique<VoltageSource>(
+    ckt.add(std::make_unique<VoltageSource>(
         "vbl", bl_drv, spice::kGround, std::make_unique<DcWave>(pdk.v_read)));
-    vsl_src = ckt.add(std::make_unique<VoltageSource>(
+    ckt.add(std::make_unique<VoltageSource>(
         "vsl", sl_drv, spice::kGround, std::make_unique<DcWave>(0.0)));
   }
-  vbl_src->set_stamp_group(static_cast<int>(tc));
-  vsl_src->set_stamp_group(static_cast<int>(tc));
 
   out.dim = ckt.assign_unknowns();
-  // Block map: column nodes to their column, the selected column's source
-  // branches with it; wordline nodes and the vwl branch stay interface.
-  out.partition.assign(out.dim, -1);
-  for (const auto& [node, blk] : node_block) {
-    out.partition[static_cast<std::size_t>(node)] = blk;
-  }
-  out.partition[vbl_src->branch_index()] = static_cast<std::int32_t>(tc / span);
-  out.partition[vsl_src->branch_index()] = static_cast<std::int32_t>(tc / span);
   return out;
 }
 

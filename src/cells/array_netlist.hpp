@@ -14,13 +14,12 @@
 //  * unselected columns are tied to their inhibit level through the driver
 //    resistance, the selected column is driven by ideal pulse sources.
 //
-// A 64 x 64 build with segments = 0 assembles ~4.3k unknowns — far past
+// A 64 x 64 build with segments = 0 assembles ~4.4k unknowns — far past
 // the dense backend's practical range and the reason the solver layer is
-// pluggable.
+// pluggable. Every array build solves on the flat sparse backend.
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -30,23 +29,6 @@
 #include "spice/mtj_element.hpp"
 
 namespace mss::cells {
-
-/// Schur-partitioning policy of the array characterisation runs.
-enum class SchurMode {
-  Auto, ///< partition when the assembled dimension reaches kSchurAutoDim
-  Off,  ///< always flat sparse
-  On,   ///< always partitioned
-};
-
-/// Dimension at which SchurMode::Auto switches the array characterisation
-/// to the partitioned (per-column Schur) solver. During MTJ switching
-/// windows every column's access-device stamps change at once, so the
-/// partitioned path refactors more columns than the flat solver's
-/// first-dirty-pivot partial refactorization — the crossover sits past
-/// the segmented builds (a 256 x 16 8-segment write assembles ~2.8k
-/// unknowns and still solves faster flat) and engages for full-fidelity
-/// grids (64 x 64 with segments = 0 is ~4.4k unknowns).
-inline constexpr std::size_t kSchurAutoDim = 4000;
 
 /// Geometry/fidelity options of the array build.
 struct ArrayNetlistOptions {
@@ -75,20 +57,6 @@ struct ArrayNetlistOptions {
   /// by default (fixed-step reference behaviour).
   bool adaptive_step = false;
   double adaptive_ltol = 1e-3;      ///< relative LTE tolerance per step
-  /// Sharded parallel element stamping (EngineOptions::assembly_threads):
-  /// 1 = serial stamping, 0 = the global pool's width, N = N threads.
-  /// Bit-identical to serial either way (the per-column stamp groups the
-  /// build assigns partition the matrix slots).
-  int assembly_threads = 1;
-  /// Hierarchical Schur partitioning of the solve (column-group blocks
-  /// coupled through the wordline interface).
-  SchurMode partitioning = SchurMode::Auto;
-  /// Columns per Schur block. Column circuits only couple through the
-  /// wordline, so any grouping is valid; wider blocks amortize the
-  /// per-block solve overhead and let the in-block partial
-  /// refactorization skip settled columns, narrower ones confine a dirty
-  /// stamp to less interior. ~16 balances the two at array scale.
-  std::size_t schur_block_cols = 16;
 };
 
 /// A built array netlist: the circuit plus handles into it. Movable; the
@@ -104,11 +72,6 @@ struct ArrayNetlist {
   std::string sl_drive_node; ///< SL node the selected-column source drives
   std::string bl_cell_node;///< BL node name at the target cell's tap
   std::size_t dim = 0;     ///< unknown count of the assembled system
-  /// Unknown -> block map for the Schur solver: column circuits (bitline
-  /// segments, source line, internal node, the selected column's source
-  /// branches) map to their column group (column / schur_block_cols);
-  /// wordline nodes and the vwl branch are the interface (-1).
-  std::vector<std::int32_t> partition;
 };
 
 /// Builds the write netlist: the target column driven BL/SL per direction

@@ -65,24 +65,6 @@ namespace {
   return engine.transient_adaptive(t_stop, opt.sim_dt, aopt);
 }
 
-/// Engine options of an array run: solver choice, sharded assembly, and
-/// the per-column Schur partition (On, or Auto past kSchurAutoDim).
-[[nodiscard]] spice::EngineOptions array_engine_options(
-    const ArrayNetlist& net, const ArrayNetlistOptions& opt,
-    spice::SolverKind solver) {
-  spice::EngineOptions eopt;
-  eopt.solver = solver;
-  eopt.assembly_threads = opt.assembly_threads;
-  const bool partitioned =
-      opt.partitioning == SchurMode::On ||
-      (opt.partitioning == SchurMode::Auto && net.dim >= kSchurAutoDim);
-  if (partitioned) {
-    eopt.partitioned = true;
-    eopt.partition = net.partition;
-  }
-  return eopt;
-}
-
 } // namespace
 
 ArrayWriteResult characterize_array_write(const core::Pdk& pdk,
@@ -94,7 +76,7 @@ ArrayWriteResult characterize_array_write(const core::Pdk& pdk,
   const double t_stop = t_start + pulse_width + 1.0e-9;
   auto net = build_array_write_netlist(pdk, opt, dir, pulse_width);
 
-  spice::Engine engine(net.circuit, array_engine_options(net, opt, solver));
+  spice::Engine engine(net.circuit, spice::EngineOptions{.solver = solver});
   const auto tr = run_array_transient(engine, opt, t_stop);
 
   const bool to_p = dir == core::WriteDirection::ToParallel;
@@ -104,8 +86,6 @@ ArrayWriteResult characterize_array_write(const core::Pdk& pdk,
   out.steps = tr.accepted_steps();
   out.backend = engine.solver_backend();
   out.factor_cols = engine.factor_cols_total();
-  out.supernodes = engine.supernode_count();
-  out.supernode_cols = engine.supernode_cols();
   out.switched = net.target_mtj->state() ==
                  (to_p ? core::MtjState::Parallel
                        : core::MtjState::Antiparallel);
@@ -133,7 +113,7 @@ ArrayReadResult characterize_array_read(const core::Pdk& pdk,
   for (const core::MtjState st :
        {core::MtjState::Parallel, core::MtjState::Antiparallel}) {
     auto net = build_array_read_netlist(pdk, opt, st, t_read);
-    spice::Engine engine(net.circuit, array_engine_options(net, opt, solver));
+    spice::Engine engine(net.circuit, spice::EngineOptions{.solver = solver});
     const auto tr = run_array_transient(engine, opt, t_start + t_read + 0.3e-9);
 
     // MDL pipeline: settled bitline-source current during the pulse.
@@ -148,8 +128,6 @@ ArrayReadResult characterize_array_read(const core::Pdk& pdk,
     out.steps = tr.accepted_steps();
     out.backend = engine.solver_backend();
     out.factor_cols += engine.factor_cols_total();
-    out.supernodes = engine.supernode_count();
-    out.supernode_cols = engine.supernode_cols();
     if (st == core::MtjState::Parallel) {
       out.i_cell_p = i_cell;
       out.energy_read = source_energy(tr, net.v_bitline, net.bl_drive_node);

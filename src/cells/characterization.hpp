@@ -63,11 +63,12 @@ struct ArrayWriteResult {
   std::size_t steps = 0;   ///< accepted transient steps (adaptive << fixed)
   std::string backend;     ///< linear-solver backend that ran ("sparse"...)
   /// Total columns numerically factored over the run (the
-  /// partial-refactorization observable, aggregated over Schur blocks
-  /// when partitioned).
+  /// partial-refactorization observable).
   std::size_t factor_cols = 0;
-  std::size_t supernodes = 0;     ///< supernodal panels (width >= 2)
-  std::size_t supernode_cols = 0; ///< columns covered by those panels
+  // Always 0: the factorization has no column panels any more; the two
+  // fields stay because the end-to-end benchmark digests them.
+  std::size_t supernodes = 0;
+  std::size_t supernode_cols = 0;
 };
 
 /// Outcome of an array-scale read characterisation (both states simulated).
@@ -80,14 +81,12 @@ struct ArrayReadResult {
   std::size_t steps = 0;   ///< accepted steps of the last transient
   std::string backend;
   std::size_t factor_cols = 0;    ///< factored columns, both runs combined
-  std::size_t supernodes = 0;     ///< supernodal panels of the last run
-  std::size_t supernode_cols = 0; ///< columns covered by those panels
 };
 
 /// Write characterisation of a full rows x cols array: builds the netlist
 /// (array_netlist.hpp), runs the transient on the selected backend, and
-/// extracts switching delay / energy / currents. A 64 x 64 build routes
-/// through the sparse solver under SolverKind::Auto.
+/// extracts switching delay / energy / currents. Array builds resolve to
+/// the flat sparse solver under SolverKind::Auto at every size.
 [[nodiscard]] ArrayWriteResult characterize_array_write(
     const core::Pdk& pdk, const ArrayNetlistOptions& opt,
     core::WriteDirection dir, double pulse_width,

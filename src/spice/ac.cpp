@@ -41,46 +41,6 @@ std::vector<double> log_sweep(double f_lo, double f_hi, int per_decade) {
   return out;
 }
 
-bool lu_solve_complex(std::vector<std::complex<double>>& a,
-                      std::vector<std::complex<double>>& b, std::size_t n) {
-  if (a.size() != n * n || b.size() != n) {
-    throw std::invalid_argument("lu_solve_complex: dimension mismatch");
-  }
-  auto at = [&](std::size_t r, std::size_t c) -> std::complex<double>& {
-    return a[r * n + c];
-  };
-  for (std::size_t k = 0; k < n; ++k) {
-    std::size_t piv = k;
-    double best = std::abs(at(k, k));
-    for (std::size_t r = k + 1; r < n; ++r) {
-      const double m = std::abs(at(r, k));
-      if (m > best) {
-        best = m;
-        piv = r;
-      }
-    }
-    if (best < 1e-300) return false;
-    if (piv != k) {
-      for (std::size_t c = 0; c < n; ++c) std::swap(at(k, c), at(piv, c));
-      std::swap(b[k], b[piv]);
-    }
-    const std::complex<double> inv = 1.0 / at(k, k);
-    for (std::size_t r = k + 1; r < n; ++r) {
-      const std::complex<double> f = at(r, k) * inv;
-      if (f == std::complex<double>{}) continue;
-      at(r, k) = 0.0;
-      for (std::size_t c = k + 1; c < n; ++c) at(r, c) -= f * at(k, c);
-      b[r] -= f * b[k];
-    }
-  }
-  for (std::size_t ri = n; ri-- > 0;) {
-    std::complex<double> acc = b[ri];
-    for (std::size_t c = ri + 1; c < n; ++c) acc -= at(ri, c) * b[c];
-    b[ri] = acc / at(ri, ri);
-  }
-  return true;
-}
-
 AcResult ac_analysis(Circuit& circuit, const std::vector<double>& freqs,
                      const AcOptions& options) {
   if (freqs.empty()) {
@@ -111,7 +71,6 @@ AcResult ac_analysis(Circuit& circuit, const std::vector<double>& freqs,
   SolverOptions so;
   so.kind = options.solver;
   so.ordering = options.ordering;
-  so.markowitz = options.markowitz;
   const auto ac_solver = make_ac_solver(so, dim);
   std::vector<std::complex<double>> rhs(dim);
   std::vector<std::complex<double>> xout(dim);

@@ -25,12 +25,6 @@ struct AcOptions {
   SolverKind solver = SolverKind::Auto;
   Ordering ordering = Ordering::Auto; ///< sparse column-ordering policy
   bool stamp_cache = true; ///< per-element stamp-slot caching (A/B knob)
-  /// Sparse: Markowitz dynamic pivoting instead of the static-ordering
-  /// left-looking factorization. The complex admittances move with omega,
-  /// so every sweep point refactors in full anyway — dynamic pivoting
-  /// trades the reusable symbolic structure for fill driven by the actual
-  /// values.
-  bool markowitz = false;
 };
 
 /// Frequency-response of one run.
@@ -79,11 +73,5 @@ class AcResult {
 [[nodiscard]] AcResult ac_analysis(Circuit& circuit,
                                    const std::vector<double>& freqs,
                                    SolverKind solver = SolverKind::Auto);
-
-/// Solves the dense complex system A x = b in place (LU, partial pivot).
-/// Exposed for tests. Returns false on a singular matrix.
-[[nodiscard]] bool lu_solve_complex(
-    std::vector<std::complex<double>>& a_rowmajor,
-    std::vector<std::complex<double>>& b, std::size_t n);
 
 } // namespace mss::spice

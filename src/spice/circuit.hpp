@@ -90,15 +90,6 @@ class GminSlotCache {
 /// solver backend, RHS terms to the analysis-owned right-hand-side vector.
 /// Node index kGround is silently dropped. Instantiated for double
 /// (DC/transient conductances) and std::complex<double> (AC admittances).
-///
-/// Sink mode (the sharded-assembly path): constructed with a slot-indexed
-/// accumulation buffer, the system never touches the solver — matrix
-/// contributions land in `sink[slot]`, RHS terms in the caller's private
-/// rhs vector, and any stamp that would need to *mutate* the solver (a
-/// cold slot cache, a never-seen position) sets the miss flag instead, so
-/// the caller can redo the pass serially. Warm caches and the read-only
-/// `find_slot` lookup make a sink-mode stamp safe to run concurrently
-/// with other sink-mode stamps over the same solver.
 template <typename T>
 class MnaSystemT {
  public:
@@ -108,25 +99,9 @@ class MnaSystemT {
              bool use_slot_cache = true)
       : solver_(solver), rhs_(rhs), cache_(use_slot_cache) {}
 
-  /// Sink-mode system: matrix values accumulate into `sink` (indexed by
-  /// slot handle, sized solver.slot_count()), rhs into `rhs` (the
-  /// caller's shard-private buffer). Slot caching is implied.
-  MnaSystemT(LinearSolverT<T>& solver, std::vector<T>& rhs, T* sink)
-      : solver_(solver), rhs_(rhs), cache_(true), sink_(sink) {}
-
   /// Adds g to A[i][j] (conductance / admittance).
   void add_g(int i, int j, T g) {
     if (i == kGround || j == kGround) return;
-    if (sink_ != nullptr) {
-      const std::uint32_t s = solver_.find_slot(
-          static_cast<std::size_t>(i), static_cast<std::size_t>(j));
-      if (s == LinearSolverT<T>::kNoSlot) {
-        miss_ = true; // position not in the pattern yet: needs a serial pass
-      } else {
-        sink_[s] += g;
-      }
-      return;
-    }
     solver_.add(static_cast<std::size_t>(i), static_cast<std::size_t>(j), g);
   }
 
@@ -147,12 +122,6 @@ class MnaSystemT {
       return;
     }
     if (cache.owner != &solver_ || cache.epoch != solver_.stamp_epoch()) {
-      if (sink_ != nullptr) {
-        // A cold cache cannot be resolved here: resolution inserts into
-        // the solver, which other shards are reading concurrently.
-        miss_ = true;
-        return;
-      }
       for (std::size_t k = 0; k < N; ++k) {
         cache.s[k] =
             (pos[k].first == kGround || pos[k].second == kGround)
@@ -162,14 +131,6 @@ class MnaSystemT {
       }
       cache.owner = &solver_;
       cache.epoch = solver_.stamp_epoch();
-    }
-    if (sink_ != nullptr) {
-      for (std::size_t k = 0; k < N; ++k) {
-        if (cache.s[k] != LinearSolverT<T>::kNoSlot) {
-          sink_[cache.s[k]] += vals[k];
-        }
-      }
-      return;
     }
     for (std::size_t k = 0; k < N; ++k) {
       if (cache.s[k] != LinearSolverT<T>::kNoSlot) {
@@ -189,16 +150,10 @@ class MnaSystemT {
   [[nodiscard]] const LinearSolverT<T>& solver() const { return solver_; }
   /// Whether add_all runs through cached slot handles.
   [[nodiscard]] bool slot_cache_enabled() const { return cache_; }
-  /// Sink mode: true when a stamp needed solver mutation (cold cache or
-  /// unseen position) and was skipped — the pass must be redone serially.
-  [[nodiscard]] bool sink_missed() const { return miss_; }
-
  private:
   LinearSolverT<T>& solver_;
   std::vector<T>& rhs_;
   bool cache_;
-  T* sink_ = nullptr;
-  bool miss_ = false;
 };
 
 using MnaSystem = MnaSystemT<double>;
@@ -241,15 +196,6 @@ class Element {
   /// (MOSFET, MTJ): forces Newton iteration.
   [[nodiscard]] virtual bool nonlinear() const { return false; }
 
-  /// Sharded-assembly group of this element. Elements of the same group
-  /// always stamp on the same shard in declaration order; group -1 (the
-  /// default) is the shared/serial group. A netlist builder that tags
-  /// groups guarantees that two different groups never touch the same
-  /// matrix slot or rhs row — that exclusivity is what makes the sharded
-  /// assembly bit-identical to the serial pass.
-  [[nodiscard]] int stamp_group() const { return stamp_group_; }
-  void set_stamp_group(int group) { stamp_group_ = group; }
-
   /// Adds the element's contribution for the current iterate `x`.
   virtual void stamp(MnaSystem& st, const Solution& x,
                      const StampContext& ctx) const = 0;
@@ -280,7 +226,6 @@ class Element {
 
  private:
   std::string name_;
-  int stamp_group_ = -1;
 };
 
 /// The netlist: nodes by name + owned elements.

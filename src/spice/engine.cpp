@@ -5,8 +5,6 @@
 #include <stdexcept>
 
 #include "spice/elements.hpp"
-#include "spice/partition.hpp"
-#include "util/parallel.hpp"
 
 namespace mss::spice {
 
@@ -84,87 +82,10 @@ void Engine::ensure_workspace(std::size_t dim) {
   so.kind = opt_.solver;
   so.ordering = opt_.ordering;
   so.partial_refactor = opt_.partial_refactor;
-  so.supernodal = opt_.supernodal;
-  if (opt_.partitioned && opt_.partition.size() == dim &&
-      resolve_solver(opt_.solver, dim) == SolverKind::Sparse) {
-    auto schur = std::make_unique<SchurSolver>(opt_.partition, so);
-    schur->set_threads(opt_.partition_threads);
-    solver_ = std::move(schur);
-  } else {
-    solver_ = make_solver(so, dim);
-  }
+  solver_ = make_solver(so, dim);
   rhs_.assign(dim, 0.0);
   x_new_.assign(dim, 0.0);
   ws_dim_ = dim;
-  shard_vals_.clear();
-  shard_rhs_.clear();
-  shard_of_elem_.clear();
-  shard_elem_count_ = 0;
-}
-
-bool Engine::stamp_sharded(const Solution& sol, const StampContext& ctx,
-                           std::size_t dim, int threads) {
-  const std::size_t nslots = solver_->slot_count();
-  if (nslots == 0) return false; // no stable slot storage / first pass
-  const std::size_t nshards =
-      threads <= 0 ? util::ThreadPool::global().size()
-                   : static_cast<std::size_t>(threads);
-  if (nshards < 2) return false;
-
-  auto& elems = ckt_.elements();
-  const std::size_t ne = elems.size();
-  if (shard_of_elem_.size() != ne || shard_vals_.size() != nshards ||
-      shard_elem_count_ != ne) {
-    // Shard 0 is the shared/serial group; groups >= 0 round-robin over the
-    // remaining shards. Declaration order is preserved inside a shard, so
-    // per-slot accumulation order matches the serial pass.
-    shard_of_elem_.resize(ne);
-    for (std::size_t i = 0; i < ne; ++i) {
-      const int g = elems[i]->stamp_group();
-      shard_of_elem_[i] =
-          g < 0 ? 0u
-                : 1u + static_cast<std::uint32_t>(g) %
-                           static_cast<std::uint32_t>(nshards - 1);
-    }
-    shard_vals_.assign(nshards, {});
-    shard_rhs_.assign(nshards, {});
-    shard_elem_count_ = ne;
-  }
-
-  std::vector<std::uint8_t> missed(nshards, 0);
-  util::ThreadPool::run_with(
-      nshards, nshards, 1,
-      [&](std::size_t s, std::size_t, std::size_t) {
-        shard_vals_[s].assign(nslots, 0.0);
-        shard_rhs_[s].assign(dim, 0.0);
-        MnaSystem sys(*solver_, shard_rhs_[s], shard_vals_[s].data());
-        for (std::size_t i = 0; i < ne; ++i) {
-          if (shard_of_elem_[i] != s) continue;
-          elems[i]->stamp(sys, sol, ctx);
-          if (sys.sink_missed()) break;
-        }
-        missed[s] = sys.sink_missed() ? 1 : 0;
-      });
-  for (std::size_t s = 0; s < nshards; ++s) {
-    if (missed[s]) return false; // cold caches: caller restamps serially
-  }
-
-  // Combine in shard order. Exclusive stamp groups mean each slot / rhs
-  // row receives exactly one shard's accumulator, built by the same add
-  // sequence the serial pass runs from the same +0.0 start — and a +0.0
-  // accumulator can never turn into -0.0 — so skipping zero entries keeps
-  // the assembled values bit-identical to serial stamping.
-  for (std::size_t s = 0; s < nshards; ++s) {
-    const std::vector<double>& sv = shard_vals_[s];
-    for (std::size_t slot = 0; slot < nslots; ++slot) {
-      if (sv[slot] != 0.0) {
-        solver_->add_slot(static_cast<std::uint32_t>(slot), sv[slot]);
-      }
-    }
-    const std::vector<double>& sr = shard_rhs_[s];
-    for (std::size_t i = 0; i < dim; ++i) rhs_[i] += sr[i];
-  }
-  return true;
 }
 
 bool Engine::solve(std::vector<double>& x, const StampContext& ctx,
@@ -176,19 +97,11 @@ bool Engine::solve(std::vector<double>& x, const StampContext& ctx,
   const bool any_nonlinear = ckt_.any_nonlinear();
   const int iters = any_nonlinear ? opt_.max_newton : 1;
 
-  const bool want_sharded = opt_.assembly_threads != 1 && opt_.stamp_cache;
-
   for (int it = 0; it < iters; ++it) {
     solver_->begin(dim);
     std::fill(rhs_.begin(), rhs_.end(), 0.0);
     MnaSystem sys(*solver_, rhs_, opt_.stamp_cache);
-    const Solution sol(x);
-    // Sharded stamping needs warm slot caches and an established pattern;
-    // when it reports a miss the serial pass below both assembles this
-    // iteration and warms every cache for the next one.
-    const bool sharded =
-        want_sharded && stamp_sharded(sol, ctx, dim, opt_.assembly_threads);
-    if (!sharded) ckt_.stamp_all(sys, sol, ctx);
+    ckt_.stamp_all(sys, Solution(x), ctx);
     // gmin to ground on every node row keeps floating nodes solvable; the
     // diagonal slots are cached like any element's stamp positions.
     if (opt_.stamp_cache) {

@@ -3,12 +3,12 @@
 // transient plus an adaptive variant driven by a local-truncation-error
 // step-doubling controller that lands exactly on source-waveform
 // breakpoints. The linear algebra runs through the pluggable solver layer
-// (solver.hpp): dense LU for cell-level netlists, sparse LU for
+// (solver.hpp): dense LU for cell-level netlists, the flat sparse LU for
 // array-level ones, selected automatically from the system dimension
-// unless pinned by the options.
+// unless pinned by the options. Assembly is one serial stamping pass per
+// Newton iteration.
 #pragma once
 
-#include <cstdint>
 #include <memory>
 #include <string>
 #include <unordered_map>
@@ -36,26 +36,6 @@ struct EngineOptions {
   /// position). Bit-identical to full refactors; off only for A/B
   /// validation.
   bool partial_refactor = true;
-  /// Sparse supernodal panels (SIMD rank-w column updates). Agrees with
-  /// the scalar factorization to rounding; off is the scalar reference.
-  bool supernodal = true;
-  /// Assembly sharding: stamp elements into per-shard slot-indexed buffers
-  /// on this many threads (1 = plain serial stamping, 0 = the global
-  /// pool's width). Combination order is fixed by shard index, so the
-  /// assembled values are bit-identical to the serial pass for circuits
-  /// whose stamp groups (Element::stamp_group) partition the matrix slots.
-  int assembly_threads = 1;
-  /// Hierarchical Schur-complement partitioning: when `partition` maps
-  /// every unknown to a block (>= 0) or the interface (-1) and the
-  /// resolved backend is sparse, the engine solves block interiors
-  /// independently and couples them through the dense interface system.
-  /// Agrees with the flat sparse solve to rounding.
-  bool partitioned = false;
-  std::vector<std::int32_t> partition; ///< unknown -> block id / -1
-  /// Concurrency of the Schur block phases (0 = the global pool's width,
-  /// 1 = serial, N = N threads). Bit-identical for every setting: blocks
-  /// compute independently and combine in block order.
-  int partition_threads = 0;
 };
 
 /// How Engine::transient_adaptive estimates the local truncation error.
@@ -188,14 +168,6 @@ class Engine {
     return solver_ ? solver_->factor_cols_total() : 0;
   }
 
-  /// Supernodal panels / panel-covered columns of the last factorization.
-  [[nodiscard]] std::size_t supernode_count() const {
-    return solver_ ? solver_->supernode_count() : 0;
-  }
-  [[nodiscard]] std::size_t supernode_cols() const {
-    return solver_ ? solver_->supernode_cols() : 0;
-  }
-
   /// The live backend, for white-box tests (nullptr before the first
   /// solve).
   [[nodiscard]] const LinearSolver* linear_solver() const {
@@ -218,23 +190,9 @@ class Engine {
   // Cached gmin diagonal slots (invalidated via the solver stamp epoch).
   GminSlotCache gmin_slots_;
 
-  // Sharded-assembly scratch: per-shard slot-value and rhs buffers plus
-  // the element -> shard map (rebuilt when the element count changes).
-  std::vector<std::vector<double>> shard_vals_;
-  std::vector<std::vector<double>> shard_rhs_;
-  std::vector<std::uint32_t> shard_of_elem_;
-  std::size_t shard_elem_count_ = 0;
-
   /// (Re)sizes the workspace for `dim` unknowns, creating the backend the
   /// options select for that dimension.
   void ensure_workspace(std::size_t dim);
-
-  /// Sharded element stamping into per-shard buffers, combined in shard
-  /// order. Returns false when any shard missed (cold caches / first pass
-  /// on a new pattern) — the caller restamps serially, which warms every
-  /// cache for the next attempt.
-  bool stamp_sharded(const Solution& sol, const StampContext& ctx,
-                     std::size_t dim, int threads);
 
   /// One Newton solve at the given context; x is in/out. Returns converged.
   bool solve(std::vector<double>& x, const StampContext& ctx,

@@ -13,7 +13,6 @@ namespace {
 
 /// Doolittle LU with partial pivoting over flat row-major storage,
 /// templated so the real and complex dense backends share one kernel.
-/// matrix.hpp keeps the double-only free functions for direct users.
 template <typename T>
 [[nodiscard]] bool dense_lu_factor(std::vector<T>& a,
                                    std::vector<std::uint32_t>& pivots,
@@ -156,8 +155,6 @@ std::unique_ptr<LinearSolver> make_solver(const SolverOptions& options,
     auto s = std::make_unique<SparseSolver>();
     s->set_ordering(options.ordering);
     s->set_partial_refactor(options.partial_refactor);
-    s->set_supernodal(options.supernodal);
-    s->set_markowitz(options.markowitz);
     return s;
   }
   return std::make_unique<DenseSolver<double>>();
@@ -175,8 +172,6 @@ std::unique_ptr<AcLinearSolver> make_ac_solver(const SolverOptions& options,
     auto s = std::make_unique<AcSparseSolver>();
     s->set_ordering(options.ordering);
     s->set_partial_refactor(options.partial_refactor);
-    s->set_supernodal(options.supernodal);
-    s->set_markowitz(options.markowitz);
     return s;
   }
   return std::make_unique<DenseSolver<std::complex<double>>>();

@@ -4,23 +4,23 @@
 // system matrix through the same assembly interface — `begin` / `add` /
 // `solve` — and never sees the storage format. Two backends implement it:
 //
-//  * a dense LU with partial pivoting (matrix.hpp's scheme, templated over
-//    the scalar so the AC sweep shares it) — fastest for the cell-level
-//    netlists of tens of unknowns;
+//  * a dense LU with partial pivoting (templated over the scalar so the AC
+//    sweep shares it) — fastest for the cell-level netlists of tens of
+//    unknowns;
 //  * a sparse LU (sparse.hpp: triplet assembly -> CSC, fill-reducing column
 //    ordering — RCM or approximate-minimum-degree, picked by predicted
 //    fill under Ordering::Auto — left-looking factorization with threshold
-//    partial pivoting) — the array-scale path, sub-quadratic per transient
-//    step.
+//    partial pivoting) — the one array-scale path, sub-quadratic per
+//    transient step.
 //
 // Both backends keep the stamped values next to their factorization and
-// refactor only when the values change (the dirty-stamp cache the dense
-// engine path gained in PR 1, now a property of the solver layer): a linear
+// refactor only when the values change (the dirty-stamp cache): a linear
 // transient factors twice (first backward-Euler step + the steady
 // trapezoidal pattern) and back-substitutes every step after that. The
 // sparse backend additionally restarts an invalidated factorization at the
 // first changed pivot position (partial refactorization), reusing the
-// untouched L/U prefix bit-for-bit.
+// untouched L/U prefix bit-for-bit, and inside that suffix recomputes only
+// the columns the changed values reach (scattered refactorization).
 //
 // Hot restamps go through the slot-handle fast path: `slot(i, j)` resolves
 // the accumulation slot of a position once, `add_slot` accumulates by
@@ -95,16 +95,6 @@ class LinearSolverT {
   /// come from `this->slot()` under the current stamp epoch.
   virtual void add_slot(std::uint32_t slot, T v) = 0;
 
-  /// Read-only slot lookup: the handle of (i, j) if the position is
-  /// already in the pattern, kNoSlot otherwise. Never mutates the solver,
-  /// so concurrent calls are safe while no thread is inserting — the
-  /// lookup the sink-mode (sharded) assembly path uses. Backends without
-  /// slot storage return kNoSlot for everything.
-  [[nodiscard]] virtual std::uint32_t find_slot(std::size_t /*i*/,
-                                                std::size_t /*j*/) const {
-    return kNoSlot;
-  }
-
   /// Epoch of the slot address space: changes whenever previously returned
   /// handles become invalid (dimension reset). Monotonic and unique across
   /// all solver instances in the process.
@@ -128,28 +118,8 @@ class LinearSolverT {
   /// the recomputed suffix — the observable of the partial-refactor path.
   [[nodiscard]] virtual std::size_t factor_cols_total() const = 0;
 
-  /// Backend name for diagnostics ("dense" / "sparse" / "schur").
+  /// Backend name for diagnostics ("dense" / "sparse").
   [[nodiscard]] virtual const char* name() const = 0;
-
-  /// Number of accumulation slots of the current pattern, or 0 when the
-  /// backend has no stable slot-indexed storage. A non-zero count means
-  /// slot handles densely index [0, slot_count()) — the contract the
-  /// sharded (parallel) assembly path relies on to size its per-shard
-  /// accumulation buffers.
-  [[nodiscard]] virtual std::size_t slot_count() const { return 0; }
-
-  /// Slot-ordered values of the last stamping pass, or nullptr when the
-  /// backend has no such storage. Exposed for the parallel-assembly
-  /// bit-identity tests.
-  [[nodiscard]] virtual const std::vector<T>* assembled_values() const {
-    return nullptr;
-  }
-
-  /// Supernodal panels of width >= 2 in the last factorization (0 for
-  /// backends without the supernodal path).
-  [[nodiscard]] virtual std::size_t supernode_count() const { return 0; }
-  /// Columns covered by those panels.
-  [[nodiscard]] virtual std::size_t supernode_cols() const { return 0; }
 
  protected:
   /// Invalidates all outstanding slot handles.
@@ -170,14 +140,6 @@ struct SolverOptions {
   /// pivot position instead of recomputing every column. Bit-identical to
   /// a full refactorization; off only for A/B validation.
   bool partial_refactor = true;
-  /// Sparse: group identical-pattern pivot runs into dense panels and run
-  /// their updates through the SIMD rank-w kernel. Agrees with the scalar
-  /// path to rounding (not bit-identical); off is the scalar reference.
-  bool supernodal = true;
-  /// Sparse: Markowitz dynamic pivoting (right-looking, full factors).
-  /// Meant for the AC path, where the complex assembly changes every
-  /// value per frequency point anyway.
-  bool markowitz = false;
 };
 
 /// Creates the real-valued solver for a backend choice and dimension.

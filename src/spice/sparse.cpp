@@ -5,10 +5,7 @@
 #include <limits>
 #include <numeric>
 #include <stdexcept>
-#include <unordered_map>
 #include <utility>
-
-#include "util/simd.hpp"
 
 namespace mss::spice {
 
@@ -313,102 +310,6 @@ std::size_t fill_from_adjacency(std::size_t dim, const SymAdjacency& g,
   return nnz_l;
 }
 
-// ---------------------------------------------------------------------------
-// Supernodal panel kernel
-// ---------------------------------------------------------------------------
-
-/// Panel width cap. Wider panels amortise better but recompute more on a
-/// partial restart (restarts snap to panel boundaries); 32 columns keeps a
-/// panel column comfortably inside L1 at array-scale below-block sizes.
-constexpr std::size_t kMaxPanelWidth = 32;
-
-/// acc[0..n) += col[0..n) * u over the portable Batch lanes. Lane-wise
-/// identical to the scalar loop (Batch has no horizontal ops), so the
-/// supernodal path's rounding difference vs the scalar path comes only
-/// from the panel-level accumulation order, never from this kernel.
-template <typename T>
-inline void axpy_batched(T* acc, const T* col, T u, std::size_t n) {
-  constexpr std::size_t W = 4;
-  using Bt = mss::util::Batch<T, W>;
-  std::size_t k = 0;
-  for (; k + W <= n; k += W) {
-    Bt a{};
-    Bt c{};
-    for (std::size_t l = 0; l < W; ++l) a.lane[l] = acc[k + l];
-    for (std::size_t l = 0; l < W; ++l) c.lane[l] = col[k + l];
-    a += c * u;
-    for (std::size_t l = 0; l < W; ++l) acc[k + l] = a.lane[l];
-  }
-  for (; k < n; ++k) acc[k] += col[k] * u;
-}
-
-/// Rank-4 fused update: acc += c0*u0 + c1*u1 + c2*u2 + c3*u3 in one pass.
-/// Four times fewer accumulator loads/stores per flop than four rank-1
-/// passes — the rank-1 AXPY has the same memory traffic as the scalar
-/// left-looking scatter loop, so the fusion is where the panel path's
-/// actual arithmetic-intensity advantage comes from. Per element the
-/// additions run in the same order as the sequential rank-1 passes
-/// (u0 first, u3 last), so the result is bit-identical to them.
-template <typename T>
-inline void axpy4_batched(T* acc, const T* const* cols, const T* u,
-                          std::size_t n) {
-  constexpr std::size_t W = 4;
-  using Bt = mss::util::Batch<T, W>;
-  const T* c0 = cols[0];
-  const T* c1 = cols[1];
-  const T* c2 = cols[2];
-  const T* c3 = cols[3];
-  const T u0 = u[0], u1 = u[1], u2 = u[2], u3 = u[3];
-  std::size_t k = 0;
-  for (; k + W <= n; k += W) {
-    Bt a{};
-    Bt c{};
-    for (std::size_t l = 0; l < W; ++l) a.lane[l] = acc[k + l];
-    for (std::size_t l = 0; l < W; ++l) c.lane[l] = c0[k + l];
-    a += c * u0;
-    for (std::size_t l = 0; l < W; ++l) c.lane[l] = c1[k + l];
-    a += c * u1;
-    for (std::size_t l = 0; l < W; ++l) c.lane[l] = c2[k + l];
-    a += c * u2;
-    for (std::size_t l = 0; l < W; ++l) c.lane[l] = c3[k + l];
-    a += c * u3;
-    for (std::size_t l = 0; l < W; ++l) acc[k + l] = a.lane[l];
-  }
-  for (; k < n; ++k) {
-    T a = acc[k];
-    a += c0[k] * u0;
-    a += c1[k] * u1;
-    a += c2[k] * u2;
-    a += c3[k] * u3;
-    acc[k] = a;
-  }
-}
-
-/// Runtime-dispatched wrappers of the real-valued rank-1/rank-4 updates
-/// (the supernodal hot loop); the complex AC instantiation keeps the
-/// portable path (target_clones does not apply to templates).
-MSS_SIMD_CLONES
-void panel_axpy(double* acc, const double* col, double u, std::size_t n) {
-  axpy_batched(acc, col, u, n);
-}
-
-void panel_axpy(std::complex<double>* acc, const std::complex<double>* col,
-                std::complex<double> u, std::size_t n) {
-  axpy_batched(acc, col, u, n);
-}
-
-MSS_SIMD_CLONES
-void panel_axpy4(double* acc, const double* const* cols, const double* u,
-                 std::size_t n) {
-  axpy4_batched(acc, cols, u, n);
-}
-
-void panel_axpy4(std::complex<double>* acc,
-                 const std::complex<double>* const* cols,
-                 const std::complex<double>* u, std::size_t n) {
-  axpy4_batched(acc, cols, u, n);
-}
-
 } // namespace
 
 // ---------------------------------------------------------------------------
@@ -427,22 +328,6 @@ void SparseSolverT<T>::set_ordering(Ordering ordering) {
   if (ordering == ordering_) return;
   ordering_ = ordering;
   pattern_dirty_ = true; // re-run the symbolic phase under the new policy
-}
-
-template <typename T>
-void SparseSolverT<T>::set_supernodal(bool enabled) {
-  if (enabled == supernodal_) return;
-  supernodal_ = enabled;
-  // The two modes agree only to rounding, so a partial restart must never
-  // reuse a prefix factored under the other mode.
-  factor_valid_ = false;
-}
-
-template <typename T>
-void SparseSolverT<T>::set_markowitz(bool enabled) {
-  if (enabled == markowitz_) return;
-  markowitz_ = enabled;
-  factor_valid_ = false; // different pivot sequence: no prefix reuse
 }
 
 template <typename T>
@@ -548,8 +433,6 @@ void SparseSolverT<T>::rebuild_symbolic() {
   sol_.assign(dim_, T{});
   heap_.clear();
   unassigned_.clear();
-  sn_mark_.assign(dim_, 0); // sn_mark_ctr_ stays monotonic: stale-proof
-  sn_loc_.assign(dim_, 0);
   pattern_dirty_ = false;
   factor_valid_ = false;
 }
@@ -570,15 +453,6 @@ bool SparseSolverT<T>::factor(std::size_t start) {
     u_rows_.clear();
     u_vals_.clear();
     std::fill(pinv_.begin(), pinv_.end(), -1);
-    sn_start_.clear();
-    sn_width_.clear();
-    sn_of_col_.assign(n, 0);
-    sn_rows_ptr_.assign(1, 0);
-    sn_rows_.clear();
-    sn_panel_ptr_.clear();
-    sn_panel_vals_.clear();
-    sn_panels_multi_ = 0;
-    sn_cols_multi_ = 0;
   } else {
     // Keep the factored prefix [0, start); free the pivot assignments of
     // the recomputed suffix (prow_ is complete — partial restarts only run
@@ -590,39 +464,15 @@ bool SparseSolverT<T>::factor(std::size_t start) {
     u_rows_.resize(u_ptr_[start]);
     u_vals_.resize(u_ptr_[start]);
     u_ptr_.resize(start + 1);
-    if (supernodal_ && !sn_start_.empty()) {
-      // `start` is a panel boundary (solve() snaps it down); drop every
-      // panel at or after it and recount the width >= 2 observables.
-      const std::uint32_t p0 = sn_of_col_[start];
-      sn_rows_.resize(sn_rows_ptr_[p0]);
-      sn_rows_ptr_.resize(p0 + 1);
-      sn_panel_vals_.resize(sn_panel_ptr_[p0]);
-      sn_panel_ptr_.resize(p0);
-      sn_start_.resize(p0);
-      sn_width_.resize(p0);
-      sn_panels_multi_ = 0;
-      sn_cols_multi_ = 0;
-      for (const std::uint32_t w : sn_width_) {
-        if (w >= 2) {
-          ++sn_panels_multi_;
-          sn_cols_multi_ += w;
-        }
-      }
-    }
   }
   last_factor_start_ = start;
   factor_cols_total_ += n - start;
-  // Trailing detection panel: columns join while their below-diagonal L
-  // pattern nests exactly into the panel's opening pattern.
-  std::size_t open_start = start;
-  std::size_t open_nb0 = 0;
 
   const auto heap_cmp = std::greater<std::uint32_t>();
   bool singular = false;
 
   for (std::size_t k = start; k < n && !singular; ++k) {
     const std::uint32_t col = q_[k];
-    ++sn_col_stamp_; // new target column: every panel is unapplied again
     heap_.clear();
     unassigned_.clear();
     u_scratch_rows_.clear();
@@ -652,18 +502,6 @@ bool SparseSolverT<T>::factor(std::size_t start) {
       std::pop_heap(heap_.begin(), heap_.end(), heap_cmp);
       const std::uint32_t t = heap_.back();
       heap_.pop_back();
-      if (supernodal_ && t < open_start && sn_width_[sn_of_col_[t]] >= 2) {
-        // First popped member of a closed multi-column panel: apply the
-        // whole panel densely. Later members of the same panel pop with
-        // the done-stamp set and are skipped — their U entries were
-        // produced here, in ascending order (members below the first
-        // touched one solve to exact zero in the triangle).
-        const std::uint32_t panel = sn_of_col_[t];
-        if (sn_done_[panel] == sn_col_stamp_) continue;
-        sn_done_[panel] = sn_col_stamp_;
-        apply_closed_panel(panel, static_cast<std::int32_t>(k));
-        continue;
-      }
       const T ut = work_[prow_[t]];
       if (ut == T{}) continue; // exact numeric zero: no U entry, no update
       u_scratch_rows_.push_back(t);
@@ -729,37 +567,6 @@ bool SparseSolverT<T>::factor(std::size_t start) {
       }
       l_ptr_.push_back(static_cast<std::uint32_t>(l_rows_.size()));
 
-      if (supernodal_) {
-        // On-the-fly detection: position k joins the open panel iff its
-        // pivot row and all of its L rows lie in the panel's opening row
-        // set and the count matches the nested-pattern identity
-        // |L_k| = nb0 - (k - open_start). Assigned rows can never appear
-        // in a later L column, so subset + count <=> exact equality.
-        const std::uint32_t lbeg = l_ptr_[k];
-        const std::uint32_t lend = l_ptr_[k + 1];
-        const std::size_t nbk = lend - lbeg;
-        bool joins = false;
-        if (k > open_start && k - open_start < kMaxPanelWidth &&
-            open_nb0 == nbk + (k - open_start) &&
-            sn_mark_[pr] == sn_mark_ctr_) {
-          joins = true;
-          for (std::uint32_t p = lbeg; p < lend; ++p) {
-            if (sn_mark_[l_rows_[p]] != sn_mark_ctr_) {
-              joins = false;
-              break;
-            }
-          }
-        }
-        if (!joins) {
-          if (k > open_start) close_panel(open_start, k);
-          open_start = k;
-          open_nb0 = nbk;
-          ++sn_mark_ctr_;
-          for (std::uint32_t p = lbeg; p < lend; ++p) {
-            sn_mark_[l_rows_[p]] = sn_mark_ctr_;
-          }
-        }
-      }
     }
 
     for (const std::uint32_t r : touched_) {
@@ -767,127 +574,7 @@ bool SparseSolverT<T>::factor(std::size_t start) {
       work_[r] = T{};
     }
   }
-  if (supernodal_ && !singular && open_start < n) close_panel(open_start, n);
   return !singular;
-}
-
-template <typename T>
-void SparseSolverT<T>::close_panel(std::size_t s, std::size_t e) {
-  const auto panel = static_cast<std::uint32_t>(sn_start_.size());
-  const auto w = static_cast<std::uint32_t>(e - s);
-  sn_start_.push_back(static_cast<std::uint32_t>(s));
-  sn_width_.push_back(w);
-  for (std::size_t pos = s; pos < e; ++pos) {
-    sn_of_col_[pos] = panel;
-  }
-  // Canonical below-row order: the last member's L rows — the nested
-  // pattern's intersection — in their stored order.
-  const std::uint32_t lbeg = l_ptr_[e - 1];
-  const std::uint32_t lend = l_ptr_[e];
-  const std::uint32_t nb = lend - lbeg;
-  sn_rows_.insert(sn_rows_.end(), l_rows_.begin() + lbeg,
-                  l_rows_.begin() + lend);
-  sn_rows_ptr_.push_back(static_cast<std::uint32_t>(sn_rows_.size()));
-  sn_panel_ptr_.push_back(static_cast<std::uint32_t>(sn_panel_vals_.size()));
-  if (sn_done_.size() <= panel) sn_done_.resize(panel + 1, 0);
-  if (w < 2) return; // singletons keep the scalar per-column path
-  // Dense column-major copy: [w unit-triangle rows][nb below rows] per
-  // column; entries absent from a member's L column stay exact zero.
-  const std::size_t len = static_cast<std::size_t>(w) + nb;
-  for (std::uint32_t j = 0; j < w; ++j) sn_loc_[prow_[s + j]] = j;
-  for (std::uint32_t i = 0; i < nb; ++i) {
-    sn_loc_[l_rows_[lbeg + i]] = w + i;
-  }
-  const std::size_t base = sn_panel_vals_.size();
-  sn_panel_vals_.resize(base + static_cast<std::size_t>(w) * len, T{});
-  for (std::uint32_t i = 0; i < w; ++i) {
-    T* colv = sn_panel_vals_.data() + base + i * len;
-    for (std::uint32_t p = l_ptr_[s + i]; p < l_ptr_[s + i + 1]; ++p) {
-      colv[sn_loc_[l_rows_[p]]] = l_vals_[p];
-    }
-  }
-  ++sn_panels_multi_;
-  sn_cols_multi_ += w;
-}
-
-template <typename T>
-void SparseSolverT<T>::apply_closed_panel(std::uint32_t panel,
-                                          std::int32_t pivotal_bound) {
-  const auto heap_cmp = std::greater<std::uint32_t>();
-  const std::uint32_t w = sn_width_[panel];
-  const std::uint32_t s = sn_start_[panel];
-  const std::uint32_t rb = sn_rows_ptr_[panel];
-  const std::uint32_t nb = sn_rows_ptr_[panel + 1] - rb;
-  const std::size_t len = w + nb;
-  const T* panelv = sn_panel_vals_.data() + sn_panel_ptr_[panel];
-  // Gather the raw pivot-row values; the dense unit-lower solve
-  // applies the intra-panel updates (external updates from pivots
-  // before the panel are complete — the heap pops ascending).
-  if (sn_u_.size() < w) sn_u_.resize(w);
-  for (std::uint32_t j = 0; j < w; ++j) {
-    const std::uint32_t r = prow_[s + j];
-    sn_u_[j] = mark_[r] ? work_[r] : T{};
-  }
-  for (std::uint32_t i = 0; i + 1 < w; ++i) {
-    const T ui = sn_u_[i];
-    if (ui == T{}) continue;
-    const T* colv = panelv + i * len;
-    for (std::uint32_t j = i + 1; j < w; ++j) sn_u_[j] -= colv[j] * ui;
-  }
-  for (std::uint32_t j = 0; j < w; ++j) {
-    if (sn_u_[j] == T{}) continue;
-    u_scratch_rows_.push_back(s + j);
-    u_scratch_vals_.push_back(sn_u_[j]);
-  }
-  if (nb != 0) {
-    // Rank-w update of the shared below-block: compress the nonzero
-    // u's, accumulate densely (rank-4 fused SIMD passes, rank-1
-    // remainder), scatter-subtract once. The rank-4 fusion quarters
-    // the accumulator traffic per flop; per element the additions
-    // keep the sequential rank-1 order, so the blocking is
-    // bit-neutral.
-    if (sn_acc_.size() < nb) sn_acc_.resize(nb);
-    std::fill_n(sn_acc_.begin(), nb, T{});
-    const T* ucols[kMaxPanelWidth];
-    T uvals[kMaxPanelWidth];
-    std::uint32_t m = 0;
-    for (std::uint32_t i = 0; i < w; ++i) {
-      const T ui = sn_u_[i];
-      if (ui == T{}) continue;
-      ucols[m] = panelv + i * len + w;
-      uvals[m] = ui;
-      ++m;
-    }
-    std::uint32_t i4 = 0;
-    for (; i4 + 4 <= m; i4 += 4) {
-      panel_axpy4(sn_acc_.data(), ucols + i4, uvals + i4, nb);
-    }
-    for (; i4 < m; ++i4) {
-      panel_axpy(sn_acc_.data(), ucols[i4], uvals[i4], nb);
-    }
-    const bool any = m != 0;
-    if (any) {
-      const std::uint32_t* rows = sn_rows_.data() + rb;
-      for (std::uint32_t idx = 0; idx < nb; ++idx) {
-        const T d = sn_acc_[idx];
-        if (d == T{}) continue;
-        const std::uint32_t r = rows[idx];
-        if (!mark_[r]) {
-          mark_[r] = 1;
-          touched_.push_back(r);
-          work_[r] = -d;
-          if (pinv_[r] >= 0 && pinv_[r] < pivotal_bound) {
-            heap_.push_back(static_cast<std::uint32_t>(pinv_[r]));
-            std::push_heap(heap_.begin(), heap_.end(), heap_cmp);
-          } else {
-            unassigned_.push_back(r);
-          }
-        } else {
-          work_[r] -= d;
-        }
-      }
-    }
-  }
 }
 
 template <typename T>
@@ -895,7 +582,6 @@ bool SparseSolverT<T>::replay_column(std::size_t k) {
   const std::uint32_t col = q_[k];
   const auto kb = static_cast<std::int32_t>(k);
   const auto heap_cmp = std::greater<std::uint32_t>();
-  ++sn_col_stamp_; // new target column: every panel is unapplied again
   heap_.clear();
   unassigned_.clear();
   u_scratch_rows_.clear();
@@ -931,21 +617,6 @@ bool SparseSolverT<T>::replay_column(std::size_t k) {
     std::pop_heap(heap_.begin(), heap_.end(), heap_cmp);
     const std::uint32_t t = heap_.back();
     heap_.pop_back();
-    if (supernodal_ && !sn_start_.empty()) {
-      // A panel was *closed* while column k was originally factored iff it
-      // ends strictly before k (the panel ending exactly at k was still
-      // open — its close decision was made by k itself). Those pop through
-      // the dense path; the trailing open panel's members stay scalar,
-      // which replays the original trace bit-for-bit.
-      const std::uint32_t panel = sn_of_col_[t];
-      if (sn_width_[panel] >= 2 &&
-          sn_start_[panel] + sn_width_[panel] < static_cast<std::uint32_t>(k)) {
-        if (sn_done_[panel] == sn_col_stamp_) continue;
-        sn_done_[panel] = sn_col_stamp_;
-        apply_closed_panel(panel, kb);
-        continue;
-      }
-    }
     const T ut = work_[prow_[t]];
     if (ut == T{}) continue; // exact numeric zero: no U entry, no update
     u_scratch_rows_.push_back(t);
@@ -1029,11 +700,8 @@ bool SparseSolverT<T>::refactor_scattered(std::size_t first_dirty,
   // Propagate dirtiness through the stored U structure: a clean column
   // whose U column references a dirty earlier pivot sees different
   // updates and must be recomputed; everything else replays identically
-  // and keeps its stored L/U column. The walk stops at the first dirty
-  // position inside a width >= 2 panel — panel dense values are only
-  // rebuilt by close_panel(), so from that panel's start the classic
-  // suffix restart takes over.
-  std::size_t cutoff = n;
+  // and keeps its stored L/U column.
+  std::size_t scattered = 0;
   for (std::size_t k = first_dirty; k < n; ++k) {
     if (!dirty_pos_[k]) {
       for (std::uint32_t p = u_ptr_[k]; p < u_ptr_[k + 1]; ++p) {
@@ -1043,184 +711,28 @@ bool SparseSolverT<T>::refactor_scattered(std::size_t first_dirty,
         }
       }
     }
-    if (dirty_pos_[k] && supernodal_ && !sn_start_.empty() &&
-        sn_width_[sn_of_col_[k]] >= 2) {
-      cutoff = sn_start_[sn_of_col_[k]];
-      break;
-    }
+    scattered += dirty_pos_[k];
   }
-  std::size_t scattered = 0;
-  for (std::size_t k = first_dirty; k < cutoff; ++k) scattered += dirty_pos_[k];
 
   // Engage only when skipping clean columns buys enough over the suffix
   // restart (which has no per-column replay checks): at least a quarter
   // of the suffix must be skippable.
-  std::size_t suffix_start = first_dirty;
-  if (suffix_start > 0 && supernodal_ && !sn_start_.empty()) {
-    suffix_start = sn_start_[sn_of_col_[suffix_start - 1]];
-  }
-  if (scattered + (n - cutoff) >= ((n - suffix_start) * 3) / 4) return true;
+  if (scattered >= ((n - first_dirty) * 3) / 4) return true;
   engaged = true;
 
-  // Suffix restart from position s, with the same panel snap solve()
-  // applies: the column at s may have a different L pattern under the new
-  // values, which can change the extend/close decision of the panel
-  // containing s-1 — re-running that panel re-makes the decision exactly
-  // the way a from-scratch factorization would.
-  const auto suffix_from = [&](std::size_t s) {
-    if (s > 0 && supernodal_ && !sn_start_.empty()) {
-      s = sn_start_[sn_of_col_[s - 1]];
-    }
-    const bool ok = factor(s);
-    if (ok) last_factor_start_ = std::min(last_factor_start_, first_dirty);
-    return ok;
-  };
-
-  for (std::size_t k = first_dirty; k < cutoff; ++k) {
+  for (std::size_t k = first_dirty; k < n; ++k) {
     if (!dirty_pos_[k]) continue;
     // Values drifted past a pivot choice, a pattern row, or an exact-zero
-    // drop: finish with the suffix path from here.
-    if (!replay_column(k)) return suffix_from(k);
+    // drop: finish with the suffix restart from here.
+    if (!replay_column(k)) {
+      const bool ok = factor(k);
+      if (ok) last_factor_start_ = first_dirty;
+      return ok;
+    }
     ++factor_cols_total_;
     ++scattered_cols_total_;
   }
-  if (cutoff < n) return suffix_from(cutoff);
   last_factor_start_ = first_dirty;
-  return true;
-}
-
-template <typename T>
-bool SparseSolverT<T>::factor_markowitz() {
-  const std::size_t n = dim_;
-  l_ptr_.assign(1, 0);
-  l_rows_.clear();
-  l_vals_.clear();
-  u_rows_.clear();
-  u_vals_.clear();
-  std::fill(pinv_.begin(), pinv_.end(), -1);
-  sn_start_.clear();
-  sn_width_.clear();
-  sn_of_col_.assign(n, 0);
-  sn_rows_ptr_.assign(1, 0);
-  sn_rows_.clear();
-  sn_panel_ptr_.clear();
-  sn_panel_vals_.clear();
-  sn_panels_multi_ = 0;
-  sn_cols_multi_ = 0;
-  last_factor_start_ = 0;
-  factor_cols_total_ += n;
-
-  // Active submatrix: row-wise hash maps (live columns only) plus lazy
-  // per-column row lists; colcnt_ tracks the exact live count so the
-  // Markowitz cost (rowcount-1)*(colcount-1) is cheap to evaluate.
-  std::vector<std::unordered_map<std::uint32_t, T>> arow(n);
-  std::vector<std::vector<std::uint32_t>> colrows(n);
-  std::vector<std::uint32_t> colcnt(n, 0);
-  for (std::uint32_t c = 0; c < n; ++c) {
-    for (std::uint32_t p = col_ptr_[c]; p < col_ptr_[c + 1]; ++p) {
-      const std::uint32_t r = row_ind_[p];
-      arow[r].emplace(c, csc_vals_[p]);
-      colrows[c].push_back(r);
-      ++colcnt[c];
-    }
-  }
-  std::vector<std::uint8_t> col_done(n, 0);
-  // U is accumulated per *column*: eliminating pivot t appends (t, value)
-  // to every live column of the pivot row, so each list ends up in
-  // ascending pivot order — exactly the layout the back-substitution
-  // expects once concatenated in final column order.
-  std::vector<std::vector<std::pair<std::uint32_t, T>>> ucol(n);
-  std::vector<std::pair<std::uint32_t, double>> cand; // (row, |value|)
-
-  for (std::size_t t = 0; t < n; ++t) {
-    // Pivot search: minimal Markowitz cost among entries within tol_ of
-    // their column max. Deterministic: columns ascending, rows in list
-    // order, strict improvement (or same cost with larger magnitude) wins.
-    std::size_t best_cost = std::numeric_limits<std::size_t>::max();
-    double best_mag = 0.0;
-    std::uint32_t bi = 0, bj = 0;
-    bool have = false;
-    for (std::uint32_t c = 0; c < n; ++c) {
-      if (col_done[c]) continue;
-      cand.clear();
-      double cmax = 0.0;
-      auto& list = colrows[c];
-      std::size_t live = 0;
-      for (const std::uint32_t r : list) {
-        const auto it = arow[r].find(c);
-        if (it == arow[r].end()) continue; // stale (eliminated row)
-        list[live++] = r; // compact in place, preserving order
-        const double m = std::abs(it->second);
-        cmax = std::max(cmax, m);
-        cand.emplace_back(r, m);
-      }
-      list.resize(live);
-      if (cmax < 1e-300) continue; // numerically empty column
-      const std::size_t ccnt = colcnt[c];
-      for (const auto& [r, m] : cand) {
-        if (m < tol_ * cmax || m == 0.0) continue;
-        const std::size_t cost = (arow[r].size() - 1) * (ccnt - 1);
-        if (!have || cost < best_cost ||
-            (cost == best_cost && m > best_mag)) {
-          best_cost = cost;
-          best_mag = m;
-          bi = r;
-          bj = c;
-          have = true;
-        }
-      }
-    }
-    if (!have) return false; // structurally or numerically singular
-
-    const T piv = arow[bi][bj];
-    q_[t] = bj;
-    prow_[t] = bi;
-    pinv_[bi] = static_cast<std::int32_t>(t);
-    diag_[t] = piv;
-    col_done[bj] = 1;
-
-    // U row t -> per-column lists; L column t from the live pivot column.
-    std::vector<std::pair<std::uint32_t, T>> urow;
-    urow.reserve(arow[bi].size());
-    for (const auto& [c, v] : arow[bi]) {
-      --colcnt[c];
-      if (c == bj) continue;
-      urow.emplace_back(c, v);
-      ucol[c].emplace_back(static_cast<std::uint32_t>(t), v);
-    }
-    for (const std::uint32_t r : colrows[bj]) {
-      if (r == bi) continue;
-      const auto it = arow[r].find(bj);
-      if (it == arow[r].end()) continue;
-      const T lv = it->second / piv;
-      arow[r].erase(it);
-      if (lv == T{}) continue;
-      l_rows_.push_back(r);
-      l_vals_.push_back(lv);
-      // Rank-1 update of row r; fill entries extend the column lists.
-      for (const auto& [c, u] : urow) {
-        const auto [it2, inserted] = arow[r].try_emplace(c, T{});
-        if (inserted) {
-          colrows[c].push_back(r);
-          ++colcnt[c];
-        }
-        it2->second -= lv * u;
-      }
-    }
-    l_ptr_.push_back(static_cast<std::uint32_t>(l_rows_.size()));
-    std::unordered_map<std::uint32_t, T>().swap(arow[bi]);
-  }
-
-  for (std::uint32_t k = 0; k < n; ++k) qpos_[q_[k]] = k;
-  u_ptr_.assign(1, 0);
-  for (std::size_t k = 0; k < n; ++k) {
-    for (const auto& [tt, v] : ucol[q_[k]]) {
-      u_rows_.push_back(tt);
-      u_vals_.push_back(v);
-    }
-    u_ptr_.push_back(static_cast<std::uint32_t>(u_rows_.size()));
-  }
-  ordering_used_ = "markowitz";
   return true;
 }
 
@@ -1259,24 +771,14 @@ bool SparseSolverT<T>::solve(const std::vector<T>& b, std::vector<T>& x) {
   }
 
   if (first_dirty != std::numeric_limits<std::size_t>::max()) {
-    const bool scatter_eligible = partial_ && factor_valid_ && !markowitz_;
+    const bool scatter_eligible = partial_ && factor_valid_;
     factor_valid_ = false;
     bool engaged = false;
     bool ok = false;
     if (scatter_eligible) {
       ok = refactor_scattered(first_dirty, engaged);
     }
-    if (!engaged) {
-      std::size_t start = scatter_eligible ? first_dirty : std::size_t{0};
-      if (start > 0 && supernodal_ && !sn_start_.empty()) {
-        // Snap to the panel containing position start-1: a full refactor
-        // reaches the first dirty position with that panel still *open*
-        // (the close decision is made by the dirty column itself), so the
-        // restart must re-run it to keep partial == full bit-for-bit.
-        start = sn_start_[sn_of_col_[start - 1]];
-      }
-      ok = markowitz_ ? factor_markowitz() : factor(start);
-    }
+    if (!engaged) ok = factor(scatter_eligible ? first_dirty : 0);
     if (!ok) return false;
     cached_vals_ = csc_vals_;
     factor_valid_ = true;

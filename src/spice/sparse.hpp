@@ -44,30 +44,9 @@
 // position is still exact and the factorization restarts there (partial
 // refactorization), bit-identical to a full refactor. Newton iterations
 // that only move device rows late in the ordering refactor a short suffix.
-//
-// Supernodes. Consecutive pivot columns whose below-diagonal L pattern is
-// identical (each column's pattern = the previous one minus its pivot row)
-// are grouped into panels as they complete and copied into contiguous
-// dense column-major storage. An update from a closed panel to a later
-// column is then one dense gather, a small unit-triangular solve over the
-// panel's pivot rows, and a rank-w accumulation over the shared below-block
-// through the util/simd.hpp Batch kernels, scattered back in a single pass
-// — replacing w indexed column walks. The panel accumulation reassociates
-// the update sum, so the supernodal path agrees with the scalar path to
-// rounding (1e-9 contract), while partial-vs-full refactors under a fixed
-// supernodal setting remain bit-identical: restarts snap down to the
-// owning panel's first column (supernode-granular restarts), and every
-// reused prefix column — panels included — is byte-for-byte the stored one.
-//
-// Markowitz mode (AC path). `set_markowitz(true)` replaces the static-
-// order left-looking factorization with a right-looking elimination that
-// picks each pivot dynamically by minimal Markowitz cost
-// (rowcount-1)*(colcount-1) among entries within `pivot_tol` of their
-// column maximum. The complex-valued AC assembly destroys the real
-// pattern's structure (omega-scaled admittances), where a static fill
-// order chosen once can lose badly; dynamic pivoting repays the ordering
-// cost per factorization. Partial refactorization and supernodes do not
-// apply in this mode (every factor is a full one).
+// Inside that suffix, the scattered (dirty-set) path recomputes only the
+// columns whose values changed plus their dependents through the stored U
+// structure, again bit-identical to a full refactor.
 #pragma once
 
 #include <cstddef>
@@ -122,27 +101,11 @@ class SparseSolverT final : public LinearSolverT<T> {
   /// Enables/disables the partial-refactorization fast path (on by
   /// default; the off state exists for A/B equivalence validation).
   void set_partial_refactor(bool enabled) { partial_ = enabled; }
-  /// Enables/disables supernodal panel processing (on by default; the off
-  /// state is the scalar reference for the equivalence matrix). Toggling
-  /// invalidates the numeric factorization — the two modes produce
-  /// rounding-level different factors, so mixing prefixes is not allowed.
-  void set_supernodal(bool enabled);
-  /// Switches to Markowitz dynamic pivoting (right-looking elimination,
-  /// pivot by minimal (rowcount-1)*(colcount-1) within the magnitude
-  /// threshold). Off by default; meant for the AC path. Disables the
-  /// partial-refactorization and supernodal machinery while on.
-  void set_markowitz(bool enabled);
 
   void begin(std::size_t dim) override;
   void add(std::size_t i, std::size_t j, T v) override;
   [[nodiscard]] std::uint32_t slot(std::size_t i, std::size_t j) override;
   void add_slot(std::uint32_t slot, T v) override { vals_[slot] += v; }
-  [[nodiscard]] std::uint32_t find_slot(std::size_t i,
-                                        std::size_t j) const override {
-    const auto it = slot_of_.find((static_cast<std::uint64_t>(i) << 32) |
-                                  static_cast<std::uint64_t>(j));
-    return it == slot_of_.end() ? this->kNoSlot : it->second;
-  }
   [[nodiscard]] bool solve(const std::vector<T>& b,
                            std::vector<T>& x) override;
   [[nodiscard]] std::size_t dim() const override { return dim_; }
@@ -153,18 +116,6 @@ class SparseSolverT final : public LinearSolverT<T> {
     return factor_cols_total_;
   }
   [[nodiscard]] const char* name() const override { return "sparse"; }
-  [[nodiscard]] std::size_t slot_count() const override {
-    return vals_.size();
-  }
-  [[nodiscard]] const std::vector<T>* assembled_values() const override {
-    return &vals_;
-  }
-  [[nodiscard]] std::size_t supernode_count() const override {
-    return sn_panels_multi_;
-  }
-  [[nodiscard]] std::size_t supernode_cols() const override {
-    return sn_cols_multi_;
-  }
 
   /// Structural nonzeros of the assembled pattern.
   [[nodiscard]] std::size_t nnz() const { return slot_row_.size(); }
@@ -191,8 +142,6 @@ class SparseSolverT final : public LinearSolverT<T> {
   double tol_;
   Ordering ordering_ = Ordering::Auto;
   bool partial_ = true;
-  bool supernodal_ = true;
-  bool markowitz_ = false;
   std::size_t factor_count_ = 0;
   std::size_t factor_cols_total_ = 0;
   std::size_t scattered_cols_total_ = 0;
@@ -237,34 +186,11 @@ class SparseSolverT final : public LinearSolverT<T> {
   std::vector<std::uint8_t> dirty_pos_;  ///< pivot position -> stamps changed
   std::vector<T> sol_;                   ///< solution by pivot order
 
-  // --- supernodal panels (contiguous pivot runs with identical below-
-  // diagonal L pattern, stored as dense column-major blocks) ---
-  std::vector<std::uint32_t> sn_start_; ///< panel -> first pivot position
-  std::vector<std::uint32_t> sn_width_; ///< panel -> column count
-  std::vector<std::uint32_t> sn_of_col_; ///< pivot position -> panel
-  std::vector<std::uint32_t> sn_rows_ptr_, sn_rows_; ///< below-row lists
-  std::vector<std::uint32_t> sn_panel_ptr_; ///< panel -> dense value base
-  std::vector<T> sn_panel_vals_; ///< [w triangle rows][nb below rows] / col
-  std::size_t sn_panels_multi_ = 0; ///< panels of width >= 2 (last factor)
-  std::size_t sn_cols_multi_ = 0;   ///< columns covered by those panels
-  std::vector<std::uint64_t> sn_mark_;   ///< open-panel row membership
-  std::uint64_t sn_mark_ctr_ = 0;
-  std::vector<std::uint64_t> sn_done_;   ///< panel applied to current col?
-  std::uint64_t sn_col_stamp_ = 0;
-  std::vector<std::uint32_t> sn_loc_;    ///< row -> panel-local position
-  std::vector<T> sn_u_, sn_acc_;         ///< panel solve / update scratch
-
   void rebuild_symbolic();
   /// Numeric factorization from pivot position `start` (0 = full). Reuses
   /// the L/U columns below `start`, which requires a complete valid
   /// factorization when `start > 0`.
   [[nodiscard]] bool factor(std::size_t start);
-  /// Right-looking factorization with Markowitz dynamic pivoting (always
-  /// a full factor; fills the same L/U/permutation arrays).
-  [[nodiscard]] bool factor_markowitz();
-  /// Closes the open detection panel [s, e) and records it (dense copy
-  /// for width >= 2).
-  void close_panel(std::size_t s, std::size_t e);
   /// Scattered (dirty-set) refactorization: recompute only the columns
   /// whose stamp values changed plus their dependents through the stored
   /// U structure, rewriting L/U values in place (the static pattern keeps
@@ -280,11 +206,6 @@ class SparseSolverT final : public LinearSolverT<T> {
   /// (storage untouched) when the replay deviates — values drifted enough
   /// to change a pivot choice or an exact-zero drop.
   [[nodiscard]] bool replay_column(std::size_t k);
-  /// Dense application of closed panel `panel` to the column accumulator
-  /// (`work_`/`mark_`/`heap_`/`unassigned_` state). Rows pivotal at a
-  /// position >= `pivotal_bound` count as unassigned — the bound is the
-  /// position of the column being computed.
-  void apply_closed_panel(std::uint32_t panel, std::int32_t pivotal_bound);
 };
 
 extern template class SparseSolverT<double>;

@@ -244,6 +244,11 @@ void send_raw_frame(const mss::util::Fd& fd, const std::string& payload) {
 /// The post-fuzz health check: every entry reaped, no fd growth, and the
 /// executor still runs a clean job end to end.
 void assert_server_healthy(FuzzServer& ts, std::size_t fd_baseline) {
+  // A completed handshake on a fresh probe connection proves that every
+  // earlier connect was accepted and registered: the single accept thread
+  // drains the FIFO listen backlog in order. Without the probe, the reap
+  // wait below can pass before the last fuzz connection reaches the table.
+  { Client probe(ts.socket_path); }
   bool reaped = false;
   for (int i = 0; i < 500 && !reaped; ++i) {
     reaped = ts.server->connection_entries() == 0;

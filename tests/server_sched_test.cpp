@@ -100,8 +100,10 @@ mss::sweep::ResultTable solo_run(const ParamSpace& space, std::uint64_t seed,
 // A small equal-priority job submitted behind a much larger one must not
 // wait for it: round-robin at stripe granularity means the small job
 // finishes (24 points = 12 stripes vs 6 points = 3 stripes) while the
-// big one is still mid-flight. This is a property of the queue rotation,
-// not of timing: once both jobs are enqueued the executor alternates.
+// big one is still mid-flight. Once both jobs are enqueued this is a
+// property of the queue rotation, not of timing; the big job's points are
+// heavy enough (~tens of ms in all) that it cannot finish inside the
+// small job's submit round trip even on a loaded host.
 TEST(ServerSched, EqualPriorityJobsRoundRobin) {
   TestServer ts;
   Client big_client(ts.socket_path);
@@ -112,8 +114,8 @@ TEST(ServerSched, EqualPriorityJobsRoundRobin) {
   // one job rows computed at the *other* job's flat index — the
   // documented stochastic-caveat, not a scheduler property.
   const std::uint64_t seed_big = 77, seed_small = 78;
-  const ParamSpace big_space = demo_space(40000, 24);   // 12 stripes
-  const ParamSpace small_space = demo_space(40000, 6);  // 3 stripes
+  const ParamSpace big_space = demo_space(400000, 24);   // 12 stripes
+  const ParamSpace small_space = demo_space(40000, 6);   // 3 stripes
 
   SubmitOptions big;
   big.seed = seed_big;

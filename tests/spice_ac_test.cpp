@@ -22,15 +22,19 @@ TEST(Ac, LogSweepSpansDecades) {
   EXPECT_THROW((void)ms::log_sweep(0.0, 1e3), std::invalid_argument);
 }
 
-TEST(Ac, ComplexLuSolvesKnownSystem) {
+TEST(Ac, ComplexDenseSolverSolvesKnownSystem) {
   using C = std::complex<double>;
   // [1+j, 0; 0, 2] x = [2, 4j] -> x = [2/(1+j), 2j] = [1-j, 2j].
-  std::vector<C> a{C(1, 1), C(0, 0), C(0, 0), C(2, 0)};
-  std::vector<C> b{C(2, 0), C(0, 4)};
-  ASSERT_TRUE(ms::lu_solve_complex(a, b, 2));
-  EXPECT_NEAR(b[0].real(), 1.0, 1e-12);
-  EXPECT_NEAR(b[0].imag(), -1.0, 1e-12);
-  EXPECT_NEAR(b[1].imag(), 2.0, 1e-12);
+  const auto s = ms::make_ac_solver(ms::SolverKind::Dense, 2);
+  s->begin(2);
+  s->add(0, 0, C(1, 1));
+  s->add(1, 1, C(2, 0));
+  std::vector<C> x;
+  ASSERT_TRUE(s->solve({C(2, 0), C(0, 4)}, x));
+  EXPECT_STREQ(s->name(), "dense");
+  EXPECT_NEAR(x[0].real(), 1.0, 1e-12);
+  EXPECT_NEAR(x[0].imag(), -1.0, 1e-12);
+  EXPECT_NEAR(x[1].imag(), 2.0, 1e-12);
 }
 
 namespace {
@@ -155,56 +159,4 @@ TEST(Ac, UnconvergedDcThrows) {
 TEST(Ac, EmptyFrequencyListRejected) {
   auto ckt = rc_lowpass();
   EXPECT_THROW((void)ms::ac_analysis(ckt, {}), std::invalid_argument);
-}
-
-namespace {
-
-/// RC ladder of `stages` sections — enough unknowns to make the sparse
-/// backend meaningful and give the pivoting policies different
-/// elimination orders.
-ms::Circuit rc_ladder(std::size_t stages) {
-  ms::Circuit ckt;
-  const int in = ckt.node("in");
-  auto src = std::make_unique<ms::VoltageSource>(
-      "vin", in, ms::kGround, std::make_unique<ms::DcWave>(0.0));
-  src->set_ac(1.0);
-  ckt.add(std::move(src));
-  int prev = in;
-  for (std::size_t s = 0; s < stages; ++s) {
-    const int cur = ckt.node("n" + std::to_string(s));
-    ckt.add(std::make_unique<ms::Resistor>("r" + std::to_string(s), prev, cur,
-                                           1e3));
-    ckt.add(std::make_unique<ms::Capacitor>("c" + std::to_string(s), cur,
-                                            ms::kGround, 1e-12));
-    prev = cur;
-  }
-  return ckt;
-}
-
-} // namespace
-
-TEST(Ac, MarkowitzPivotingMatchesStaticOrdering) {
-  // The AC path refactors in full at every sweep point, so Markowitz
-  // dynamic pivoting is a legitimate alternative there: same answers as
-  // the static-ordering left-looking default, to rounding.
-  auto ref_ckt = rc_ladder(32);
-  auto mkw_ckt = rc_ladder(32);
-  const auto freqs = ms::log_sweep(1e5, 1e9, 4);
-
-  ms::AcOptions ref_opt;
-  ref_opt.solver = ms::SolverKind::Sparse;
-  ms::AcOptions mkw_opt = ref_opt;
-  mkw_opt.markowitz = true;
-
-  const auto ref = ms::ac_analysis(ref_ckt, freqs, ref_opt);
-  const auto mkw = ms::ac_analysis(mkw_ckt, freqs, mkw_opt);
-  ASSERT_TRUE(ref.converged());
-  ASSERT_TRUE(mkw.converged());
-  for (const std::string node : {"n0", "n15", "n31"}) {
-    for (std::size_t k = 0; k < freqs.size(); ++k) {
-      const auto dv = mkw.v(node, k) - ref.v(node, k);
-      EXPECT_LT(std::abs(dv), 1e-9)
-          << "node " << node << " f=" << freqs[k];
-    }
-  }
 }

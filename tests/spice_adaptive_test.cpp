@@ -10,7 +10,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstring>
 #include <memory>
 #include <string>
 
@@ -19,7 +18,6 @@
 #include "core/pdk.hpp"
 #include "spice/elements.hpp"
 #include "spice/engine.hpp"
-#include "spice/partition.hpp"
 
 namespace ms = mss::spice;
 namespace mc = mss::cells;
@@ -215,146 +213,6 @@ TEST(PartialRefactor, NewtonTransientBitIdenticalAndCheaper) {
   // recomputed columns — the partial path actually kicked in.
   EXPECT_EQ(partial_eng.factor_count(), full_eng.factor_count());
   EXPECT_LT(partial_eng.factor_cols_total(), full_eng.factor_cols_total());
-}
-
-// ---------------------------------------------------------------------------
-// Sharded (parallel) array assembly: bit identity against serial stamping
-// ---------------------------------------------------------------------------
-
-TEST(ParallelAssembly, BitIdenticalToSerialStamping) {
-  const mss::core::Pdk pdk;
-  mc::ArrayNetlistOptions opt;
-  opt.rows = opt.cols = 16;
-  const double pulse = 5e-9; // long enough to switch the target cell
-  const double t_stop = 0.5e-9 + pulse + 1.0e-9;
-
-  auto serial_net = mc::build_array_write_netlist(
-      pdk, opt, mss::core::WriteDirection::ToAntiparallel, pulse);
-  auto shard_net = mc::build_array_write_netlist(
-      pdk, opt, mss::core::WriteDirection::ToAntiparallel, pulse);
-
-  ms::EngineOptions sopt, popt;
-  sopt.solver = ms::SolverKind::Sparse;
-  popt.solver = ms::SolverKind::Sparse;
-  popt.assembly_threads = 8;
-  ms::Engine serial_eng(serial_net.circuit, sopt);
-  ms::Engine shard_eng(shard_net.circuit, popt);
-
-  const auto ser = serial_eng.transient(t_stop, opt.sim_dt);
-  const auto par = shard_eng.transient(t_stop, opt.sim_dt);
-  ASSERT_TRUE(ser.converged());
-  ASSERT_TRUE(par.converged());
-
-  // The column stamp groups partition the matrix slots, so the sharded
-  // assembly reproduces every serial accumulation exactly: the final
-  // assembled slot values are bit-equal...
-  const auto* sv = serial_eng.linear_solver()->assembled_values();
-  const auto* pv = shard_eng.linear_solver()->assembled_values();
-  ASSERT_NE(sv, nullptr);
-  ASSERT_NE(pv, nullptr);
-  ASSERT_EQ(sv->size(), pv->size());
-  ASSERT_GT(sv->size(), 0u);
-  EXPECT_EQ(0, std::memcmp(sv->data(), pv->data(),
-                           sv->size() * sizeof(double)));
-
-  // ...and so is the whole run: waveforms and the MTJ trajectory.
-  ASSERT_EQ(ser.size(), par.size());
-  for (std::size_t n = 0; n < serial_net.circuit.node_count(); ++n) {
-    const auto& name = serial_net.circuit.node_name(n);
-    for (std::size_t k = 0; k < ser.size(); ++k) {
-      ASSERT_EQ(ser.v(name, k), par.v(name, k))
-          << "node " << name << " step " << k;
-    }
-  }
-  EXPECT_EQ(serial_net.target_mtj->state(), shard_net.target_mtj->state());
-  ASSERT_EQ(serial_net.target_mtj->flip_times().size(),
-            shard_net.target_mtj->flip_times().size());
-  for (std::size_t k = 0; k < serial_net.target_mtj->flip_times().size();
-       ++k) {
-    EXPECT_EQ(serial_net.target_mtj->flip_times()[k],
-              shard_net.target_mtj->flip_times()[k]);
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Partitioned (Schur) array solve: agreement with the flat sparse path
-// ---------------------------------------------------------------------------
-
-TEST(SchurArray, PartitionedWriteMatchesFlatSparse) {
-  const mss::core::Pdk pdk;
-  mc::ArrayNetlistOptions flat_opt;
-  flat_opt.rows = flat_opt.cols = 16;
-  flat_opt.partitioning = mc::SchurMode::Off;
-  mc::ArrayNetlistOptions part_opt = flat_opt;
-  part_opt.partitioning = mc::SchurMode::On;
-  part_opt.schur_block_cols = 1; // per-column blocks for the block census
-  const double pulse = 5e-9; // long enough to switch the target cell
-  const double t_stop = 0.5e-9 + pulse + 1.0e-9;
-
-  auto flat_net = mc::build_array_write_netlist(
-      pdk, flat_opt, mss::core::WriteDirection::ToAntiparallel, pulse);
-  auto part_net = mc::build_array_write_netlist(
-      pdk, part_opt, mss::core::WriteDirection::ToAntiparallel, pulse);
-  ASSERT_EQ(part_net.partition.size(), part_net.dim);
-
-  ms::EngineOptions fopt;
-  fopt.solver = ms::SolverKind::Sparse;
-  ms::EngineOptions popt = fopt;
-  popt.partitioned = true;
-  popt.partition = part_net.partition;
-  ms::Engine flat_eng(flat_net.circuit, fopt);
-  ms::Engine part_eng(part_net.circuit, popt);
-
-  const auto flat = flat_eng.transient(t_stop, flat_opt.sim_dt);
-  const auto part = part_eng.transient(t_stop, flat_opt.sim_dt);
-  ASSERT_TRUE(flat.converged());
-  ASSERT_TRUE(part.converged());
-  EXPECT_STREQ(part_eng.solver_backend(), "schur");
-  const auto* schur =
-      dynamic_cast<const ms::SchurSolver*>(part_eng.linear_solver());
-  ASSERT_NE(schur, nullptr);
-  EXPECT_FALSE(schur->flat_fallback());
-  // Per-column blocks: every column circuit must survive as a block (the
-  // wordline is the interface, so no demotion may collapse them).
-  EXPECT_EQ(schur->block_count(), flat_opt.cols);
-  EXPECT_GT(schur->interface_dim(), 0u);
-
-  // The Schur elimination order differs from the flat one, so agreement
-  // is within rounding amplified by the Newton/MTJ dynamics, not
-  // bit-exact: the write outcome and waveforms must match tightly.
-  EXPECT_EQ(flat_net.target_mtj->state(), part_net.target_mtj->state());
-  ASSERT_FALSE(flat_net.target_mtj->flip_times().empty());
-  ASSERT_FALSE(part_net.target_mtj->flip_times().empty());
-  EXPECT_NEAR(part_net.target_mtj->flip_times().front(),
-              flat_net.target_mtj->flip_times().front(), 0.2e-9);
-  for (const std::string node :
-       {flat_net.bl_cell_node, std::string("sl.0"), std::string("wl.1")}) {
-    for (std::size_t k = 0; k < flat.size(); ++k) {
-      ASSERT_NEAR(part.v(node, k), flat.v(node, k), 5e-3)
-          << "node " << node << " step " << k;
-    }
-  }
-}
-
-TEST(SchurArray, AutoModeSelectsPartitioningBySize) {
-  const mss::core::Pdk pdk;
-  mc::ArrayNetlistOptions small;
-  small.rows = small.cols = 16; // dim << kSchurAutoDim
-  const auto res_small = mc::characterize_array_write(
-      pdk, small, mss::core::WriteDirection::ToAntiparallel, 5e-9);
-  ASSERT_TRUE(res_small.converged);
-  EXPECT_EQ(res_small.backend, "sparse");
-  EXPECT_GT(res_small.factor_cols, 0u);
-  EXPECT_GT(res_small.supernodes, 0u);
-
-  mc::ArrayNetlistOptions forced = small;
-  forced.partitioning = mc::SchurMode::On;
-  const auto res_part = mc::characterize_array_write(
-      pdk, forced, mss::core::WriteDirection::ToAntiparallel, 5e-9);
-  ASSERT_TRUE(res_part.converged);
-  EXPECT_EQ(res_part.backend, "schur");
-  EXPECT_EQ(res_part.switched, res_small.switched);
-  EXPECT_NEAR(res_part.t_switch, res_small.t_switch, 0.2e-9);
 }
 
 // ---------------------------------------------------------------------------

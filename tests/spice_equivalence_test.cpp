@@ -31,7 +31,6 @@
 #include "spice/engine.hpp"
 #include "spice/mosfet.hpp"
 #include "spice/mtj_element.hpp"
-#include "spice/partition.hpp"
 #include "spice/solver.hpp"
 #include "spice/sparse.hpp"
 
@@ -308,12 +307,6 @@ TEST(SparsePartialRefactor, RestartsAtFirstChangedColumn) {
   partial.set_ordering(ms::Ordering::Natural);
   full.set_ordering(ms::Ordering::Natural);
   full.set_partial_refactor(false);
-  // Scalar-path contract: restart exactly at the first changed pivot
-  // position. (Under the supernodal default the trailing columns form a
-  // panel and the restart snaps to its start — covered separately in
-  // SparseSupernodal.PartialRestartSnapsToPanelBoundary.)
-  partial.set_supernodal(false);
-  full.set_supernodal(false);
 
   std::vector<double> b(n, 1.0), xp, xf;
   stamp(partial, 4.0);
@@ -361,116 +354,6 @@ TEST(SparsePartialRefactor, FullRestartWhenEarlyColumnChanges) {
 }
 
 // ---------------------------------------------------------------------------
-// Supernodal panels (solver level)
-// ---------------------------------------------------------------------------
-
-namespace {
-
-/// Tridiagonal head + a dense trailing block: columns n-w .. n-1 share the
-/// nested below-diagonal pattern the supernode detector groups into one
-/// width-w panel.
-void stamp_dense_tail(ms::SparseSolver& s, std::size_t n, std::size_t w,
-                      double tail_diag) {
-  s.begin(n);
-  const std::size_t head = n - w;
-  for (std::size_t k = 0; k < head; ++k) {
-    s.add(k, k, 4.0);
-    if (k > 0) s.add(k, k - 1, -1.0);
-    if (k + 1 < head) s.add(k, k + 1, -1.0);
-  }
-  s.add(head - 1, head, -1.0); // couple the head chain into the block
-  s.add(head, head - 1, -1.0);
-  for (std::size_t i = head; i < n; ++i) {
-    for (std::size_t j = head; j < n; ++j) {
-      s.add(i, j, i == j ? tail_diag : -1.0);
-    }
-  }
-}
-
-} // namespace
-
-TEST(SparseSupernodal, DetectsDenseTailPanel) {
-  const std::size_t n = 12, w = 4;
-  ms::SparseSolver s;
-  s.set_ordering(ms::Ordering::Natural);
-  stamp_dense_tail(s, n, w, 8.0);
-  std::vector<double> b(n, 1.0), x;
-  ASSERT_TRUE(s.solve(b, x));
-  // The dense 4-wide tail is one panel; the tridiagonal head contributes
-  // only its final two columns (trailing chain column nests trivially).
-  EXPECT_GE(s.supernode_count(), 1u);
-  EXPECT_GE(s.supernode_cols(), w);
-
-  // Scalar reference: same system with the supernodal path disabled.
-  ms::SparseSolver ref;
-  ref.set_ordering(ms::Ordering::Natural);
-  ref.set_supernodal(false);
-  stamp_dense_tail(ref, n, w, 8.0);
-  std::vector<double> xr;
-  ASSERT_TRUE(ref.solve(b, xr));
-  EXPECT_EQ(ref.supernode_count(), 0u);
-  for (std::size_t k = 0; k < n; ++k) EXPECT_NEAR(x[k], xr[k], kTol);
-}
-
-TEST(SparseSupernodal, PartialVsFullBitIdenticalUnderPanels) {
-  const std::size_t n = 12, w = 4;
-  ms::SparseSolver partial, full;
-  partial.set_ordering(ms::Ordering::Natural);
-  full.set_ordering(ms::Ordering::Natural);
-  full.set_partial_refactor(false);
-  std::vector<double> b(n, 1.0), xp, xf;
-  stamp_dense_tail(partial, n, w, 8.0);
-  ASSERT_TRUE(partial.solve(b, xp));
-  stamp_dense_tail(full, n, w, 8.0);
-  ASSERT_TRUE(full.solve(b, xf));
-  // Perturb one tail value: the partial restart recomputes the panel the
-  // way a full refactor would, bit for bit.
-  stamp_dense_tail(partial, n, w, 9.0);
-  ASSERT_TRUE(partial.solve(b, xp));
-  stamp_dense_tail(full, n, w, 9.0);
-  ASSERT_TRUE(full.solve(b, xf));
-  EXPECT_LT(partial.factor_cols_total(), full.factor_cols_total());
-  for (std::size_t k = 0; k < n; ++k) EXPECT_EQ(xp[k], xf[k]) << "k=" << k;
-}
-
-TEST(SparseSupernodal, PartialRestartSnapsToPanelBoundary) {
-  // The tridiagonal of SparsePartialRefactor.RestartsAtFirstChangedColumn:
-  // its last two columns form a width-2 panel (the final column's empty
-  // below-pattern nests trivially), so changing only the last pivot
-  // restarts at the PANEL start n-2 — supernode-granular, one column
-  // earlier than the scalar path — and stays bit-identical to a full
-  // refactorization.
-  const std::size_t n = 40;
-  const auto stamp = [&](ms::SparseSolver& s, double tail) {
-    s.begin(n);
-    for (std::size_t k = 0; k < n; ++k) {
-      s.add(k, k, k + 1 == n ? tail : 4.0);
-      if (k > 0) s.add(k, k - 1, -1.0);
-      if (k + 1 < n) s.add(k, k + 1, -1.0);
-    }
-  };
-  ms::SparseSolver partial, full;
-  partial.set_ordering(ms::Ordering::Natural);
-  full.set_ordering(ms::Ordering::Natural);
-  full.set_partial_refactor(false);
-
-  std::vector<double> b(n, 1.0), xp, xf;
-  stamp(partial, 4.0);
-  ASSERT_TRUE(partial.solve(b, xp));
-  EXPECT_EQ(partial.factor_cols_total(), n);
-  stamp(partial, 5.0);
-  ASSERT_TRUE(partial.solve(b, xp));
-  EXPECT_EQ(partial.last_factor_start(), n - 2);
-  EXPECT_EQ(partial.factor_cols_total(), n + 2);
-
-  stamp(full, 4.0);
-  ASSERT_TRUE(full.solve(b, xf));
-  stamp(full, 5.0);
-  ASSERT_TRUE(full.solve(b, xf));
-  for (std::size_t k = 0; k < n; ++k) EXPECT_EQ(xp[k], xf[k]) << "k=" << k;
-}
-
-// ---------------------------------------------------------------------------
 // Scattered (dirty-set) refactorization (solver level)
 // ---------------------------------------------------------------------------
 
@@ -502,10 +385,6 @@ TEST(SparseScatteredRefactor, SkipsCleanColumnsInsideSuffix) {
   partial.set_ordering(ms::Ordering::Natural);
   full.set_ordering(ms::Ordering::Natural);
   full.set_partial_refactor(false);
-  // Scalar path: panel snapping recomputes a couple of extra tail columns
-  // and is covered by the supernodal variant below.
-  partial.set_supernodal(false);
-  full.set_supernodal(false);
 
   std::vector<double> b(n, 1.0), xp, xf;
   stamp_arrowhead(partial, n, c, 4.0);
@@ -531,31 +410,6 @@ TEST(SparseScatteredRefactor, SkipsCleanColumnsInsideSuffix) {
   for (std::size_t k = 0; k < n; ++k) EXPECT_EQ(xp[k], xf[k]) << "k=" << k;
 }
 
-TEST(SparseScatteredRefactor, BitIdenticalUnderPanels) {
-  // Same arrowhead under the supernodal default: the trailing columns form
-  // a small panel, so the scattered walk stops at its boundary and hands
-  // the tail to the classic panel-snapped restart. Exact counts depend on
-  // the panel split; the contracts are engagement and bit-identity.
-  const std::size_t n = 40, c = 5;
-  ms::SparseSolver partial, full;
-  partial.set_ordering(ms::Ordering::Natural);
-  full.set_ordering(ms::Ordering::Natural);
-  full.set_partial_refactor(false);
-
-  std::vector<double> b(n, 1.0), xp, xf;
-  stamp_arrowhead(partial, n, c, 4.0);
-  ASSERT_TRUE(partial.solve(b, xp));
-  stamp_arrowhead(full, n, c, 4.0);
-  ASSERT_TRUE(full.solve(b, xf));
-  stamp_arrowhead(partial, n, c, 5.0);
-  ASSERT_TRUE(partial.solve(b, xp));
-  stamp_arrowhead(full, n, c, 5.0);
-  ASSERT_TRUE(full.solve(b, xf));
-  EXPECT_GT(partial.scattered_cols_total(), 0u);
-  EXPECT_LT(partial.factor_cols_total(), full.factor_cols_total());
-  for (std::size_t k = 0; k < n; ++k) EXPECT_EQ(xp[k], xf[k]) << "k=" << k;
-}
-
 TEST(SparseScatteredRefactor, ComplexScatteredEngages) {
   using C = std::complex<double>;
   const std::size_t n = 40, c = 5;
@@ -563,8 +417,6 @@ TEST(SparseScatteredRefactor, ComplexScatteredEngages) {
   partial.set_ordering(ms::Ordering::Natural);
   full.set_ordering(ms::Ordering::Natural);
   full.set_partial_refactor(false);
-  partial.set_supernodal(false);
-  full.set_supernodal(false);
 
   std::vector<C> b(n, C(1.0, 0.5)), xp, xf;
   stamp_arrowhead(partial, n, c, C(4.0, 1.0));
@@ -638,110 +490,6 @@ TEST(SparseScatteredRefactor, RandomizedBitIdenticalUnderLocalUpdates) {
   // The rounds above must have taken the scattered path at least once —
   // otherwise this suite stopped covering what it was written for.
   EXPECT_GT(partial.scattered_cols_total(), 0u);
-}
-
-// ---------------------------------------------------------------------------
-// Schur partitioning (solver level)
-// ---------------------------------------------------------------------------
-
-TEST(SchurPartition, MatchesFlatSparseOnChunkedRandomSystems) {
-  // Arbitrary chunked block maps over random diagonally dominant systems:
-  // the demotion rule legalises every cross-chunk entry, so the Schur
-  // solve must agree with the flat sparse solve within rounding.
-  for (std::uint32_t seed = 1; seed <= 8; ++seed) {
-    std::mt19937 gen(seed * 7919u);
-    std::uniform_real_distribution<double> uv(0.5, 2.0);
-    const std::size_t n = 40 + 8 * seed;
-    std::vector<std::array<std::size_t, 2>> off;
-    for (std::size_t k = 0; k + 1 < n; ++k) off.push_back({k, k + 1});
-    for (std::size_t x = 0; x < n / 3; ++x) {
-      const std::size_t a = gen() % n, b = gen() % n;
-      if (a != b) off.push_back({a, b});
-    }
-    const auto stamp = [&](ms::LinearSolver& s) {
-      s.begin(n);
-      for (std::size_t k = 0; k < n; ++k) s.add(k, k, 8.0 + double(k % 5));
-      std::mt19937 vg(seed * 31u + 7u);
-      for (const auto& [a, b] : off) {
-        const double v = -uv(vg);
-        s.add(a, b, v);
-        s.add(b, a, v * 0.5);
-      }
-    };
-    ms::SchurSolver schur(ms::SchurSolver::chunk_partition(n, 8));
-    ms::SparseSolver flat;
-    stamp(schur);
-    stamp(flat);
-    std::vector<double> b(n), xs, xf;
-    for (std::size_t k = 0; k < n; ++k) b[k] = std::sin(double(k) + seed);
-    ASSERT_TRUE(schur.solve(b, xs)) << "seed " << seed;
-    ASSERT_TRUE(flat.solve(b, xf)) << "seed " << seed;
-    EXPECT_FALSE(schur.flat_fallback()) << "seed " << seed;
-    EXPECT_GT(schur.block_count(), 1u) << "seed " << seed;
-    for (std::size_t k = 0; k < n; ++k) {
-      ASSERT_NEAR(xs[k], xf[k], kTol) << "seed " << seed << " k " << k;
-    }
-    // Re-solve with one changed value: per-block dirty detection must
-    // still track the flat answer.
-    stamp(schur);
-    stamp(flat);
-    schur.add(n / 2, n / 2, 1.5);
-    flat.add(n / 2, n / 2, 1.5);
-    ASSERT_TRUE(schur.solve(b, xs));
-    ASSERT_TRUE(flat.solve(b, xf));
-    for (std::size_t k = 0; k < n; ++k) {
-      ASSERT_NEAR(xs[k], xf[k], kTol) << "resolve seed " << seed;
-    }
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Randomized equivalence: supernodal / partitioned axes
-// ---------------------------------------------------------------------------
-
-TEST(RandomizedEquivalence, SupernodalAndPartitionedTransient) {
-  // {supernodal on/off} x {partitioned on/off} over a spread of the
-  // generated netlists (every 4th seed), against the scalar flat sparse
-  // reference at 1e-9. Partition maps are deliberately arbitrary chunks —
-  // the demotion rule has to make them valid.
-  constexpr double kDt = 20e-12;
-  constexpr double kStop = 0.4e-9;
-  for (std::uint32_t seed = 0; seed < kTotalSeeds; seed += 4) {
-    std::array<ms::TransientResult, 4> results;
-    for (std::size_t c = 0; c < 4; ++c) {
-      const bool supernodal = (c & 1u) != 0;
-      const bool partitioned = (c & 2u) != 0;
-      auto ckt = random_netlist(seed);
-      ms::EngineOptions o;
-      o.solver = ms::SolverKind::Sparse;
-      o.supernodal = supernodal;
-      if (partitioned) {
-        const std::size_t dim = ckt.assign_unknowns();
-        o.partitioned = true;
-        o.partition = ms::SchurSolver::chunk_partition(dim, 12);
-      }
-      ms::Engine eng(ckt, o);
-      results[c] = eng.transient(kStop, kDt);
-      ASSERT_TRUE(results[c].converged()) << "config " << c << " seed "
-                                          << seed;
-      if (partitioned) {
-        EXPECT_STREQ(eng.solver_backend(), "schur") << "seed " << seed;
-      }
-      ASSERT_EQ(results[c].size(), results[0].size());
-    }
-    auto ref_ckt = random_netlist(seed);
-    for (std::size_t n = 0; n < ref_ckt.node_count(); ++n) {
-      const auto& name = ref_ckt.node_name(n);
-      for (std::size_t k = 0; k < results[0].size(); ++k) {
-        const double ref = results[0].v(name, k);
-        for (std::size_t c = 1; c < 4; ++c) {
-          ASSERT_NEAR(results[c].v(name, k), ref, kTol)
-              << "config " << c << " node " << name << " step " << k
-              << " seed " << seed;
-        }
-      }
-    }
-  }
 }
 
 // ---------------------------------------------------------------------------

@@ -168,12 +168,6 @@ class Engine {
     return solver_ ? solver_->factor_cols_total() : 0;
   }
 
-  /// The live backend, for white-box tests (nullptr before the first
-  /// solve).
-  [[nodiscard]] const LinearSolver* linear_solver() const {
-    return solver_.get();
-  }
-
  private:
   Circuit& ckt_;
   EngineOptions opt_;

@@ -78,7 +78,7 @@ std::vector<WerScenarioPoint> WerScenario::run() const {
       });
 
   const sw::Runner runner({.threads = cfg_.threads, .chunk_size = 1,
-                           .seed = cfg_.seed, .memoize = false});
+                           .seed = cfg_.seed});
   return runner.run(space, exp);
 }
 

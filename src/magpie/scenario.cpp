@@ -195,7 +195,7 @@ std::vector<ScenarioRun> run_scenario_sweep(
       });
 
   const sweep::Runner runner({.threads = options.threads, .chunk_size = 1,
-                              .seed = options.seed, .memoize = false});
+                              .seed = options.seed});
   return runner.run(scenario_space(kernels), exp);
 }
 

@@ -110,7 +110,7 @@ std::vector<Candidate> explore(const core::Pdk& pdk,
       });
 
   const sweep::Runner runner(
-      {.threads = options.threads, .chunk_size = 1, .seed = 0, .memoize = false});
+      {.threads = options.threads, .chunk_size = 1, .seed = 0});
   auto all = runner.run(space, exp);
 
   std::vector<Candidate> out;

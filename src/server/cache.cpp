@@ -118,7 +118,7 @@ ResultCache::~ResultCache() {
 }
 
 std::string ResultCache::encode_record(const std::string& key,
-                                       const std::vector<sweep::Value>& row) {
+                                       const Row& row) {
   WireWriter w;
   w.str(key);
   w.u32(std::uint32_t(row.size()));
@@ -136,8 +136,7 @@ std::string ResultCache::encode_record(const std::string& key,
 }
 
 std::size_t ResultCache::parse_image(
-    const std::string& file,
-    std::vector<std::pair<std::string, std::vector<sweep::Value>>>& out,
+    const std::string& file, std::vector<std::pair<std::string, Row>>& out,
     std::size_t& records) {
   std::size_t pos = kHeaderBytes;
   std::size_t good_end = pos;
@@ -156,7 +155,7 @@ std::size_t ResultCache::parse_image(
       WireReader r(body);
       std::string key = r.str();
       const std::uint32_t n_cells = r.u32();
-      std::vector<sweep::Value> row;
+      Row row;
       row.reserve(n_cells);
       for (std::uint32_t c = 0; c < n_cells; ++c) row.push_back(r.value());
       if (r.remaining() != 0) break; // trailing junk inside the record
@@ -199,7 +198,7 @@ void ResultCache::replay() {
                              ", expected " + std::to_string(kFormatVersion));
   }
 
-  std::vector<std::pair<std::string, std::vector<sweep::Value>>> parsed;
+  std::vector<std::pair<std::string, Row>> parsed;
   std::size_t records = 0;
   const std::size_t good_end = parse_image(file, parsed, records);
   for (auto& [key, row] : parsed) {
@@ -220,12 +219,10 @@ void ResultCache::replay() {
   }
 }
 
-std::optional<std::vector<sweep::Value>> ResultCache::lookup(
-    const std::string& key) const {
+const Row* ResultCache::lookup(const std::string& key) const {
   std::lock_guard<std::mutex> lk(m_);
   const auto it = map_.find(key);
-  if (it == map_.end()) return std::nullopt;
-  return it->second;
+  return it == map_.end() ? nullptr : &it->second;
 }
 
 void ResultCache::append_locked(const std::string& record) {
@@ -250,15 +247,15 @@ void ResultCache::append_locked(const std::string& record) {
   fd_ = -1;
 }
 
-void ResultCache::insert(const std::string& key,
-                         const std::vector<sweep::Value>& row) {
+const Row& ResultCache::insert(const std::string& key, Row row) {
   std::lock_guard<std::mutex> lk(m_);
-  const auto [it, fresh] = map_.emplace(key, row);
-  if (!fresh) return; // first write wins
+  const auto [it, fresh] = map_.try_emplace(key, std::move(row));
+  const Row& stored = it->second;
+  if (!fresh) return stored; // first write wins
   order_.push_back(&it->first);
 
-  if (fd_ < 0) return;
-  const std::string record = encode_record(key, row);
+  if (fd_ < 0) return stored;
+  const std::string record = encode_record(key, stored);
 
   if (options_.max_bytes != 0 &&
       file_bytes_ + record.size() > options_.max_bytes) {
@@ -268,16 +265,17 @@ void ResultCache::insert(const std::string& key,
     if (file_records_ > disk_entries_) {
       try {
         (void)compact_locked();
-        return;
+        return stored;
       } catch (const std::exception&) {
         // Compaction failing (e.g. no space for the temp file) leaves the
         // original intact; fall through to the cap.
       }
     }
     ++capped_; // row stays in memory; the file respects the cap
-    return;
+    return stored;
   }
   append_locked(record);
+  return stored;
 }
 
 CompactStats ResultCache::compact() {
@@ -317,7 +315,7 @@ CompactStats ResultCache::compact_locked() {
       throw std::runtime_error("ResultCache: compacted file read back "
                                "differently than written");
     }
-    std::vector<std::pair<std::string, std::vector<sweep::Value>>> parsed;
+    std::vector<std::pair<std::string, Row>> parsed;
     std::size_t records = 0;
     const std::size_t good_end = parse_image(readback, parsed, records);
     bool ok = good_end == readback.size() && records == map_.size() &&

@@ -40,12 +40,19 @@
 // image is re-parsed and every row proven bit-identical to the in-memory
 // index *before* the rename swaps it in, so a crash at any point leaves
 // either the old or the new file, both valid.
+//
+// Row ownership: the in-memory index is the only copy of every row the
+// daemon serves. lookup() and insert() hand out pointers/references into
+// it, and nothing ever erases an index entry (compaction rewrites only the
+// file; capped and degraded inserts still index the row). unordered_map
+// nodes survive rehash, so those pointers stay valid — and the rows they
+// point to immutable — for the cache's whole lifetime. Readers may
+// therefore dereference them without holding any cache lock.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -53,6 +60,9 @@
 #include "sweep/param_space.hpp"
 
 namespace mss::server {
+
+/// One result row: the typed cells of a ResultTable row.
+using Row = std::vector<sweep::Value>;
 
 /// Composes the full cache key. `point_key` is Point::key() — injective
 /// over coordinates — and the 0x1F unit separators cannot appear unescaped
@@ -88,16 +98,16 @@ class ResultCache {
   ResultCache(const ResultCache&) = delete;
   ResultCache& operator=(const ResultCache&) = delete;
 
-  /// The cached row, or nullopt.
-  [[nodiscard]] std::optional<std::vector<sweep::Value>> lookup(
-      const std::string& key) const;
+  /// The cached row, or nullptr. Valid for the cache's lifetime.
+  [[nodiscard]] const Row* lookup(const std::string& key) const;
 
-  /// Appends (key, row) to the file and the in-memory index. A key that is
-  /// already present is ignored (first write wins — the memo-hit
-  /// semantics: the first computed result is the canonical one). Disk
-  /// failures degrade to memory-only (see header) — insert never throws
-  /// for them, so a full disk cannot fail jobs.
-  void insert(const std::string& key, const std::vector<sweep::Value>& row);
+  /// Appends (key, row) to the file and the in-memory index and returns
+  /// the stored row (valid for the cache's lifetime). A key that is
+  /// already present keeps its row, which is returned instead (first
+  /// write wins — the memo-hit semantics: the first computed result is the
+  /// canonical one). Disk failures degrade to memory-only (see header) —
+  /// insert never throws for them, so a full disk cannot fail jobs.
+  const Row& insert(const std::string& key, Row row);
 
   /// Rewrites the file with exactly one record per live entry, in
   /// first-insertion order, via temp-file + rename. The new image is
@@ -129,15 +139,14 @@ class ResultCache {
  private:
   void replay();
   /// Serializes one record (length | crc | payload) for (key, row).
-  [[nodiscard]] static std::string encode_record(
-      const std::string& key, const std::vector<sweep::Value>& row);
+  [[nodiscard]] static std::string encode_record(const std::string& key,
+                                                const Row& row);
   /// Parses `bytes` (a whole file image) record by record; stops at the
   /// first torn/corrupt record. Appends (key, row) pairs of *first*
   /// occurrences to `out`, returns the clean-prefix length and counts all
   /// valid records (duplicates included) in `records`.
   static std::size_t parse_image(
-      const std::string& bytes,
-      std::vector<std::pair<std::string, std::vector<sweep::Value>>>& out,
+      const std::string& bytes, std::vector<std::pair<std::string, Row>>& out,
       std::size_t& records);
   CompactStats compact_locked();
   /// Appends `record` with rollback-to-boundary + degrade on failure.
@@ -147,7 +156,8 @@ class ResultCache {
   CacheOptions options_;
   int fd_ = -1; ///< O_APPEND fd; -1 when in-memory or degraded
   mutable std::mutex m_;
-  std::unordered_map<std::string, std::vector<sweep::Value>> map_;
+  /// Never erased from (see "Row ownership" above).
+  std::unordered_map<std::string, Row> map_;
   /// First-insertion order of map_ keys (stable node pointers) — the
   /// deterministic record order compact() writes.
   std::vector<const std::string*> order_;

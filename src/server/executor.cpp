@@ -10,7 +10,7 @@ namespace mss::server {
 
 StripedRun::StripedRun(const sweep::RowExperiment& exp,
                        const sweep::ParamSpace& space, const ExecOptions& opt,
-                       ResultCache* cache)
+                       ResultCache& cache)
     : exp_(exp), space_(space), opt_(opt), cache_(cache) {
   n_ = space_.size();
   chunk_ = opt_.chunk_size == 0 ? 1 : opt_.chunk_size;
@@ -24,12 +24,15 @@ StripedRun::StripedRun(const sweep::RowExperiment& exp,
   util::Rng base(opt_.seed);
   streams_ = base.jump_substreams(util::ThreadPool::chunk_count(n_, chunk_));
 
-  // First-occurrence scan (serial, no evaluation) — memo semantics.
+  // First-occurrence scan (serial, no evaluation) — memo semantics. The
+  // cache key is injective over Point::key() for a fixed (experiment,
+  // version, seed), so it doubles as the memo key.
   std::unordered_map<std::string, std::size_t> first_of;
   owner_.resize(n_);
   key_of_.resize(n_);
   for (std::size_t i = 0; i < n_; ++i) {
-    std::string k = space_.at(i).key();
+    std::string k =
+        cache_key(exp_.id, exp_.version, opt_.seed, space_.at(i).key());
     const auto [it, inserted] = first_of.try_emplace(k, i);
     owner_[i] = it->second;
     if (inserted) key_of_[i] = std::move(k);
@@ -44,14 +47,10 @@ void StripedRun::step() {
   pending_.clear();
   for (std::size_t i = begin; i < end; ++i) {
     if (owner_[i] != i) continue; // duplicate: copied below
-    if (cache_) {
-      const std::string ck =
-          cache_key(exp_.id, exp_.version, opt_.seed, key_of_[i]);
-      if (auto hit = cache_->lookup(ck)) {
-        rows_[i] = std::move(*hit);
-        ++stats_.cache_hits;
-        continue;
-      }
+    if (const Row* hit = cache_.lookup(key_of_[i])) {
+      rows_[i] = hit;
+      ++stats_.cache_hits;
+      continue;
     }
     pending_.push_back(i);
   }
@@ -60,6 +59,8 @@ void StripedRun::step() {
   // pure function of (seed, chunk, i) — never of which indices happen to
   // be cached or of which other jobs' stripes ran in between — so warm,
   // cold and time-sliced runs all draw identically.
+  evaluated_.clear();
+  evaluated_.resize(pending_.size());
   util::ThreadPool::run_with(
       opt_.threads, pending_.size(), 1,
       [&](std::size_t, std::size_t b, std::size_t e) {
@@ -67,25 +68,23 @@ void StripedRun::step() {
           const std::size_t i = pending_[k];
           util::Rng rng =
               streams_[i / chunk_].fork(std::uint64_t(i % chunk_));
-          std::vector<sweep::Value> row = exp_.evaluate(space_.at(i), rng);
+          Row row = exp_.evaluate(space_.at(i), rng);
           if (row.size() != exp_.columns.size()) {
             throw std::logic_error(
                 "RowExperiment '" + exp_.id + "' produced " +
                 std::to_string(row.size()) + " cells for " +
                 std::to_string(exp_.columns.size()) + " columns");
           }
-          rows_[i] = std::move(row);
+          evaluated_[k] = std::move(row);
         }
       });
   stats_.evaluated += pending_.size();
 
-  // Append to the cache serially in index order: the file layout is then
-  // a deterministic function of the job, not of thread scheduling.
-  if (cache_) {
-    for (const std::size_t i : pending_) {
-      cache_->insert(cache_key(exp_.id, exp_.version, opt_.seed, key_of_[i]),
-                     rows_[i]);
-    }
+  // Insert serially in index order: the file layout is then a
+  // deterministic function of the job, not of thread scheduling.
+  for (std::size_t k = 0; k < pending_.size(); ++k) {
+    const std::size_t i = pending_[k];
+    rows_[i] = &cache_.insert(key_of_[i], std::move(evaluated_[k]));
   }
 
   for (std::size_t i = begin; i < end; ++i) {
@@ -101,22 +100,27 @@ ExecOutcome run_cached(const sweep::RowExperiment& exp,
                        const sweep::ParamSpace& space, const ExecOptions& opt,
                        ResultCache* cache, const std::atomic<bool>* cancel,
                        const StripeFn& on_stripe, sweep::RunStats* stats) {
-  StripedRun run(exp, space, opt, cache);
-  if (run.finished()) { // empty space: report once, done
-    if (on_stripe) on_stripe(run.stats(), run.rows(), 0);
-    if (stats) *stats = run.stats();
-    return ExecOutcome::Done;
-  }
-  while (!run.finished()) {
-    if (cancel && cancel->load(std::memory_order_relaxed)) {
-      if (stats) *stats = run.stats();
-      return ExecOutcome::Cancelled;
+  ResultCache throwaway("");
+  StripedRun run(exp, space, opt, cache ? *cache : throwaway);
+  std::vector<Row> rows(on_stripe ? space.size() : 0); // the sink's copy
+  ExecOutcome outcome = ExecOutcome::Done;
+  do { // an empty space reports once
+    if (!run.finished() && cancel &&
+        cancel->load(std::memory_order_relaxed)) {
+      outcome = ExecOutcome::Cancelled;
+      break;
     }
+    const std::size_t done_begin = run.done_end();
     run.step();
-    if (on_stripe) on_stripe(run.stats(), run.rows(), run.done_end());
-  }
+    if (on_stripe) {
+      for (std::size_t i = done_begin; i < run.done_end(); ++i) {
+        rows[i] = *run.rows()[i];
+      }
+      on_stripe(run.stats(), rows, run.done_end());
+    }
+  } while (!run.finished());
   if (stats) *stats = run.stats();
-  return ExecOutcome::Done;
+  return outcome;
 }
 
 } // namespace mss::server

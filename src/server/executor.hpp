@@ -1,23 +1,27 @@
 // Cache-backed, cancellable, streaming execution of a RowExperiment over a
-// ParamSpace — the server-side twin of sweep::Runner::run(memoize=true).
+// ParamSpace — the one implementation of the sweep layer's first-occurrence
+// memo (sweep::Runner evaluates every point and never memoises).
 //
-// Determinism contract (identical to the Runner's, and tested against it
-// row-for-row): the chunk layout is a pure function of (space size,
-// chunk_size); the point at flat index i draws from jump substream i/chunk
-// forked with label i%chunk of a base stream seeded with `seed`; repeated
-// Point::key()s are evaluated once at their first occurrence. A persistent
-// cache hit substitutes the stored row for the evaluation — bit-identical
-// to an in-memory memo hit when the stored row came from a run with the
-// same (experiment id+version, seed) identity, which is exactly what the
-// cache keys on.
+// Determinism contract (the Runner's RNG keying, tested against it
+// row-for-row on all-distinct spaces): the chunk layout is a pure function
+// of (space size, chunk_size); the point at flat index i draws from jump
+// substream i/chunk forked with label i%chunk of a base stream seeded with
+// `seed`; repeated Point::key()s are evaluated once at their first
+// occurrence and every duplicate serves that row. A persistent cache hit
+// substitutes the stored row for the evaluation — bit-identical to an
+// in-job memo hit when the stored row came from a run with the same
+// (experiment id+version, seed) identity, which is exactly what the cache
+// keys on.
 //
 // Execution proceeds in *stripes* of whole chunks: per stripe, the
 // first-occurrence points missing from the cache are evaluated in parallel
-// over the shared thread pool, appended to the cache (in index order, so
+// over the shared thread pool, inserted into the cache (in index order, so
 // the file layout is deterministic too), and then every row of the stripe
-// is handed to the sink in index order. Cancellation is cooperative at
-// stripe granularity: rows already streamed stay valid and cached, so a
-// cancelled job resumes from the cache like a killed one.
+// is handed to the sink in index order. The cache owns every row; a run
+// holds only pointers into it (see cache.hpp, "Row ownership").
+// Cancellation is cooperative at stripe granularity: rows already
+// streamed stay valid and cached, so a cancelled job resumes from the
+// cache like a killed one.
 //
 // The stripe is also the *scheduling* quantum: StripedRun exposes the
 // stripe loop one step() at a time, so the server's executor can
@@ -32,7 +36,6 @@
 #include <cstdint>
 #include <functional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "server/cache.hpp"
@@ -55,8 +58,8 @@ struct ExecOptions {
 enum class ExecOutcome { Done, Cancelled };
 
 /// Called after each stripe with the stats accumulated so far and the rows
-/// completed so far ([done_begin, done_end) are new this stripe, indexed
-/// into `rows`). Return value ignored.
+/// of the run: `rows` has one slot per point, and [0, done_end) are final
+/// ([done_begin, done_end) are new this stripe). Return value ignored.
 using StripeFn = std::function<void(const sweep::RunStats& so_far,
                                     const std::vector<std::vector<sweep::Value>>& rows,
                                     std::size_t done_end)>;
@@ -65,32 +68,31 @@ using StripeFn = std::function<void(const sweep::RunStats& so_far,
 /// scheduler-facing core of run_cached(). The referenced experiment,
 /// space and cache must outlive the run. Not thread-safe: one owner
 /// advances it (the server's executor thread); readers synchronise
-/// externally (the server copies rows out under the job mutex after each
-/// step).
+/// externally (the server copies row pointers out under the job mutex
+/// after each step).
 class StripedRun {
  public:
   StripedRun(const sweep::RowExperiment& exp, const sweep::ParamSpace& space,
-             const ExecOptions& opt, ResultCache* cache);
+             const ExecOptions& opt, ResultCache& cache);
 
   /// Executes the next stripe: cache lookups, parallel evaluation of the
-  /// misses, in-order cache appends, duplicate copy-down. No-op once
-  /// finished(). Throws what evaluate() throws (the run is then poisoned;
-  /// callers treat the job as failed).
+  /// misses, in-order cache inserts, duplicate pointer copy-down. No-op
+  /// once finished(). Throws what evaluate() throws (the run is then
+  /// poisoned; callers treat the job as failed).
   void step();
 
   [[nodiscard]] bool finished() const { return next_ >= n_; }
-  /// Rows completed so far: rows()[0, done_end()) are final.
+  /// Rows completed so far: rows()[0, done_end()) are final and point
+  /// into the cache (valid for its lifetime); later slots are null.
   [[nodiscard]] std::size_t done_end() const { return next_; }
-  [[nodiscard]] const std::vector<std::vector<sweep::Value>>& rows() const {
-    return rows_;
-  }
+  [[nodiscard]] const std::vector<const Row*>& rows() const { return rows_; }
   [[nodiscard]] const sweep::RunStats& stats() const { return stats_; }
 
  private:
   const sweep::RowExperiment& exp_;
   const sweep::ParamSpace& space_;
   ExecOptions opt_;
-  ResultCache* cache_;
+  ResultCache& cache_;
 
   std::size_t n_;
   std::size_t chunk_;
@@ -99,15 +101,17 @@ class StripedRun {
 
   std::vector<util::Rng> streams_;    ///< jump substream per chunk
   std::vector<std::size_t> owner_;    ///< first occurrence of each key
-  std::vector<std::string> key_of_;   ///< point keys of first occurrences
+  std::vector<std::string> key_of_;   ///< cache keys of first occurrences
   std::vector<std::size_t> pending_;  ///< scratch: this stripe's misses
-  std::vector<std::vector<sweep::Value>> rows_;
+  std::vector<Row> evaluated_;        ///< scratch: rows of pending_
+  std::vector<const Row*> rows_;
   sweep::RunStats stats_;
 };
 
 /// Runs `exp` over `space` to completion (a loop over StripedRun::step).
-/// `cache` may be null (pure memo semantics); `cancel` may be null (never
-/// cancelled); `on_stripe` may be empty. Returns Cancelled when the flag
+/// `cache` may be null (a throwaway in-memory cache: pure memo
+/// semantics); `cancel` may be null (never cancelled); `on_stripe` may be
+/// empty. Returns Cancelled when the flag
 /// was observed at a stripe boundary — `stats` then reflects the work
 /// actually done.
 ExecOutcome run_cached(const sweep::RowExperiment& exp,

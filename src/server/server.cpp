@@ -1,5 +1,6 @@
 #include "server/server.hpp"
 
+#include <algorithm>
 #include <exception>
 #include <utility>
 
@@ -61,7 +62,7 @@ Server::~Server() {
 void Server::start() {
   accept_thread_ = std::thread([this] { accept_loop(listener_); });
   if (tcp_listener_) {
-    tcp_accept_thread_ = std::thread([this] { accept_loop_tcp(*tcp_listener_); });
+    tcp_accept_thread_ = std::thread([this] { accept_loop(*tcp_listener_); });
   }
   executor_thread_ = std::thread([this] { executor_loop(); });
   reaper_thread_ = std::thread([this] { reaper_loop(); });
@@ -116,7 +117,8 @@ std::size_t Server::live_connections() const {
   return n;
 }
 
-void Server::accept_loop(util::UnixListener& listener) {
+template <typename Listener>
+void Server::accept_loop(Listener& listener) {
   try {
     while (true) {
       util::Fd client = listener.accept();
@@ -127,18 +129,6 @@ void Server::accept_loop(util::UnixListener& listener) {
     // accept() already retried every transient errno; a throw means this
     // listener is irrecoverably broken. Stop accepting on it — running
     // jobs and the other transport keep serving.
-  }
-}
-
-void Server::accept_loop_tcp(util::TcpListener& listener) {
-  try {
-    while (true) {
-      util::Fd client = listener.accept();
-      if (!client.valid()) return; // shutdown
-      handle_accepted(std::move(client));
-    }
-  } catch (const std::exception&) {
-    // Same contract as the unix accept loop.
   }
 }
 
@@ -270,7 +260,7 @@ bool Server::run_slice(Job& job) {
   }
   if (!job.run) {
     job.run =
-        std::make_unique<StripedRun>(*job.exp, job.space, job.opts, &cache_);
+        std::make_unique<StripedRun>(*job.exp, job.space, job.opts, cache_);
   }
   try {
     job.run->step();
@@ -442,7 +432,11 @@ bool Server::handle_frame(util::Fd& fd, const std::string& payload) {
         job->space = std::move(space);
         job->opts.seed = seed;
         job->opts.chunk_size = chunk != 0 ? chunk : options_.chunk_size;
-        job->opts.threads = threads != 0 ? threads : options_.threads;
+        // Clamped: each distinct value is a persistent pool (see header).
+        const std::size_t hw =
+            std::max(1u, std::thread::hardware_concurrency());
+        job->opts.threads = threads != 0 ? std::min<std::size_t>(threads, hw)
+                                         : options_.threads;
         job->opts.stripe_chunks = options_.stripe_chunks;
         {
           std::lock_guard<std::mutex> lk(jobs_m_);
@@ -567,7 +561,7 @@ void Server::stream_fetch(util::Fd& fd, Job& job) {
   }
 
   std::size_t sent = 0;
-  std::vector<std::vector<sweep::Value>> batch;
+  std::vector<const Row*> batch;
   while (true) {
     bool terminal = false;
     JobStatus final_status;
@@ -581,12 +575,13 @@ void Server::stream_fetch(util::Fd& fd, Job& job) {
       if (terminal) final_status = snapshot_locked(job);
     }
     // Stream outside the job lock: a slow client must not stall the
-    // executor's stripe hand-off.
-    for (const auto& row : batch) {
+    // executor's stripe hand-off. The rows live in the cache, immutable
+    // and never erased, so no cache lock is needed either.
+    for (const Row* row : batch) {
       WireWriter w;
       w.u8(std::uint8_t(FrameType::Row));
-      w.u32(std::uint32_t(row.size()));
-      for (const auto& cell : row) w.value(cell);
+      w.u32(std::uint32_t(row->size()));
+      for (const auto& cell : *row) w.value(cell);
       send_frame(fd, w.take(), options_.io_timeout_ms);
     }
     sent += batch.size();

@@ -23,6 +23,10 @@
 // Cancellation is cooperative at stripe boundaries; every completed row is
 // already in the cache, so a cancelled (or SIGKILLed) job's work is never
 // lost — resubmitting it resumes from the cache bit-identically.
+//
+// Rows are stored once, in the cache: a job holds only pointers to its
+// rows there (stable for the server's lifetime, see cache.hpp), and
+// fetches serialize them without holding any lock.
 #pragma once
 
 #include <atomic>
@@ -169,7 +173,8 @@ class Server {
     std::condition_variable cv;
     JobState state = JobState::Queued;
     std::uint64_t slices = 0;
-    std::vector<std::vector<sweep::Value>> rows;
+    /// Completed rows in space order, pointing into cache_.
+    std::vector<const Row*> rows;
     sweep::RunStats stats;
     std::string error;
   };
@@ -183,8 +188,9 @@ class Server {
     std::atomic<bool> done{false};
   };
 
-  void accept_loop(util::UnixListener& listener);
-  void accept_loop_tcp(util::TcpListener& listener);
+  /// Accepts on one transport (unix or TCP) until it shuts down.
+  template <typename Listener>
+  void accept_loop(Listener& listener);
   void handle_accepted(util::Fd client);
   /// Joins and erases connection entries whose handlers have exited.
   void reap_finished_conns();
@@ -196,7 +202,10 @@ class Server {
   void executor_loop();
   void handle_connection(Conn& conn);
   /// One request frame -> zero or more reply frames. Returns false when
-  /// the connection should end (shutdown request).
+  /// the connection should end (shutdown request). A Submit's `threads`
+  /// is clamped to the hardware concurrency: every distinct value creates
+  /// a persistent pool, so a client must not pick the daemon's thread
+  /// count (rows are bit-identical for any thread count).
   bool handle_frame(util::Fd& fd, const std::string& payload);
   /// Runs one scheduling quantum (stripe) of the job. Returns true when
   /// the job should be re-enqueued (more stripes remain).

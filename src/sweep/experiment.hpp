@@ -13,19 +13,17 @@
 //  * chunk c draws from jump substream c of a base stream seeded with
 //    RunOptions::seed, and the point at in-chunk offset j forks that
 //    substream with label j — so the RNG a point sees is a pure function
-//    of (seed, chunk_size, point index);
-//  * with memoize = true, repeated points (same Point::key()) are
-//    evaluated once — at the RNG position of their *first* occurrence —
-//    and the result is copied to every duplicate slot. For deterministic
-//    evaluations memoisation is invisible; for stochastic ones the
-//    duplicates inherit the first draw instead of re-sampling.
+//    of (seed, chunk_size, point index).
+//
+// The Runner evaluates every point, repeated ones included. Memoising
+// repeated Point::key()s at their first occurrence is the server
+// executor's job (server::StripedRun), the one implementation of it.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -37,8 +35,7 @@
 namespace mss::sweep {
 
 /// A declarative unit of work: evaluate one Point into a Result. Results
-/// must be default-constructible (the Runner pre-sizes the output vector)
-/// and copyable (memoised duplicates are copies).
+/// must be default-constructible (the Runner pre-sizes the output vector).
 template <typename Result>
 struct Experiment {
   std::string name;
@@ -63,17 +60,15 @@ struct RunOptions {
   std::size_t chunk_size = 1;
   /// Base seed of the per-point RNG streams.
   std::uint64_t seed = 0x5EEDC0DEull;
-  /// Evaluate repeated points once (keyed on Point::key()).
-  bool memoize = false;
 };
 
-/// What a run did (memoisation accounting for tests/telemetry).
+/// What a memoised, cached run did. Only server::run_cached (and the
+/// server's StripedRun behind it) fills it; the Runner keeps no stats.
 struct RunStats {
   std::size_t points = 0;     ///< space size
   std::size_t evaluated = 0;  ///< evaluate() calls actually made
   std::size_t memo_hits = 0;  ///< points served from a repeated key
-  std::size_t cache_hits = 0; ///< points served from a persistent cache
-                              ///< (server::run_cached; always 0 here)
+  std::size_t cache_hits = 0; ///< points served from the result cache
 };
 
 /// Executes experiments over spaces. Stateless apart from its options, so
@@ -89,60 +84,24 @@ class Runner {
   /// `space.at(i)`. Bit-identical for any `threads` setting.
   template <typename Result>
   [[nodiscard]] std::vector<Result> run(const ParamSpace& space,
-                                        const Experiment<Result>& exp,
-                                        RunStats* stats = nullptr) const {
+                                        const Experiment<Result>& exp) const {
     const std::size_t n = space.size();
     const std::size_t chunk = opt_.chunk_size == 0 ? 1 : opt_.chunk_size;
     std::vector<Result> results(n);
-    RunStats st;
-    st.points = n;
-    if (n == 0) {
-      if (stats) *stats = st;
-      return results;
-    }
+    if (n == 0) return results;
 
     // Chunk-keyed substreams: layout depends only on (n, chunk).
     util::Rng base(opt_.seed);
     const auto streams =
         base.jump_substreams(util::ThreadPool::chunk_count(n, chunk));
-    const auto eval_at = [&](std::size_t i) {
-      util::Rng rng = streams[i / chunk].fork(std::uint64_t(i % chunk));
-      results[i] = exp.evaluate(space.at(i), rng);
-    };
-
-    if (!opt_.memoize) {
-      util::ThreadPool::run_with(
-          opt_.threads, n, chunk,
-          [&](std::size_t, std::size_t b, std::size_t e) {
-            for (std::size_t i = b; i < e; ++i) eval_at(i);
-          });
-      st.evaluated = n;
-      if (stats) *stats = st;
-      return results;
-    }
-
-    // Memoised: find the first occurrence of every distinct key serially
-    // (cheap — no evaluation), evaluate only those in parallel (each at
-    // its canonical RNG position), then copy results to the duplicates.
-    std::unordered_map<std::string, std::size_t> first_of;
-    std::vector<std::size_t> owner(n);
-    std::vector<std::size_t> firsts;
-    for (std::size_t i = 0; i < n; ++i) {
-      const auto [it, inserted] = first_of.try_emplace(space.at(i).key(), i);
-      owner[i] = it->second;
-      if (inserted) firsts.push_back(i);
-    }
     util::ThreadPool::run_with(
-        opt_.threads, firsts.size(), chunk,
+        opt_.threads, n, chunk,
         [&](std::size_t, std::size_t b, std::size_t e) {
-          for (std::size_t k = b; k < e; ++k) eval_at(firsts[k]);
+          for (std::size_t i = b; i < e; ++i) {
+            util::Rng rng = streams[i / chunk].fork(std::uint64_t(i % chunk));
+            results[i] = exp.evaluate(space.at(i), rng);
+          }
         });
-    for (std::size_t i = 0; i < n; ++i) {
-      if (owner[i] != i) results[i] = results[owner[i]];
-    }
-    st.evaluated = firsts.size();
-    st.memo_hits = n - firsts.size();
-    if (stats) *stats = st;
     return results;
   }
 
@@ -152,9 +111,8 @@ class Runner {
   [[nodiscard]] ResultTable table(const ParamSpace& space,
                                   const Experiment<Result>& exp,
                                   std::vector<std::string> columns,
-                                  RowFn row_of,
-                                  RunStats* stats = nullptr) const {
-    const auto results = run(space, exp, stats);
+                                  RowFn row_of) const {
+    const auto results = run(space, exp);
     ResultTable t(std::move(columns));
     for (std::size_t i = 0; i < results.size(); ++i) {
       t.add_row(row_of(space.at(i), results[i]));

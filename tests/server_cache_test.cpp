@@ -1,5 +1,6 @@
 // ResultCache: bit-exact persistence, crash-safe replay (torn tails, CRC
-// corruption), first-write-wins and cache-key injectivity.
+// corruption), first-write-wins, cache-key injectivity and the stability
+// of the row pointers the cache hands out.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -18,6 +19,7 @@ namespace {
 
 using mss::server::cache_key;
 using mss::server::ResultCache;
+using mss::server::Row;
 using mss::sweep::Value;
 
 std::uint64_t bits_of(double d) {
@@ -43,6 +45,20 @@ void write_file(const std::string& path, const std::string& bytes) {
   out.write(bytes.data(), std::streamsize(bytes.size()));
 }
 
+/// Cell-by-cell equality with doubles compared by their IEEE bits.
+bool rows_bit_equal(const Row& a, const Row& b) {
+  if (a.size() != b.size()) return false;
+  for (std::size_t c = 0; c < a.size(); ++c) {
+    if (a[c].index() != b[c].index()) return false;
+    if (const auto* da = std::get_if<double>(&a[c])) {
+      if (bits_of(*da) != bits_of(std::get<double>(b[c]))) return false;
+    } else if (a[c] != b[c]) {
+      return false;
+    }
+  }
+  return true;
+}
+
 TEST(CacheKey, DistinctComponentsNeverCollide) {
   // Every component participates.
   EXPECT_NE(cache_key("a", 1, 0, "k"), cache_key("b", 1, 0, "k"));
@@ -57,11 +73,12 @@ TEST(CacheKey, DistinctComponentsNeverCollide) {
 
 TEST(ResultCache, InMemoryLookupAndFirstWriteWins) {
   ResultCache cache(""); // no persistence
-  EXPECT_FALSE(cache.lookup("k").has_value());
-  cache.insert("k", {Value(std::int64_t(1)), Value(2.5)});
-  cache.insert("k", {Value(std::int64_t(999))}); // ignored
+  EXPECT_EQ(cache.lookup("k"), nullptr);
+  const Row& first = cache.insert("k", {Value(std::int64_t(1)), Value(2.5)});
+  const Row& again = cache.insert("k", {Value(std::int64_t(999))}); // ignored
+  EXPECT_EQ(&again, &first); // the first-written row is returned
   const auto got = cache.lookup("k");
-  ASSERT_TRUE(got.has_value());
+  ASSERT_EQ(got, &first);
   ASSERT_EQ(got->size(), 2u);
   EXPECT_EQ(std::get<std::int64_t>((*got)[0]), 1);
   EXPECT_EQ(std::get<double>((*got)[1]), 2.5);
@@ -84,7 +101,7 @@ TEST(ResultCache, ReopenReplaysBitExactRows) {
   EXPECT_EQ(cache.replayed(), 2u);
   EXPECT_EQ(cache.discarded_bytes(), 0u);
   const auto got = cache.lookup("row1");
-  ASSERT_TRUE(got.has_value());
+  ASSERT_NE(got, nullptr);
   ASSERT_EQ(got->size(), tricky.size());
   EXPECT_EQ(bits_of(std::get<double>((*got)[0])), bits_of(-0.0));
   EXPECT_EQ(bits_of(std::get<double>((*got)[1])),
@@ -110,14 +127,14 @@ TEST(ResultCache, TornTailIsTruncatedAndAppendableAgain) {
     ResultCache cache(path);
     EXPECT_EQ(cache.replayed(), 2u);
     EXPECT_GT(cache.discarded_bytes(), 0u);
-    ASSERT_TRUE(cache.lookup("a").has_value());
-    ASSERT_TRUE(cache.lookup("b").has_value());
+    ASSERT_NE(cache.lookup("a"), nullptr);
+    ASSERT_NE(cache.lookup("b"), nullptr);
     cache.insert("c", {Value(3.0)}); // appends onto the clean boundary
   }
   ResultCache cache(path);
   EXPECT_EQ(cache.replayed(), 3u);
   EXPECT_EQ(cache.discarded_bytes(), 0u);
-  EXPECT_TRUE(cache.lookup("c").has_value());
+  EXPECT_NE(cache.lookup("c"), nullptr);
   std::remove(path.c_str());
 }
 
@@ -143,14 +160,14 @@ TEST(ResultCache, RecordTornMidPayloadIsTruncated) {
     ResultCache cache(path);
     EXPECT_EQ(cache.replayed(), 1u);
     EXPECT_EQ(cache.discarded_bytes(), 10u);
-    EXPECT_TRUE(cache.lookup("a").has_value());
-    EXPECT_FALSE(cache.lookup("b").has_value());
+    EXPECT_NE(cache.lookup("a"), nullptr);
+    EXPECT_EQ(cache.lookup("b"), nullptr);
     cache.insert("b", {Value(2.0), Value(std::int64_t(20))}); // recompute
   }
   ResultCache cache(path);
   EXPECT_EQ(cache.replayed(), 2u);
   EXPECT_EQ(cache.discarded_bytes(), 0u);
-  EXPECT_TRUE(cache.lookup("b").has_value());
+  EXPECT_NE(cache.lookup("b"), nullptr);
   std::remove(path.c_str());
 }
 
@@ -169,7 +186,7 @@ TEST(ResultCache, RecordTornMidHeaderIsTruncated) {
   ResultCache cache(path);
   EXPECT_EQ(cache.replayed(), 1u);
   EXPECT_EQ(cache.discarded_bytes(), 5u);
-  EXPECT_FALSE(cache.lookup("b").has_value());
+  EXPECT_EQ(cache.lookup("b"), nullptr);
   std::remove(path.c_str());
 }
 
@@ -187,8 +204,8 @@ TEST(ResultCache, CrcCorruptionDropsTheRecord) {
   ResultCache cache(path);
   EXPECT_EQ(cache.replayed(), 1u);
   EXPECT_GT(cache.discarded_bytes(), 0u);
-  EXPECT_TRUE(cache.lookup("a").has_value());
-  EXPECT_FALSE(cache.lookup("b").has_value());
+  EXPECT_NE(cache.lookup("a"), nullptr);
+  EXPECT_EQ(cache.lookup("b"), nullptr);
   std::remove(path.c_str());
 }
 
@@ -207,8 +224,46 @@ TEST(ResultCache, EmptyRowRoundTrips) {
   }
   ResultCache cache(path);
   const auto got = cache.lookup("empty");
-  ASSERT_TRUE(got.has_value());
+  ASSERT_NE(got, nullptr);
   EXPECT_TRUE(got->empty());
+  std::remove(path.c_str());
+}
+
+// The cache is the only owner of served rows: jobs keep pointers into it
+// and fetches read them without a lock. Those pointers must survive
+// rehash (many further inserts), compaction and memory-only (over-cap)
+// inserts, with the row bit-identical throughout.
+TEST(ResultCache, RowPointersStayValidForTheCacheLifetime) {
+  const std::string path = temp_path();
+  const Row tricky = {Value(-0.0),
+                      Value(std::numeric_limits<double>::denorm_min()),
+                      Value(std::int64_t(-1)),
+                      Value(std::string("p\x1f\0q", 4))};
+  mss::server::CacheOptions options;
+  options.max_bytes = 1u << 20; // room for the small rows, not the big one
+  ResultCache cache(path, options);
+
+  const Row& first = cache.insert("first", tricky);
+  EXPECT_EQ(cache.lookup("first"), &first);
+  EXPECT_EQ(&cache.insert("first", {Value(99.0)}), &first);
+  EXPECT_TRUE(rows_bit_equal(first, tricky));
+
+  for (int i = 0; i < 10'000; ++i) { // forces many rehashes
+    cache.insert(std::to_string(i), {Value(double(i))});
+  }
+  EXPECT_EQ(cache.lookup("first"), &first);
+  EXPECT_TRUE(rows_bit_equal(first, tricky));
+
+  const auto stats = cache.compact();
+  EXPECT_EQ(stats.records_after, 10'001u);
+  EXPECT_EQ(cache.lookup("first"), &first);
+  EXPECT_TRUE(rows_bit_equal(first, tricky));
+
+  const Row& big = cache.insert("big", {Value(std::string(2u << 20, 'x'))});
+  EXPECT_EQ(cache.capped_appends(), 1u); // memory-only
+  EXPECT_EQ(cache.lookup("big"), &big);
+  EXPECT_EQ(cache.lookup("first"), &first);
+  EXPECT_TRUE(rows_bit_equal(first, tricky));
   std::remove(path.c_str());
 }
 
@@ -251,7 +306,7 @@ TEST(ResultCache, CompactionShrinksDuplicateHeavyFileBitIdentically) {
   EXPECT_EQ(reread.replayed(), 3u);
   EXPECT_EQ(reread.discarded_bytes(), 0u);
   const auto got = reread.lookup("a");
-  ASSERT_TRUE(got.has_value());
+  ASSERT_NE(got, nullptr);
   ASSERT_EQ(got->size(), tricky.size());
   EXPECT_EQ(bits_of(std::get<double>((*got)[0])), bits_of(-0.0));
   EXPECT_EQ(bits_of(std::get<double>((*got)[1])),
@@ -301,11 +356,11 @@ TEST(ResultCache, SizeCapSkipsAppendsButKeepsRowsInMemory) {
   EXPECT_EQ(cache.capped_appends(), 1u);
   EXPECT_TRUE(cache.persistent()); // capped, not broken
   EXPECT_EQ(cache.file_bytes(), two_rows);
-  ASSERT_TRUE(cache.lookup("c").has_value()); // served from memory
+  ASSERT_NE(cache.lookup("c"), nullptr); // served from memory
 
   ResultCache reread(path);
   EXPECT_EQ(reread.replayed(), 2u);
-  EXPECT_FALSE(reread.lookup("c").has_value());
+  EXPECT_EQ(reread.lookup("c"), nullptr);
   std::remove(path.c_str());
 }
 
@@ -333,7 +388,7 @@ TEST(ResultCache, SizeCapCompactsDuplicatesToMakeRoom) {
 
   ResultCache reread(path);
   EXPECT_EQ(reread.replayed(), 4u);
-  EXPECT_TRUE(reread.lookup("d").has_value());
+  EXPECT_NE(reread.lookup("d"), nullptr);
   std::remove(path.c_str());
 }
 
@@ -365,7 +420,7 @@ TEST(ResultCache, EnospcMidAppendRollsBackDegradesAndCompactRecovers) {
   }
   EXPECT_EQ(cache.append_failures(), 1u);
   EXPECT_FALSE(cache.persistent());
-  ASSERT_TRUE(cache.lookup("b").has_value()); // memory-only, still served
+  ASSERT_NE(cache.lookup("b"), nullptr); // memory-only, still served
   EXPECT_EQ(read_file(path).size(), clean);   // rolled back, no torn tail
 
   cache.insert("c", {Value(3.0)}); // degraded: memory-only, no disk touch
@@ -380,8 +435,8 @@ TEST(ResultCache, EnospcMidAppendRollsBackDegradesAndCompactRecovers) {
 
   ResultCache reread(path);
   EXPECT_EQ(reread.replayed(), 4u);
-  EXPECT_TRUE(reread.lookup("b").has_value());
-  EXPECT_TRUE(reread.lookup("d").has_value());
+  EXPECT_NE(reread.lookup("b"), nullptr);
+  EXPECT_NE(reread.lookup("d"), nullptr);
   std::remove(path.c_str());
 }
 
@@ -405,7 +460,7 @@ TEST(ResultCache, ShortWriteStormStillPersistsEveryRecord) {
   EXPECT_EQ(reread.discarded_bytes(), 0u);
   for (int i = 0; i < 20; ++i) {
     const auto got = reread.lookup("k" + std::to_string(i));
-    ASSERT_TRUE(got.has_value());
+    ASSERT_NE(got, nullptr);
     EXPECT_EQ(bits_of(std::get<double>((*got)[0])), bits_of(double(i)));
     EXPECT_EQ(bits_of(std::get<double>((*got)[1])), bits_of(-0.0));
   }

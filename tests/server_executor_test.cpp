@@ -1,6 +1,7 @@
 // server::run_cached vs sweep::Runner: bit-identical rows for every thread
-// policy and chunk size, warm-cache reruns, memo duplicates, cooperative
-// cancellation and stripe streaming.
+// policy and chunk size, warm-cache reruns, memo duplicates (the executor
+// is the one memo implementation), cooperative cancellation and stripe
+// streaming.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -86,13 +87,13 @@ TEST(RunCached, MatchesRunnerBitIdenticallyAcrossPolicies) {
   const auto exp = noisy_experiment();
   const auto space = small_space();
 
-  // Reference: the Runner with memoize on, serial.
+  // Reference: the plain Runner, serial. Every key is distinct, so the
+  // executor's memo never fires and the rows must match point for point.
   const auto runner_exp = mss::sweep::make_experiment(
       "ref", [&](const Point& p, mss::util::Rng& rng) {
         return exp.evaluate(p, rng);
       });
-  const mss::sweep::Runner runner(
-      {.threads = 1, .chunk_size = 3, .seed = 77, .memoize = true});
+  const mss::sweep::Runner runner({.threads = 1, .chunk_size = 3, .seed = 77});
   const auto expected = runner.run(space, runner_exp);
 
   for (const std::size_t threads : {std::size_t(1), std::size_t(0),
@@ -200,6 +201,48 @@ TEST(RunCached, DuplicatePointsAreMemoisedNotReevaluated) {
   ASSERT_EQ(sink.rows.size(), 5u);
   EXPECT_EQ(std::get<double>(sink.rows[2][0]), 2.0);
   EXPECT_EQ(std::get<double>(sink.rows[4][0]), 4.0);
+}
+
+// A stochastic duplicate serves its first occurrence's row — drawn at the
+// first occurrence's RNG position — even when it lands in a later stripe
+// than its owner, with a caller's cache and with the throwaway one alike.
+TEST(RunCached, StochasticDuplicatesInLaterStripesServeTheOwnerRow) {
+  const auto exp = noisy_experiment();
+  ParamSpace space;
+  space.cross(Axis::list(
+      "x", std::vector<double>{0.1, 0.2, 0.3, 0.1, 0.4, 0.2, 0.1}));
+  const std::vector<std::size_t> owner = {0, 1, 2, 0, 4, 1, 0};
+
+  // The plain Runner draws every point at its own RNG position.
+  const auto runner_exp = mss::sweep::make_experiment(
+      "ref", [&](const Point& p, mss::util::Rng& rng) {
+        return exp.evaluate(p, rng);
+      });
+  const auto unmemoised =
+      mss::sweep::Runner({.threads = 1, .seed = 5}).run(space, runner_exp);
+
+  for (const bool with_cache : {false, true}) {
+    ExecOptions opt;
+    opt.seed = 5;
+    opt.stripe_chunks = 1; // one point per stripe
+    ResultCache cache("");
+    Sink sink;
+    RunStats stats;
+    ASSERT_EQ(run_cached(exp, space, opt, with_cache ? &cache : nullptr,
+                         nullptr, sink.fn(), &stats),
+              ExecOutcome::Done);
+    EXPECT_EQ(stats.evaluated, 4u);
+    EXPECT_EQ(stats.memo_hits, 3u);
+    EXPECT_EQ(cache.entries(), with_cache ? 4u : 0u);
+    ASSERT_EQ(sink.rows.size(), space.size());
+    for (std::size_t i = 0; i < space.size(); ++i) {
+      EXPECT_TRUE(rows_bit_identical({sink.rows[i]}, {unmemoised[owner[i]]}))
+          << "point " << i << " cache=" << with_cache;
+      if (owner[i] != i) { // a re-sampled duplicate would differ
+        EXPECT_FALSE(rows_bit_identical({sink.rows[i]}, {unmemoised[i]}));
+      }
+    }
+  }
 }
 
 TEST(RunCached, PresetCancelStopsBeforeAnyEvaluation) {

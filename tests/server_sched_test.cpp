@@ -2,8 +2,9 @@
 // equal-priority jobs (a small job streams and finishes while a big one
 // is mid-flight), strict priority preemption at stripe boundaries,
 // slice accounting, bit-identity of interleaved runs against solo runs
-// at several {threads} x {stripe} combinations, and the
-// connection-lifecycle regression tests (fd leak, connection-table GC).
+// at several {threads} x {stripe} combinations, re-fetching a finished
+// job from the cache-owned rows, and the connection-lifecycle regression
+// tests (fd leak, connection-table GC).
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -234,6 +235,32 @@ TEST(ServerSched, ConcurrentRowsBitIdenticalAcrossConfigs) {
           << "threads=" << threads << " stripe=" << stripe;
     }
   }
+}
+
+// A finished job's rows live only in the cache. Re-fetching it after a
+// larger job has grown the cache (rehashing its index many times) must
+// stream a bit-identical table.
+TEST(ServerSched, RefetchAfterTheCacheGrewIsBitIdentical) {
+  TestServer ts;
+  Client client(ts.socket_path);
+  SubmitOptions small;
+  small.seed = 9;
+  small.space = demo_space(500, 6);
+  const std::uint64_t small_job = client.submit("demo.mc_tail", small);
+  const auto first = client.fetch(small_job);
+  ASSERT_EQ(first.status.state, JobState::Done);
+
+  SubmitOptions big;
+  big.seed = 10;
+  big.space = demo_space(50, 4000);
+  const auto big_result = client.fetch(client.submit("demo.mc_tail", big));
+  ASSERT_EQ(big_result.status.state, JobState::Done);
+  EXPECT_EQ(ts.server->cache().entries(), 4006u);
+
+  const auto again = client.fetch(small_job);
+  EXPECT_EQ(again.status.state, JobState::Done);
+  EXPECT_EQ(again.table.rows(), 6u);
+  EXPECT_TRUE(tables_bit_identical(again.table, first.table));
 }
 
 std::size_t count_open_fds() {

@@ -8,7 +8,6 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cmath>
 #include <string>
 #include <vector>
@@ -235,43 +234,6 @@ TEST(Runner, SeedSelectsTheStreams) {
   bool any_differ = false;
   for (std::size_t i = 0; i < a.size(); ++i) any_differ |= a[i] != b[i];
   EXPECT_TRUE(any_differ);
-}
-
-TEST(Runner, MemoisationCountsAndCopiesRepeatedPoints) {
-  // 3 distinct values, each repeated 4 times via a crossed "rep" axis that
-  // is *not* part of the key... every coordinate is part of the key, so
-  // repeat the values inside one axis instead.
-  const auto space = sw::ParamSpace().cross(
-      sw::Axis::list("x", std::vector<double>{1.0, 2.0, 1.0, 3.0, 2.0, 1.0}));
-  std::atomic<int> calls{0};
-  const auto exp = sw::make_experiment(
-      "count", [&](const sw::Point& p, mss::util::Rng&) {
-        ++calls;
-        return p.number("x") * 10.0;
-      });
-  sw::RunOptions opt;
-  opt.memoize = true;
-  sw::RunStats stats;
-  const auto out = sw::Runner(opt).run(space, exp, &stats);
-  EXPECT_EQ(stats.points, 6u);
-  EXPECT_EQ(stats.evaluated, 3u);
-  EXPECT_EQ(stats.memo_hits, 3u);
-  EXPECT_EQ(calls.load(), 3);
-  EXPECT_EQ(out, (std::vector<double>{10.0, 20.0, 10.0, 30.0, 20.0, 10.0}));
-}
-
-TEST(Runner, MemoisationInvisibleForDeterministicExperiments) {
-  const auto space = sw::ParamSpace().cross(
-      sw::Axis::list("x", std::vector<double>{1.0, 2.0, 1.0, 2.0}));
-  const auto exp = sw::make_experiment(
-      "det", [](const sw::Point& p, mss::util::Rng&) {
-        return p.number("x") * p.number("x");
-      });
-  sw::RunOptions memo;
-  memo.memoize = true;
-  sw::RunOptions plain;
-  EXPECT_EQ(sw::Runner(memo).run(space, exp),
-            sw::Runner(plain).run(space, exp));
 }
 
 TEST(Runner, TableAssemblesRowsInSpaceOrder) {

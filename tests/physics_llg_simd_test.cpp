@@ -265,3 +265,39 @@ TEST(LlgSimd, BatchKernelRejectsBadTimeStep) {
                    starts, 1e-9, 0.0, 0.0, lanes.data(), 0xFu),
                std::invalid_argument);
 }
+
+// Golden ensemble statistics at the default options, pinned exactly
+// (doubles as hexfloat literals): a change to the stepping expression, the
+// substream keying or the reduction order fails here, where a relative
+// tolerance would let a reordered sum through. n = 45 leaves a partial
+// chunk and a masked tail batch.
+namespace {
+
+void expect_golden_ensemble(bool stop_on_switch, double mean_mz_final) {
+  const mp::LlgSolver solver(test_params());
+  mp::LlgEnsembleOptions opt;
+  opt.stop_on_switch = stop_on_switch;
+  mu::Rng rng(2024);
+  const auto ens = solver.integrate_thermal_ensemble(
+      45, {0.0, 0.0, -1.0}, 1.5e-9, 1e-12, 150e-6, rng, opt);
+  EXPECT_EQ(ens.n_trajectories, 45u);
+  EXPECT_EQ(ens.n_switched, 38u);
+  EXPECT_EQ(ens.switch_time.count(), 38u);
+  EXPECT_EQ(ens.switch_time.mean(), 0x1.18f7f7a7c8774p-30);
+  EXPECT_EQ(ens.switch_time.stddev(), 0x1.725975d8e8f1dp-33);
+  EXPECT_EQ(ens.switch_time.min(), 0x1.92f8943703b99p-31);
+  EXPECT_EQ(ens.switch_time.max(), 0x1.8160fab5d5cf9p-30);
+  EXPECT_EQ(ens.mean_mz_final, mean_mz_final);
+  EXPECT_EQ(rng.uniform(), 0x1.906fe7dd14f42p-1);
+}
+
+} // namespace
+
+TEST(LlgGolden, EnsembleFullPulsePinned) {
+  expect_golden_ensemble(false, 0x1.5299f1efee06ep-1);
+}
+
+// Frozen lanes latch the same crossings; only m_final moves.
+TEST(LlgGolden, EnsembleStopOnSwitchPinned) {
+  expect_golden_ensemble(true, -0x1.53cba8b3377a9p-4);
+}

@@ -201,6 +201,52 @@ TEST(PhysicsWerTest, DeepTailReachesBelow1em12WithBoundedError) {
       << est2.ic_shift << ")";
 }
 
+// Golden estimates, pinned exactly (doubles as hexfloat literals): a
+// change to the sampling stack, the substream keying or the chunk-ordered
+// reduction fails here, where a relative tolerance would let a reordered
+// sum through. n = 203 leaves a partial chunk and a masked tail batch.
+TEST(LlgGolden, WerConeTiltPinned) {
+  const MtjCompactModel m(fast_params());
+  const auto dir = WriteDirection::ToAntiparallel;
+  const double i = 1.2 * m.critical_current(dir);
+  WerEstimateOptions opt;
+  opt.tilt = 4.0;
+  Rng rng(77);
+  const auto est = m.llgs_write_error_rate(dir, i, 1e-9, 203, rng, opt);
+  EXPECT_EQ(est.n_trajectories, 203u);
+  EXPECT_EQ(est.n_failures, 48u);
+  EXPECT_EQ(est.wer, 0x1.0b124ccb3b7d1p-3);
+  EXPECT_EQ(est.variance, 0x1.43f5693164f9bp-11);
+  EXPECT_EQ(est.rel_error, 0x1.86625970762aep-3);
+  EXPECT_EQ(est.ess, 0x1.8576e0e2dfa5ep+4);
+  EXPECT_EQ(est.tilt, 4.0);
+  EXPECT_EQ(est.ic_shift, 0.0);
+  EXPECT_EQ(est.ic_defensive, 0.0);
+  EXPECT_EQ(rng.uniform(), 0x1.d0c6ee094c48p-3);
+}
+
+// Threshold spread with the auto proposal: shifted, widened, and the
+// defensive mixture it switches on.
+TEST(LlgGolden, WerThresholdMixturePinned) {
+  const MtjCompactModel m(fast_params());
+  const auto dir = WriteDirection::ToAntiparallel;
+  const double i = 1.2 * m.critical_current(dir);
+  WerEstimateOptions opt;
+  opt.ic_sigma_rel = 0.2;
+  Rng rng(77);
+  const auto est = m.llgs_write_error_rate(dir, i, 1e-9, 203, rng, opt);
+  EXPECT_EQ(est.n_trajectories, 203u);
+  EXPECT_EQ(est.n_failures, 144u);
+  EXPECT_EQ(est.wer, 0x1.2ef115dce2a37p-2);
+  EXPECT_EQ(est.variance, 0x1.03aa3deba58ebp-9);
+  EXPECT_EQ(est.rel_error, 0x1.341f33c60d379p-3);
+  EXPECT_EQ(est.ess, 0x1.2370ca20c9345p+5);
+  EXPECT_EQ(est.tilt, 1.0);
+  EXPECT_EQ(est.ic_shift, 0x1.213c685baf7d1p+1);
+  EXPECT_EQ(est.ic_defensive, 0x1.999999999999ap-3);
+  EXPECT_EQ(rng.uniform(), 0x1.d0c6ee094c48p-3);
+}
+
 TEST(PhysicsWerTest, OptionValidation) {
   const MtjCompactModel m(fast_params());
   const auto dir = WriteDirection::ToAntiparallel;

@@ -154,6 +154,7 @@ sweep::ParamSpace WireReader::space() {
   const std::uint32_t n_dims = u32();
   if (n_dims > 4096) throw WireError("wire: absurd dimension count");
   sweep::ParamSpace out;
+  std::uint64_t points = 1;
   for (std::uint32_t d = 0; d < n_dims; ++d) {
     const std::uint32_t n_axes = u32();
     if (n_axes == 0 || n_axes > 4096) {
@@ -164,7 +165,7 @@ sweep::ParamSpace WireReader::space() {
     for (std::uint32_t a = 0; a < n_axes; ++a) {
       std::string name = str();
       const std::uint64_t n_values = u64();
-      if (n_values > (1u << 24)) throw WireError("wire: axis too long");
+      if (n_values > kMaxSpacePoints) throw WireError("wire: axis too long");
       std::vector<sweep::Value> vals;
       // Reserve only what the remaining payload could actually encode
       // (every value is >= 5 bytes): a hostile length field must not be
@@ -174,6 +175,13 @@ sweep::ParamSpace WireReader::space() {
       for (std::uint64_t v = 0; v < n_values; ++v) vals.push_back(value());
       axes.push_back(sweep::Axis::values(std::move(name), std::move(vals)));
     }
+    // Overflow-safe form of points * len > kMaxSpacePoints (a zip group's
+    // length is its first axis's; mismatched lengths are rejected below).
+    const std::uint64_t len = axes.front().size();
+    if (len != 0 && points > kMaxSpacePoints / len) {
+      throw WireError("wire: space has more than 2^24 points");
+    }
+    points *= len;
     try {
       if (axes.size() == 1) {
         out.cross(std::move(axes.front()));

@@ -41,6 +41,12 @@ inline constexpr std::uint32_t kProtocolVersion = 2;
 /// length prefixes from a non-protocol peer).
 inline constexpr std::uint32_t kMaxFrameBytes = 64u << 20;
 
+/// Upper bound a receiver accepts for the points of one decoded space, per
+/// axis and for the product over all dimensions: a few-KB Submit frame of
+/// binary axes must not name a job whose bookkeeping alone costs gigabytes
+/// (or whose point count wraps around).
+inline constexpr std::uint64_t kMaxSpacePoints = 1u << 24;
+
 /// Frame types. Client->server requests are odd-ended names; every server
 /// reply is either its *Ok counterpart, a stream of Table* frames, or an
 /// Error frame.

@@ -2,7 +2,8 @@
 // concurrent job, max-conns Busy refusal + recovery, handler-exit reaping
 // without new accepts, client RPC deadlines against a silent server,
 // fail-fast connects, run_with_retry resuming bit-identically from the
-// persistent cache, and the clamp on a client's requested thread count.
+// persistent cache, the clamp on a client's requested thread count, and
+// the bound on a submitted space's point count.
 #include <gtest/gtest.h>
 
 #include <cerrno>
@@ -315,6 +316,36 @@ TEST(ServerHardening, SubmittedThreadCountIsClampedToTheHardware) {
   EXPECT_EQ(wide.status.evaluated, 12u);
   EXPECT_LE(after - before, long(std::thread::hardware_concurrency()));
   EXPECT_TRUE(bit_equal_tables(wide.table, serial));
+}
+
+// 64 binary axes fit in a ~2 KB Submit frame, yet their product wraps the
+// point count to 0. The daemon refuses the space as a malformed frame
+// instead of running a 0-row job (or, at 22 axes, spending gigabytes on
+// the job's bookkeeping), and the connection stays usable.
+TEST(ServerHardening, OversizedSpaceIsABadFrameAndTheConnectionSurvives) {
+  TestServer ts;
+  Client client(ts.socket_path);
+
+  ParamSpace huge;
+  for (int i = 0; i < 64; ++i) {
+    huge.cross(
+        Axis::list("b" + std::to_string(i), std::vector<double>{0.0, 1.0}));
+  }
+  SubmitOptions bad;
+  bad.space = std::move(huge);
+  try {
+    (void)client.submit("demo.mc_tail", bad);
+    ADD_FAILURE() << "a 2^64-point space was accepted";
+  } catch (const ServerError& e) {
+    EXPECT_EQ(e.code(), ErrorCode::BadFrame) << e.what();
+  }
+
+  SubmitOptions small;
+  small.seed = 5;
+  small.space = demo_space(200, 3);
+  const auto result = client.fetch(client.submit("demo.mc_tail", small));
+  EXPECT_EQ(result.status.state, JobState::Done);
+  EXPECT_EQ(result.table.rows(), 3u);
 }
 
 } // namespace

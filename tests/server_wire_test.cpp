@@ -5,6 +5,8 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <string>
+#include <vector>
 
 #include <sys/socket.h>
 
@@ -142,6 +144,32 @@ TEST(Wire, EmptySpaceRoundTrip) {
   const ParamSpace got = r.space();
   EXPECT_EQ(got.size(), 1u);
   EXPECT_EQ(got.at(0).key(), "");
+}
+
+// `n` binary axes crossed: 2^n points from a frame of a few hundred bytes.
+ParamSpace binary_axes(std::size_t n) {
+  ParamSpace space;
+  for (std::size_t i = 0; i < n; ++i) {
+    space.cross(
+        Axis::list("b" + std::to_string(i), std::vector<double>{0.0, 1.0}));
+  }
+  return space;
+}
+
+ParamSpace decode(const ParamSpace& space) {
+  WireWriter w;
+  w.space(space);
+  WireReader r(w.bytes());
+  return r.space();
+}
+
+// The point bound covers the product over dimensions, not just each axis:
+// 2^24 points decode, one more binary axis (or 64, whose product wraps a
+// 64-bit size to 0) is rejected as a malformed frame.
+TEST(Wire, SpacePointProductIsBounded) {
+  EXPECT_EQ(decode(binary_axes(24)).size(), kMaxSpacePoints);
+  EXPECT_THROW((void)decode(binary_axes(25)), WireError);
+  EXPECT_THROW((void)decode(binary_axes(64)), WireError);
 }
 
 TEST(Wire, FramesRoundTripOverASocketPair) {

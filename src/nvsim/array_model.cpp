@@ -155,8 +155,7 @@ MemoryEstimate ArrayModel::estimate_with(double t_mtj_switch, double i_write,
 }
 
 MemoryEstimate ArrayModel::estimate_spice(std::size_t max_rows,
-                                          std::size_t max_cols,
-                                          bool adaptive_step) const {
+                                          std::size_t max_cols) const {
   cells::ArrayNetlistOptions o;
   o.rows = std::min(org_.rows, max_rows);
   o.cols = std::min(org_.cols, max_cols);
@@ -165,7 +164,6 @@ MemoryEstimate ArrayModel::estimate_spice(std::size_t max_rows,
   o.cell_height_f = kCellHeightF;
   o.c_cell_drain = kCellDrainCapF;
   o.c_cell_gate = kCellGateCapF;
-  o.adaptive_step = adaptive_step;
 
   // Worse (P -> AP) direction write; generous pulse so the flip is
   // observed rather than assumed.

@@ -101,8 +101,7 @@ std::vector<Candidate> explore(const core::Pdk& pdk,
         const ArrayModel model(pdk, cand.org);
         const MemoryEstimate per_mat =
             options.spice_calibrate
-                ? model.estimate_spice(options.spice_rows, options.spice_cols,
-                                       options.spice_adaptive)
+                ? model.estimate_spice(options.spice_rows, options.spice_cols)
                 : model.estimate();
         cand.estimate = scale_to_mats(per_mat, m);
         cand.objective = objective_of(goal, cand.estimate);

@@ -280,58 +280,49 @@ BENCHMARK(BM_LlgThermalEnsemble)
     ->ArgName("threads")
     ->UseRealTime();
 
-// The per-core SIMD multiplier of the same ensemble: trajectories stepped
-// `width` per lane group (structure-of-arrays Vec3) inside ONE thread, so
-// the /width:N rows isolate the batch-layer speedup from thread scaling.
-// width:1 is the scalar baseline of the >= 1.8x acceptance criterion for
-// width:4; every row produces bit-identical statistics (the {threads} x
-// {width} invariance suite is the correctness side of this contract).
-void BM_LlgThermalEnsembleSimd(benchmark::State& state) {
+// The scalar reference of the same ensemble: the 64 trajectories one at a
+// time through thermal_initial_state + integrate_thermal on their own
+// substreams, single thread. Against BM_LlgThermalEnsemble/threads:1 this
+// isolates what the batched SIMD kernel buys per core (CI gates the ratio).
+void BM_LlgThermalScalarReference(benchmark::State& state) {
   mss::physics::LlgParams p;
   const mss::physics::LlgSolver solver(p);
-  mss::physics::LlgEnsembleOptions opt;
-  opt.threads = 1;
-  opt.width = static_cast<std::size_t>(state.range(0));
   mss::util::Rng rng(3);
   constexpr std::size_t kTrajectories = 64;
   for (auto _ : state) {
-    const auto ens = solver.integrate_thermal_ensemble(
-        kTrajectories, {0.0, 0.0, -1.0}, 2e-9, 1e-12, 60e-6, rng, opt);
-    benchmark::DoNotOptimize(ens.n_switched);
+    std::size_t switched = 0;
+    for (auto& stream : rng.jump_substreams(kTrajectories)) {
+      const auto start = solver.thermal_initial_state(false, stream);
+      switched += solver
+                      .integrate_thermal(start, 2e-9, 1e-12, 60e-6, stream,
+                                         /*record_stride=*/0)
+                      .switched;
+    }
+    benchmark::DoNotOptimize(switched);
   }
   state.SetItemsProcessed(state.iterations() * kTrajectories * 2000);
 }
-BENCHMARK(BM_LlgThermalEnsembleSimd)
-    ->Arg(1)
-    ->Arg(4)
-    ->Arg(8)
-    ->ArgName("width")
-    ->UseRealTime();
+BENCHMARK(BM_LlgThermalScalarReference)->UseRealTime();
 
 // The VAET-facing stochastic write Monte-Carlo (the LLGS switch-probability
 // kernel behind the estimator family's physical strategy) on the batched
-// ensemble, single thread, over the SIMD width. Trajectories freeze at
-// their first crossing, so this also exercises the lane-mask drain path.
+// ensemble, single thread. Trajectories freeze at their first crossing, so
+// this also exercises the lane-mask drain path.
 void BM_VaetMonteCarloSimd(benchmark::State& state) {
   const mss::core::MtjCompactModel model{mss::core::MtjParams{}};
   const double ic =
       model.critical_current(mss::core::WriteDirection::ToAntiparallel);
   mss::util::Rng rng(7);
-  const auto width = static_cast<std::size_t>(state.range(0));
+  const auto threads = static_cast<std::size_t>(state.range(0));
   constexpr std::size_t kRuns = 16;
   for (auto _ : state) {
     benchmark::DoNotOptimize(model.llgs_switch_probability(
         mss::core::WriteDirection::ToAntiparallel, 2.0 * ic, 2e-9, kRuns, rng,
-        /*threads=*/1, width));
+        threads));
   }
   state.SetItemsProcessed(state.iterations() * kRuns);
 }
-BENCHMARK(BM_VaetMonteCarloSimd)
-    ->Arg(1)
-    ->Arg(4)
-    ->Arg(8)
-    ->ArgName("width")
-    ->UseRealTime();
+BENCHMARK(BM_VaetMonteCarloSimd)->Arg(1)->ArgName("threads")->UseRealTime();
 
 // SPICE-calibrated organisation exploration through sweep::Runner at an
 // explicit thread count: ~18 (mats, rows) candidates, each an array-scale
@@ -426,7 +417,7 @@ BENCHMARK(BM_TraceGeneration);
 
 // --- the /wer: family: rare-event write-error engines -------------------
 // The `wer` argument is the tail depth (-log10 WER) the operating point
-// targets; CI guards the family like /dim:/threads:/width: (bench_diff.py
+// targets; CI guards the family like /dim:/threads:/rows: (bench_diff.py
 // fails if the whole family vanishes from a snapshot).
 
 // Analytic deep-tail closed form: invert pulse width for a target WER
@@ -449,9 +440,8 @@ BENCHMARK(BM_WerAnalyticPulseInversion)
     ->Arg(15);
 
 // Importance-sampled LLGS estimator in the overlap regime (WER ~ 4e-3,
-// auto proposal + defensive mixture) over the SIMD width — the /width:
-// rows isolate the batch-layer speedup of the weighted estimator exactly
-// like BM_LlgThermalEnsembleSimd does for the plain ensemble.
+// auto proposal + defensive mixture), single thread: the per-core cost of
+// the weighted estimator on the batched kernel.
 void BM_WerImportanceSampledOverlap(benchmark::State& state) {
   mss::core::MtjParams p;
   p.alpha = 0.1;
@@ -460,8 +450,7 @@ void BM_WerImportanceSampledOverlap(benchmark::State& state) {
   const double i = 1.2 * model.critical_current(dir);
   mss::core::WerEstimateOptions opt;
   opt.ic_sigma_rel = 0.2;
-  opt.threads = 1;
-  opt.width = static_cast<std::size_t>(state.range(1));
+  opt.threads = static_cast<std::size_t>(state.range(1));
   constexpr std::size_t kTrajectories = 512;
   mss::util::Rng rng(9);
   for (auto _ : state) {
@@ -472,10 +461,8 @@ void BM_WerImportanceSampledOverlap(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * kTrajectories);
 }
 BENCHMARK(BM_WerImportanceSampledOverlap)
-    ->ArgNames({"wer", "width"})
+    ->ArgNames({"wer", "threads"})
     ->Args({2, 1})
-    ->Args({2, 4})
-    ->Args({2, 8})
     ->UseRealTime();
 
 // The deep-tail acceptance point (WER ~ 5e-14, Delta = 292, pinned N(7,1)

@@ -2,15 +2,15 @@
 """Diff two google-benchmark JSON snapshots and fail on regressions.
 
     scripts/bench_diff.py BASELINE.json CURRENT.json [--tolerance 0.25]
-                          [--families /dim: /threads: /width: /rows: /cache:]
+                          [--families /dim: /threads: /rows: /wer: /cache:]
                           [--min-speedup SLOW FAST RATIO]
                           [--max-ratio A B RATIO]
 
 Compares `real_time` of every benchmark present in both snapshots whose
 name contains one of the family markers (default: the /dim:N, /threads:N,
-/width:N, /rows:N, /wer:N and /cache:N families — matrix-dimension,
-thread-count, SIMD-batch-width, array-row, write-error-rate and
-persistent-result-cache scaling respectively).
+/rows:N, /wer:N and /cache:N families — matrix-dimension, thread-count,
+array-row, write-error-rate and persistent-result-cache scaling
+respectively).
 
 Benchmark names are canonicalised before any matching: google-benchmark
 appends *run options* to the name (`/min_time:2.000`, `/real_time`,
@@ -25,7 +25,7 @@ families (`/threads:N`, `/rows:N`, ...) are never stripped.
 `--min-speedup SLOW FAST RATIO` (repeatable) additionally asserts an
 *intra-snapshot* ratio on the current snapshot:
 current[SLOW] / current[FAST] >= RATIO. This is how absolute acceptance
-criteria (e.g. "the SIMD width:4 kernel is >= 1.8x the width:1 kernel")
+criteria (e.g. "the batched LLG kernel is >= 1.8x its scalar reference")
 stay enforced on hardware whose absolute numbers differ from the committed
 baseline's. `--max-ratio A B RATIO` (repeatable) is the scaling-cost dual:
 current[A] / current[B] <= RATIO, bounding how much more a larger problem
@@ -107,8 +107,8 @@ def main(argv=None):
     ap.add_argument("--tolerance", type=float, default=0.25,
                     help="max allowed relative real_time growth (default 0.25)")
     ap.add_argument("--families", nargs="*",
-                    default=["/dim:", "/threads:", "/width:", "/rows:",
-                             "/wer:", "/cache:"],
+                    default=["/dim:", "/threads:", "/rows:", "/wer:",
+                             "/cache:"],
                     help="benchmark-name substrings to compare")
     ap.add_argument("--min-speedup", nargs=3, action="append", default=[],
                     metavar=("SLOW", "FAST", "RATIO"),

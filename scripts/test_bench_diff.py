@@ -72,24 +72,6 @@ class BenchDiffTest(unittest.TestCase):
         self.assertIn("family '/dim:'", err.getvalue())
         self.assertIn("none in the current snapshot", err.getvalue())
 
-    def test_width_family_is_guarded_by_default(self):
-        # The SIMD batch-width family is part of the default gate: a
-        # regression in /width:N fails without any --families override.
-        base = self.write("base.json", snapshot({
-            "BM_LlgSimd/width:4/real_time": 100.0}))
-        cur = self.write("cur.json", snapshot({
-            "BM_LlgSimd/width:4/real_time": 200.0}))
-        self.assertEqual(self.run_diff(base, cur), 1)
-        # And a vanished /width: family fails loudly like the others.
-        cur2 = self.write("cur2.json", snapshot({"BM_Other": 1.0}))
-        import contextlib
-        import io
-        err = io.StringIO()
-        with contextlib.redirect_stderr(err):
-            rc = self.run_diff(base, cur2)
-        self.assertEqual(rc, 1)
-        self.assertIn("family '/width:'", err.getvalue())
-
     def test_cache_family_is_guarded_by_default(self):
         # The persistent-result-cache family (warm vs cold sweep rerun) is
         # part of the default gate: a /cache:N regression fails without any
@@ -109,25 +91,25 @@ class BenchDiffTest(unittest.TestCase):
         self.assertIn("family '/cache:'", err.getvalue())
 
     def test_min_speedup_gate(self):
-        # The intra-snapshot ratio assertion: width:4 must be >= RATIO
-        # faster than width:1 in the *current* snapshot (hardware-neutral,
-        # unlike absolute baseline numbers).
+        # The intra-snapshot ratio assertion: the batched kernel must be
+        # >= RATIO faster than its scalar reference in the *current*
+        # snapshot (hardware-neutral, unlike absolute baseline numbers).
         base = self.write("base.json", snapshot({
-            "BM_L/width:1": 100.0, "BM_L/width:4": 50.0}))
+            "BM_LScalar": 100.0, "BM_LBatched": 50.0}))
         ok = self.write("ok.json", snapshot({
-            "BM_L/width:1": 100.0, "BM_L/width:4": 50.0}))
+            "BM_LScalar": 100.0, "BM_LBatched": 50.0}))
         self.assertEqual(self.run_diff(base, ok, extra=(
-            "--min-speedup", "BM_L/width:1", "BM_L/width:4", "1.8")), 0)
+            "--min-speedup", "BM_LScalar", "BM_LBatched", "1.8")), 0)
         # Speedup collapsed to 1.25x: fails even though no per-benchmark
-        # regression beyond tolerance occurred (width:1 also got slower).
+        # regression beyond tolerance occurred (neither is in a family).
         bad = self.write("bad.json", snapshot({
-            "BM_L/width:1": 100.0, "BM_L/width:4": 80.0}))
+            "BM_LScalar": 100.0, "BM_LBatched": 80.0}))
         self.assertEqual(self.run_diff(base, bad, extra=(
-            "--min-speedup", "BM_L/width:1", "BM_L/width:4", "1.8")), 1)
+            "--min-speedup", "BM_LScalar", "BM_LBatched", "1.8")), 1)
         # A named benchmark missing from the snapshot is a hard error, not
         # a silent pass.
         self.assertEqual(self.run_diff(base, ok, extra=(
-            "--min-speedup", "BM_L/width:1", "BM_Missing", "1.8")), 1)
+            "--min-speedup", "BM_LScalar", "BM_Missing", "1.8")), 1)
 
     def test_max_ratio_gate(self):
         # The scaling-cost dual of --min-speedup: the larger instance may

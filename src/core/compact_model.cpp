@@ -181,21 +181,18 @@ double MtjCompactModel::llgs_switch_probability(WriteDirection dir,
                                                 double i_write, double t_pulse,
                                                 std::size_t n,
                                                 mss::util::Rng& rng,
-                                                std::size_t threads,
-                                                std::size_t width) const {
+                                                std::size_t threads) const {
   if (n == 0) throw std::invalid_argument("llgs_switch_probability: n == 0");
   // The n transients are exactly a thermal ensemble from the start basin:
   // run them through the batched SIMD kernel. Per-trajectory jump
   // substreams make the probability (and the post-call state of `rng`)
-  // bit-identical for any thread count and any batch width; trajectories
-  // freeze at their first crossing (stop_on_switch) since only the switch
-  // outcome feeds the statistic.
+  // bit-identical for any thread count; trajectories freeze at their first
+  // crossing (stop_on_switch) since only the switch outcome feeds the
+  // statistic.
   const auto [start_up, current] = llgs_drive(dir, i_write);
   const physics::LlgSolver solver(llg_params());
   physics::LlgEnsembleOptions opt;
   opt.threads = threads;
-  opt.width = width;
-  opt.thermal_start = true;
   opt.stop_on_switch = true;
   const physics::Vec3 m0{0.0, 0.0, start_up ? 1.0 : -1.0};
   const auto ens = solver.integrate_thermal_ensemble(
@@ -212,7 +209,6 @@ WerEstimate MtjCompactModel::llgs_write_error_rate(
 
   physics::LlgWerOptions wopt;
   wopt.threads = options.threads;
-  wopt.width = options.width;
   wopt.tilt = options.tilt;
   // Forwarded unconditionally so an explicit (invalid) defensive fraction
   // without a threshold spread still trips the physics-layer validation.

@@ -43,7 +43,6 @@ struct WriteOutcome {
 /// Options of `MtjCompactModel::llgs_write_error_rate`.
 struct WerEstimateOptions {
   std::size_t threads = 0; ///< see `physics::LlgWerOptions::threads`
-  std::size_t width = 0;   ///< see `physics::LlgWerOptions::width`
   /// Importance-sampling tilt nu (>= 1); 0 = auto-derive from the
   /// behavioural (closed-form) WER at the same operating point — the
   /// analytic tail seeds the sampler, the sampler sharpens the tail.
@@ -169,17 +168,15 @@ class MtjCompactModel {
   /// Monte-Carlo switching probability from `n` LLGS transients, run
   /// through the batched SIMD thermal-ensemble kernel: sharded across the
   /// shared thread pool (`threads`: 0 = the global pool, 1 = serial inline,
-  /// N = a pool of that size) and stepped `width` trajectories per SIMD
-  /// lane inside each thread (0 = default width; 1/4/8 explicit). Every
-  /// transient draws from its own per-trajectory jump substream, so the
-  /// result and the post-call state of `rng` are bit-identical for any
-  /// thread count and any batch width.
+  /// N = a pool of that size) and stepped `physics::LlgSolver::kLanes`
+  /// trajectories at a time inside each thread. Every transient draws from
+  /// its own per-trajectory jump substream, so the result and the post-call
+  /// state of `rng` are bit-identical for any thread count.
   [[nodiscard]] double llgs_switch_probability(WriteDirection dir,
                                                double i_write, double t_pulse,
                                                std::size_t n,
                                                mss::util::Rng& rng,
-                                               std::size_t threads = 0,
-                                               std::size_t width = 0) const;
+                                               std::size_t threads = 0) const;
 
   /// Importance-sampled LLGS write-error-rate estimate — the rare-event
   /// path of the physical strategy. Seeds the tilt from the behavioural
@@ -189,7 +186,7 @@ class MtjCompactModel {
   /// with its relative-error bound and effective sample size. At tilt 1
   /// this degenerates to 1 - llgs_switch_probability(...) over the same
   /// substreams. Statistics and the post-call state of `rng` are
-  /// bit-identical for any {threads} x {width}.
+  /// bit-identical for any thread count.
   [[nodiscard]] WerEstimate llgs_write_error_rate(
       WriteDirection dir, double i_write, double t_pulse, std::size_t n,
       mss::util::Rng& rng, const WerEstimateOptions& options = {}) const;

@@ -160,7 +160,7 @@ struct BatchCoeffs {
   /// rare-event estimator folds its per-trajectory switching-threshold
   /// scale in here (scaling the spin-torque prefactor is exactly a
   /// per-device critical-current scale).
-  std::array<double, 8> c_stt{};
+  std::array<double, LlgSolver::kLanes> c_stt{};
   Vec3 pol;           ///< polariser direction
   double hax = 0.0, hay = 0.0, haz = 0.0; ///< applied field (x, y folded)
   double hk = 0.0;    ///< perpendicular anisotropy field
@@ -186,18 +186,22 @@ template <bool STT>
   return dmdt;
 }
 
-/// One Heun step of all W lanes: a countable loop whose body is the
+/// One Heun step of all lanes: a countable loop whose body is the
 /// straight-line scalar step, which is what the loop vectorizer needs (the
 /// register-resident Batch-expression form never vectorized — SLP seeds
 /// from store groups, and there were none). Each lane mirrors the scalar
 /// `integrate_thermal` step expression-for-expression, with
 /// `effective_field(m) + h_th` folded through the prefolded transverse
 /// sums in `BatchCoeffs`.
-template <std::size_t W, bool STT>
+constexpr std::size_t kLanes = LlgSolver::kLanes;
+using LaneBatch = Vec3Batch<kLanes>;
+using LaneScalars = mss::util::Batch<double, kLanes>;
+
+template <bool STT>
 [[gnu::always_inline]] inline void heun_step_lanes(const BatchCoeffs& c,
-                                                   Vec3Batch<W>& m,
-                                                   const Vec3Batch<W>& h_th) {
-  for (std::size_t l = 0; l < W; ++l) {
+                                                   LaneBatch& m,
+                                                   const LaneBatch& h_th) {
+  for (std::size_t l = 0; l < kLanes; ++l) {
     const Vec3 ml{m.x[l], m.y[l], m.z[l]};
     const Vec3 ht{h_th.x[l], h_th.y[l], h_th.z[l]};
     const double cs = c.c_stt[l];
@@ -213,14 +217,16 @@ template <std::size_t W, bool STT>
   }
 }
 
-/// The Heun step loop over W structure-of-arrays lanes. Marked
-/// always_inline so the MSS_SIMD_CLONES wrappers below compile the whole
-/// body once per ISA; the loop itself contains lane-wise operations only.
-template <std::size_t W>
-[[gnu::always_inline]] inline LlgBatchRun<W> heun_batch_loop(
-    const BatchCoeffs& c, Vec3Batch<W> m, mss::util::Batch<double, W> mz0_sign,
-    std::uint32_t active, mss::util::Rng* lane_rngs) {
-  LlgBatchRun<W> out;
+/// The Heun step loop over the structure-of-arrays lanes, compiled once
+/// per ISA by MSS_SIMD_CLONES; the loop itself contains lane-wise
+/// operations only. The clones change throughput only: with contraction
+/// disabled globally every ISA executes the identical IEEE-754 operation
+/// sequence per lane.
+MSS_SIMD_CLONES LlgBatchRun heun_batch(const BatchCoeffs& c, LaneBatch m,
+                                       LaneScalars mz0_sign,
+                                       std::uint32_t active,
+                                       mss::util::Rng* lane_rngs) {
+  LlgBatchRun out;
   // Lanes still integrating. Idle lanes (masked out, or frozen after a
   // switch under stop_on_switch) draw nothing from their streams and stop
   // updating results; the arithmetic still runs full-width — per-lane
@@ -228,30 +234,30 @@ template <std::size_t W>
   std::uint32_t run_mask = active;
   std::uint32_t switched_mask = 0;
 
-  Vec3Batch<W> raw = Vec3Batch<W>::broadcast({0.0, 0.0, 0.0});
-  Vec3Batch<W> h_th;
+  LaneBatch raw = LaneBatch::broadcast({0.0, 0.0, 0.0});
+  LaneBatch h_th;
   for (std::size_t k = 0; k < c.steps && run_mask != 0; ++k) {
     const double t = double(k) * c.dt;
     // Masked per-lane thermal draws: lane l consumes x, y, z from its own
     // substream (each lane owns a stream, so component-major fill order is
     // the scalar per-trajectory order); idle lanes draw nothing. Scaling
     // runs full-width — idle lanes just rescale their stale draw.
-    mss::util::Rng::normal_batch<W>(lane_rngs, raw.x.lane, run_mask);
-    mss::util::Rng::normal_batch<W>(lane_rngs, raw.y.lane, run_mask);
-    mss::util::Rng::normal_batch<W>(lane_rngs, raw.z.lane, run_mask);
+    mss::util::Rng::normal_batch<kLanes>(lane_rngs, raw.x.lane, run_mask);
+    mss::util::Rng::normal_batch<kLanes>(lane_rngs, raw.y.lane, run_mask);
+    mss::util::Rng::normal_batch<kLanes>(lane_rngs, raw.z.lane, run_mask);
     h_th.x = raw.x * c.sigma_h;
     h_th.y = raw.y * c.sigma_h;
     h_th.z = raw.z * c.sigma_h;
     // Heun predictor-corrector; the thermal field is held fixed across the
     // two stages (Stratonovich interpretation).
     if (c.stt) {
-      heun_step_lanes<W, true>(c, m, h_th);
+      heun_step_lanes<true>(c, m, h_th);
     } else {
-      heun_step_lanes<W, false>(c, m, h_th);
+      heun_step_lanes<false>(c, m, h_th);
     }
     ++out.steps_run;
 
-    for (std::size_t l = 0; l < W; ++l) {
+    for (std::size_t l = 0; l < kLanes; ++l) {
       const std::uint32_t bit = 1u << l;
       if ((run_mask & bit) && !(switched_mask & bit) &&
           m.z[l] * mz0_sign[l] < 0.0) {
@@ -265,7 +271,7 @@ template <std::size_t W>
     }
   }
 
-  for (std::size_t l = 0; l < W; ++l) {
+  for (std::size_t l = 0; l < kLanes; ++l) {
     const std::uint32_t bit = 1u << l;
     if (active & bit) {
       out.switched[l] = (switched_mask & bit) != 0;
@@ -277,59 +283,21 @@ template <std::size_t W>
   return out;
 }
 
-// One ISA-dispatched entry per supported width. The clones change
-// throughput only: with contraction disabled globally every ISA executes
-// the identical IEEE-754 operation sequence per lane.
-MSS_SIMD_CLONES LlgBatchRun<1> heun_batch_w1(const BatchCoeffs& c,
-                                             const Vec3Batch<1>& m,
-                                             mss::util::Batch<double, 1> sign,
-                                             std::uint32_t active,
-                                             mss::util::Rng* rngs) {
-  return heun_batch_loop<1>(c, m, sign, active, rngs);
-}
-MSS_SIMD_CLONES LlgBatchRun<4> heun_batch_w4(const BatchCoeffs& c,
-                                             const Vec3Batch<4>& m,
-                                             mss::util::Batch<double, 4> sign,
-                                             std::uint32_t active,
-                                             mss::util::Rng* rngs) {
-  return heun_batch_loop<4>(c, m, sign, active, rngs);
-}
-MSS_SIMD_CLONES LlgBatchRun<8> heun_batch_w8(const BatchCoeffs& c,
-                                             const Vec3Batch<8>& m,
-                                             mss::util::Batch<double, 8> sign,
-                                             std::uint32_t active,
-                                             mss::util::Rng* rngs) {
-  return heun_batch_loop<8>(c, m, sign, active, rngs);
-}
-
-template <std::size_t W>
-LlgBatchRun<W> heun_batch_dispatch(const BatchCoeffs& c, const Vec3Batch<W>& m,
-                                   mss::util::Batch<double, W> sign,
-                                   std::uint32_t active,
-                                   mss::util::Rng* rngs) {
-  if constexpr (W == 1) return heun_batch_w1(c, m, sign, active, rngs);
-  if constexpr (W == 4) return heun_batch_w4(c, m, sign, active, rngs);
-  if constexpr (W == 8) return heun_batch_w8(c, m, sign, active, rngs);
-}
-
 } // namespace
 
-template <std::size_t W>
-LlgBatchRun<W> LlgSolver::integrate_thermal_batch(
-    const std::array<Vec3, W>& m0, double duration, double dt, double i_amps,
-    mss::util::Rng* lane_rngs, std::uint32_t active_mask, bool stop_on_switch,
-    const std::array<double, W>* stt_scale) const {
+LlgBatchRun LlgSolver::integrate_thermal_batch(
+    const std::array<Vec3, kLanes>& m0, double duration, double dt,
+    double i_amps, mss::util::Rng* lane_rngs, std::uint32_t active_mask,
+    bool stop_on_switch, const std::array<double, kLanes>* stt_scale) const {
   if (dt <= 0.0 || duration <= 0.0) {
     throw std::invalid_argument(
         "LlgSolver::integrate_thermal_batch: bad time step");
   }
-  static_assert(W <= 8, "active_mask packs at most 8 lanes");
-  const std::uint32_t active = active_mask & ((1u << W) - 1u);
+  const std::uint32_t active = active_mask & ((1u << kLanes) - 1u);
 
-  Vec3Batch<W> m = Vec3Batch<W>::broadcast({0.0, 0.0, 1.0});
-  mss::util::Batch<double, W> mz0_sign =
-      mss::util::Batch<double, W>::broadcast(1.0);
-  for (std::size_t l = 0; l < W; ++l) {
+  LaneBatch m = LaneBatch::broadcast({0.0, 0.0, 1.0});
+  LaneScalars mz0_sign = LaneScalars::broadcast(1.0);
+  for (std::size_t l = 0; l < kLanes; ++l) {
     if (active >> l & 1u) {
       const Vec3 ml = m0[l].renormalized();
       m.set_lane(l, ml);
@@ -355,9 +323,8 @@ LlgBatchRun<W> LlgSolver::integrate_thermal_batch(
   // Lane-uniform runs broadcast the base coefficient (multiplying by a
   // per-lane scale of exactly 1.0 would also be bit-identical, but the
   // broadcast keeps the no-scale path untouched).
-  for (std::size_t l = 0; l < 8; ++l) {
-    c.c_stt[l] =
-        (stt_scale && l < W) ? c_stt_base * (*stt_scale)[l] : c_stt_base;
+  for (std::size_t l = 0; l < kLanes; ++l) {
+    c.c_stt[l] = stt_scale ? c_stt_base * (*stt_scale)[l] : c_stt_base;
   }
   c.pol = params_.polarizer;
   c.hax = 0.0 + params_.h_applied.x;
@@ -366,28 +333,19 @@ LlgBatchRun<W> LlgSolver::integrate_thermal_batch(
   c.hk = params_.hk_eff;
   c.stop_on_switch = stop_on_switch;
 
-  return heun_batch_dispatch<W>(c, m, mz0_sign, active, lane_rngs);
+  return heun_batch(c, m, mz0_sign, active, lane_rngs);
 }
-
-template LlgBatchRun<1> LlgSolver::integrate_thermal_batch<1>(
-    const std::array<Vec3, 1>&, double, double, double, mss::util::Rng*,
-    std::uint32_t, bool, const std::array<double, 1>*) const;
-template LlgBatchRun<4> LlgSolver::integrate_thermal_batch<4>(
-    const std::array<Vec3, 4>&, double, double, double, mss::util::Rng*,
-    std::uint32_t, bool, const std::array<double, 4>*) const;
-template LlgBatchRun<8> LlgSolver::integrate_thermal_batch<8>(
-    const std::array<Vec3, 8>&, double, double, double, mss::util::Rng*,
-    std::uint32_t, bool, const std::array<double, 8>*) const;
 
 namespace {
 
 /// Chunk size of the trajectory-parallel ensemble, in trajectories. Fixed
-/// (never a function of the thread count) and a common multiple of every
-/// supported SIMD width, so the chunk -> trajectory layout, the lane ->
-/// trajectory layout *and* the scalar accumulation order (strictly
-/// ascending trajectory index, left-to-right within each chunk) are all
-/// identical for any (threads, width) combination — which is what makes
-/// the reduced statistics bit-identical across the whole matrix.
+/// (never a function of the thread count), so the chunk -> trajectory
+/// layout and the accumulation order (strictly ascending trajectory index
+/// within a chunk, chunks merged in index order) are identical for any
+/// thread count — which is what makes the reduced statistics bit-identical.
+/// The value itself is part of the results: `RunningStats::merge` rounds
+/// differently from sequential `add`, so a different chunk size would move
+/// the last bits of every ensemble and WER statistic.
 constexpr std::size_t kChunkTrajectories = 8;
 
 struct EnsembleChunkStats {
@@ -396,7 +354,6 @@ struct EnsembleChunkStats {
   double mz_final_sum = 0.0;
 };
 
-template <std::size_t W>
 LlgEnsembleResult ensemble_run(const LlgSolver& solver, std::size_t n,
                                const Vec3& m0, double duration, double dt,
                                double i_amps,
@@ -406,11 +363,11 @@ LlgEnsembleResult ensemble_run(const LlgSolver& solver, std::size_t n,
   const auto map_chunk = [&](std::size_t, std::size_t begin,
                              std::size_t end) {
     EnsembleChunkStats st;
-    for (std::size_t b = begin; b < end; b += W) {
-      const std::size_t lanes = std::min(W, end - b);
-      std::array<mss::util::Rng, W> lane_rngs;
-      std::array<Vec3, W> starts;
-      starts.fill(options.thermal_start ? Vec3{0.0, 0.0, 1.0} : m0);
+    for (std::size_t b = begin; b < end; b += kLanes) {
+      const std::size_t lanes = std::min(kLanes, end - b);
+      std::array<mss::util::Rng, kLanes> lane_rngs;
+      std::array<Vec3, kLanes> starts;
+      starts.fill(Vec3{0.0, 0.0, 1.0});
       std::uint32_t mask = 0;
       for (std::size_t l = 0; l < lanes; ++l) {
         // Lane l steps trajectory b + l on that trajectory's own stream;
@@ -419,11 +376,9 @@ LlgEnsembleResult ensemble_run(const LlgSolver& solver, std::size_t n,
         lane_rngs[l] = streams[b + l];
         mask |= 1u << l;
       }
-      if (options.thermal_start) {
-        solver.thermal_initial_state_batch<W>(start_up, lane_rngs.data(),
-                                              mask, starts);
-      }
-      const auto run = solver.integrate_thermal_batch<W>(
+      solver.thermal_initial_state_batch(start_up, lane_rngs.data(), mask,
+                                         starts);
+      const auto run = solver.integrate_thermal_batch(
           starts, duration, dt, i_amps, lane_rngs.data(), mask,
           options.stop_on_switch);
       for (std::size_t l = 0; l < lanes; ++l) {
@@ -469,12 +424,6 @@ LlgEnsembleResult LlgSolver::integrate_thermal_ensemble(
     throw std::invalid_argument(
         "LlgSolver::integrate_thermal_ensemble: bad time step");
   }
-  const std::size_t width = options.width == 0 ? kDefaultWidth : options.width;
-  if (width != 1 && width != 4 && width != 8) {
-    throw std::invalid_argument(
-        "LlgSolver::integrate_thermal_ensemble: width must be 0, 1, 4 or 8");
-  }
-
   LlgEnsembleResult out;
   out.n_trajectories = n_trajectories;
   if (n_trajectories == 0) return out;
@@ -482,21 +431,11 @@ LlgEnsembleResult LlgSolver::integrate_thermal_ensemble(
   // One jump substream per *trajectory* (not per chunk): trajectory k's
   // draws are a pure function of (rng state on entry, k), so lane k of any
   // batch and any worker thread replay the same sequence. The caller's rng
-  // advances once, identically for every (threads, width).
+  // advances once, identically for every thread count.
   const std::vector<mss::util::Rng> streams =
       rng.jump_substreams(n_trajectories);
-
-  switch (width) {
-    case 1:
-      return ensemble_run<1>(*this, n_trajectories, m0, duration, dt, i_amps,
-                             streams, options);
-    case 4:
-      return ensemble_run<4>(*this, n_trajectories, m0, duration, dt, i_amps,
-                             streams, options);
-    default:
-      return ensemble_run<8>(*this, n_trajectories, m0, duration, dt, i_amps,
-                             streams, options);
-  }
+  return ensemble_run(*this, n_trajectories, m0, duration, dt, i_amps,
+                      streams, options);
 }
 
 Vec3 LlgSolver::thermal_initial_state(bool up, mss::util::Rng& rng) const {
@@ -511,13 +450,11 @@ Vec3 LlgSolver::thermal_initial_state(bool up, mss::util::Rng& rng) const {
   return m.normalized();
 }
 
-template <std::size_t W>
 void LlgSolver::thermal_initial_state_batch(
     bool up, mss::util::Rng* lane_rngs, std::uint32_t active_mask,
-    std::array<Vec3, W>& starts, double tilt_nu,
-    std::array<double, W>* log_weight) const {
-  static_assert(W <= 8, "active_mask packs at most 8 lanes");
-  const std::uint32_t active = active_mask & ((1u << W) - 1u);
+    std::array<Vec3, kLanes>& starts, double tilt_nu,
+    std::array<double, kLanes>* log_weight) const {
+  const std::uint32_t active = active_mask & ((1u << kLanes) - 1u);
   const double delta = params_.delta();
   const double s = std::sqrt(1.0 / (2.0 * std::max(delta, 1.0)));
   // At nu == 1 this is s / 1.0 == s exactly, so the untilted batch draw is
@@ -525,12 +462,12 @@ void LlgSolver::thermal_initial_state_batch(
   const double s_tilt = s / std::sqrt(tilt_nu);
   // Component-major masked fill: lane l consumes z_x then z_y from its own
   // stream — the scalar per-trajectory draw order.
-  mss::util::Batch<double, W> zx{};
-  mss::util::Batch<double, W> zy{};
-  mss::util::Rng::normal_batch<W>(lane_rngs, zx.lane, active);
-  mss::util::Rng::normal_batch<W>(lane_rngs, zy.lane, active);
+  LaneScalars zx{};
+  LaneScalars zy{};
+  mss::util::Rng::normal_batch<kLanes>(lane_rngs, zx.lane, active);
+  mss::util::Rng::normal_batch<kLanes>(lane_rngs, zy.lane, active);
   const double sign = up ? 1.0 : -1.0;
-  for (std::size_t l = 0; l < W; ++l) {
+  for (std::size_t l = 0; l < kLanes; ++l) {
     if (!(active >> l & 1u)) continue;
     const double tx = s_tilt * zx[l];
     const double ty = s_tilt * zy[l];
@@ -547,16 +484,6 @@ void LlgSolver::thermal_initial_state_batch(
   }
 }
 
-template void LlgSolver::thermal_initial_state_batch<1>(
-    bool, mss::util::Rng*, std::uint32_t, std::array<Vec3, 1>&, double,
-    std::array<double, 1>*) const;
-template void LlgSolver::thermal_initial_state_batch<4>(
-    bool, mss::util::Rng*, std::uint32_t, std::array<Vec3, 4>&, double,
-    std::array<double, 4>*) const;
-template void LlgSolver::thermal_initial_state_batch<8>(
-    bool, mss::util::Rng*, std::uint32_t, std::array<Vec3, 8>&, double,
-    std::array<double, 8>*) const;
-
 namespace {
 
 /// Per-chunk accumulators of the importance-sampled WER estimator. The
@@ -570,7 +497,6 @@ struct WerChunkStats {
   std::size_t failures = 0;
 };
 
-template <std::size_t W>
 WerChunkStats wer_run(const LlgSolver& solver, std::size_t n, const Vec3& m0,
                       double duration, double dt, double i_amps, double nu,
                       double ic_sigma, double ic_shift, double ic_sd,
@@ -585,11 +511,11 @@ WerChunkStats wer_run(const LlgSolver& solver, std::size_t n, const Vec3& m0,
   const auto map_chunk = [&](std::size_t, std::size_t begin,
                              std::size_t end) {
     WerChunkStats st;
-    for (std::size_t b = begin; b < end; b += W) {
-      const std::size_t lanes = std::min(W, end - b);
-      std::array<mss::util::Rng, W> lane_rngs;
-      std::array<Vec3, W> starts;
-      std::array<double, W> log_w{};
+    for (std::size_t b = begin; b < end; b += kLanes) {
+      const std::size_t lanes = std::min(kLanes, end - b);
+      std::array<mss::util::Rng, kLanes> lane_rngs;
+      std::array<Vec3, kLanes> starts;
+      std::array<double, kLanes> log_w{};
       starts.fill(Vec3{0.0, 0.0, 1.0});
       std::uint32_t mask = 0;
       for (std::size_t l = 0; l < lanes; ++l) {
@@ -601,7 +527,7 @@ WerChunkStats wer_run(const LlgSolver& solver, std::size_t n, const Vec3& m0,
       // Ic scaled by (1 + sigma z_l), folded into the kernel as the
       // reciprocal spin-torque scale. The proposal mean shift `ic_shift`
       // contributes its exact 1-D likelihood ratio to the lane weight.
-      std::array<double, W> stt_scale;
+      std::array<double, kLanes> stt_scale;
       stt_scale.fill(1.0);
       if (ic_sigma > 0.0) {
         // With a defensive mixture each lane draws (component selector,
@@ -609,14 +535,14 @@ WerChunkStats wer_run(const LlgSolver& solver, std::size_t n, const Vec3& m0,
         // exactly one uniform and one normal per lane either way, so the
         // consumption pattern (and hence the determinism contract) does
         // not depend on which component a lane lands in.
-        std::array<double, W> sel{};
+        std::array<double, kLanes> sel{};
         if (ic_lambda > 0.0) {
           for (std::size_t l = 0; l < lanes; ++l) {
             sel[l] = lane_rngs[l].uniform();
           }
         }
-        mss::util::Batch<double, W> u{};
-        mss::util::Rng::normal_batch<W>(lane_rngs.data(), u.lane, mask);
+        LaneScalars u{};
+        mss::util::Rng::normal_batch<kLanes>(lane_rngs.data(), u.lane, mask);
         for (std::size_t l = 0; l < lanes; ++l) {
           const bool defensive = ic_lambda > 0.0 && sel[l] < ic_lambda;
           const double z = defensive ? u[l] : ic_shift + ic_sd * u[l];
@@ -647,12 +573,12 @@ WerChunkStats wer_run(const LlgSolver& solver, std::size_t n, const Vec3& m0,
           }
         }
       }
-      std::array<double, W> log_w_cone{};
-      solver.thermal_initial_state_batch<W>(start_up, lane_rngs.data(), mask,
-                                            starts, nu, &log_w_cone);
+      std::array<double, kLanes> log_w_cone{};
+      solver.thermal_initial_state_batch(start_up, lane_rngs.data(), mask,
+                                         starts, nu, &log_w_cone);
       for (std::size_t l = 0; l < lanes; ++l) log_w[l] += log_w_cone[l];
       // Only the switch outcome matters: freeze switched lanes early.
-      const auto run = solver.integrate_thermal_batch<W>(
+      const auto run = solver.integrate_thermal_batch(
           starts, duration, dt, i_amps, lane_rngs.data(), mask,
           /*stop_on_switch=*/true,
           ic_sigma > 0.0 ? &stt_scale : nullptr);
@@ -694,11 +620,6 @@ LlgWerEstimate LlgSolver::estimate_wer(std::size_t n_trajectories,
   if (dt <= 0.0 || duration <= 0.0) {
     throw std::invalid_argument("LlgSolver::estimate_wer: bad time step");
   }
-  const std::size_t width = options.width == 0 ? kDefaultWidth : options.width;
-  if (width != 1 && width != 4 && width != 8) {
-    throw std::invalid_argument(
-        "LlgSolver::estimate_wer: width must be 0, 1, 4 or 8");
-  }
   if (options.tilt < 0.0 || (options.tilt > 0.0 && options.tilt < 1.0)) {
     throw std::invalid_argument(
         "LlgSolver::estimate_wer: tilt must be 0 (auto) or >= 1");
@@ -737,8 +658,8 @@ LlgWerEstimate LlgSolver::estimate_wer(std::size_t n_trajectories,
           : (options.ic_sigma_rel > 0.0 && options.ic_shift > 0.0 ? 0.2
                                                                   : 0.0);
 
-  // Resolve the tilt once, before any dispatch, so every (threads, width)
-  // cell of the matrix runs the identical nu.
+  // Resolve the tilt once, before the sharded run, so every thread count
+  // runs the identical nu.
   double nu = 1.0;
   if (options.tilt >= 1.0) {
     nu = options.tilt;
@@ -764,24 +685,10 @@ LlgWerEstimate LlgSolver::estimate_wer(std::size_t n_trajectories,
   const std::vector<mss::util::Rng> streams =
       rng.jump_substreams(n_trajectories);
 
-  WerChunkStats total;
-  switch (width) {
-    case 1:
-      total = wer_run<1>(*this, n_trajectories, m0, duration, dt, i_amps, nu,
-                         options.ic_sigma_rel, out.ic_shift, ic_sd, ic_lambda,
-                         streams, options.threads);
-      break;
-    case 4:
-      total = wer_run<4>(*this, n_trajectories, m0, duration, dt, i_amps, nu,
-                         options.ic_sigma_rel, out.ic_shift, ic_sd, ic_lambda,
-                         streams, options.threads);
-      break;
-    default:
-      total = wer_run<8>(*this, n_trajectories, m0, duration, dt, i_amps, nu,
-                         options.ic_sigma_rel, out.ic_shift, ic_sd, ic_lambda,
-                         streams, options.threads);
-      break;
-  }
+  const WerChunkStats total =
+      wer_run(*this, n_trajectories, m0, duration, dt, i_amps, nu,
+              options.ic_sigma_rel, out.ic_shift, ic_sd, ic_lambda, streams,
+              options.threads);
 
   out.n_failures = total.failures;
   out.wer = total.score.mean();

@@ -82,25 +82,13 @@ struct LlgEnsembleOptions {
   /// Worker threads: 0 = all hardware threads (shared pool), 1 = serial,
   /// N = dedicated pool of N. Statistics are bit-identical for any value.
   std::size_t threads = 0;
-  /// SIMD batch width: trajectories stepped per lane group inside one
-  /// thread (structure-of-arrays Vec3). 0 = the default width
-  /// (`kDefaultWidth`); supported explicit widths are 1, 4 and 8. Because
-  /// every trajectory draws from its own jump substream and lane
-  /// operations are strictly lane-wise, statistics are bit-identical for
-  /// any supported width — width is a pure performance knob, exactly like
-  /// `threads`.
-  std::size_t width = 0;
-  /// Draw each trajectory's start from the thermal equilibrium cone around
-  /// the basin of `m0` (the physical write-error setup). When false every
-  /// trajectory starts exactly at `m0`.
-  bool thermal_start = true;
   /// Freeze a lane the step it first crosses m_z = 0: its result (switch
   /// time, m at the crossing) is recorded and the lane idles — it draws no
   /// further thermal field — until the whole batch drains, at which point
   /// the batch exits early. Cheaper when only switching statistics matter,
   /// but `m_final`/`mean_mz_final` then reflect the crossing instead of the
   /// end of the pulse, so the default keeps the full-duration integration.
-  /// Deterministic per trajectory, hence invariant to width and threads.
+  /// Deterministic per trajectory, hence invariant to the thread count.
   bool stop_on_switch = false;
 };
 
@@ -108,8 +96,6 @@ struct LlgEnsembleOptions {
 struct LlgWerOptions {
   /// Worker threads: same contract as `LlgEnsembleOptions::threads`.
   std::size_t threads = 0;
-  /// SIMD batch width: same contract as `LlgEnsembleOptions::width`.
-  std::size_t width = 0;
   /// Importance-sampling tilt nu >= 1 of the initial thermal-cone draw:
   /// trajectories start from the narrowed cone N(0, s^2/nu) per transverse
   /// component instead of the equilibrium N(0, s^2), which over-samples the
@@ -172,7 +158,7 @@ struct LlgWerOptions {
 
 /// Importance-sampled write-error-rate estimate returned by
 /// `LlgSolver::estimate_wer`. All statistics obey the determinism
-/// contract: bit-identical across the full {threads} x {width} matrix.
+/// contract: bit-identical for any thread count.
 struct LlgWerEstimate {
   double wer = 0.0;       ///< estimated P(no switch within the pulse)
   double variance = 0.0;  ///< variance of the estimate (of the mean)
@@ -185,16 +171,8 @@ struct LlgWerEstimate {
   std::size_t n_failures = 0;     ///< trajectories that failed to switch
 };
 
-/// Per-lane outcome of one `LlgSolver::integrate_thermal_batch` call.
-/// Lanes excluded by the active mask report `switched = false`,
-/// `switch_time = 0` and a default `m_final`.
-template <std::size_t W>
-struct LlgBatchRun {
-  std::array<bool, W> switched{};     ///< lane crossed m_z = 0
-  std::array<double, W> switch_time{}; ///< first crossing time [s]
-  std::array<Vec3, W> m_final{};      ///< magnetisation when the lane froze
-  std::size_t steps_run = 0; ///< integration steps before the batch drained
-};
+/// Defined after `LlgSolver`, whose `kLanes` sizes its lane arrays.
+struct LlgBatchRun;
 
 /// Macrospin integrator. Deterministic runs use classic RK4; finite
 /// temperature uses the stochastic Heun scheme (Stratonovich-consistent),
@@ -227,27 +205,31 @@ class LlgSolver {
 
   /// Runs `n_trajectories` thermal trajectories (same start basin, pulse
   /// and step as a single `integrate_thermal` call) across the thread pool
-  /// and, inside each thread, `options.width` SIMD lanes at a time, and
-  /// reduces them to switching-time statistics without recording any
-  /// trajectory. Every trajectory is keyed to its own Xoshiro jump
-  /// substream (per-trajectory, not per-chunk), so the statistics are
-  /// bit-identical for any thread count *and* any batch width; `rng` is
-  /// advanced once to derive the streams. Trajectory k's result is exactly
-  /// the scalar reference `integrate_thermal(thermal_initial_state(...),
-  /// ..., streams[k], 0)`.
+  /// and, inside each thread, `kLanes` SIMD lanes at a time, and reduces
+  /// them to switching-time statistics without recording any trajectory.
+  /// Every trajectory is keyed to its own Xoshiro jump substream
+  /// (per-trajectory, not per-chunk), so the statistics are bit-identical
+  /// for any thread count; `rng` is advanced once to derive the streams.
+  /// Trajectory k starts from a thermal-cone draw in the basin of `m0`,
+  /// and its result is exactly the scalar reference
+  /// `integrate_thermal(thermal_initial_state(...), ..., streams[k], 0)`.
   [[nodiscard]] LlgEnsembleResult integrate_thermal_ensemble(
       std::size_t n_trajectories, const Vec3& m0, double duration, double dt,
       double i_amps, mss::util::Rng& rng,
       const LlgEnsembleOptions& options = {}) const;
 
-  /// Default SIMD width of the ensemble (`LlgEnsembleOptions::width == 0`).
-  static constexpr std::size_t kDefaultWidth = 4;
+  /// Trajectories stepped together by the batched thermal kernel, one
+  /// structure-of-arrays lane each. The statistics do not depend on it
+  /// (every trajectory owns its substream and lane operations are
+  /// lane-wise); 4 measured fastest against 1 and 8 lanes (see
+  /// src/physics/README.md).
+  static constexpr std::size_t kLanes = 4;
 
-  /// Steps W independent thermal trajectories per SIMD lane with the
-  /// stochastic Heun scheme. Lane k starts at `m0[k]` and draws its
-  /// thermal field from `lane_rngs[k]` — per-lane streams, so lane k's
+  /// Steps `kLanes` independent thermal trajectories, one per SIMD lane,
+  /// with the stochastic Heun scheme. Lane k starts at `m0[k]` and draws
+  /// its thermal field from `lane_rngs[k]` — per-lane streams, so lane k's
   /// trajectory is bit-identical to a scalar `integrate_thermal` run on
-  /// (m0[k], lane_rngs[k]) regardless of W or of the other lanes. Lanes
+  /// (m0[k], lane_rngs[k]) regardless of the other lanes. Lanes
   /// with a clear bit in `active_mask` are idle: they draw nothing and
   /// report empty results (how a partial tail batch rides in a full-width
   /// kernel). With `stop_on_switch`, a lane that crosses m_z = 0 records
@@ -259,13 +241,11 @@ class LlgSolver {
   /// rare-event estimator folds per-trajectory switching-threshold spread
   /// into one SIMD batch. Null (the default) keeps every lane at the
   /// shared coefficient, bit-identical to the pre-scale kernel.
-  /// Instantiated for W in {1, 4, 8}.
-  template <std::size_t W>
-  [[nodiscard]] LlgBatchRun<W> integrate_thermal_batch(
-      const std::array<Vec3, W>& m0, double duration, double dt,
+  [[nodiscard]] LlgBatchRun integrate_thermal_batch(
+      const std::array<Vec3, kLanes>& m0, double duration, double dt,
       double i_amps, mss::util::Rng* lane_rngs, std::uint32_t active_mask,
       bool stop_on_switch = false,
-      const std::array<double, W>* stt_scale = nullptr) const;
+      const std::array<double, kLanes>* stt_scale = nullptr) const;
 
   /// Effective field (anisotropy + applied) at magnetisation m, in A/m.
   [[nodiscard]] Vec3 effective_field(const Vec3& m) const;
@@ -283,27 +263,25 @@ class LlgSolver {
   /// every lane whose bit is set in `active_mask`, lane l drawing its two
   /// transverse components from `lane_rngs[l]` in the scalar order — so at
   /// `tilt_nu == 1` lane l's start is bit-identical to the scalar
-  /// `thermal_initial_state(up, lane_rngs[l])` regardless of W or of the
-  /// other lanes. With `tilt_nu > 1` the draw comes from the importance
+  /// `thermal_initial_state(up, lane_rngs[l])` regardless of the other
+  /// lanes. With `tilt_nu > 1` the draw comes from the importance
   /// proposal N(0, s^2/nu) per component and, when `log_weight` is
   /// non-null, `(*log_weight)[l]` receives the exact log likelihood ratio
   /// log[ target(theta) / proposal(theta) ] of the drawn start.
   /// Inactive lanes draw nothing and are left untouched.
-  /// Instantiated for W in {1, 4, 8}.
-  template <std::size_t W>
   void thermal_initial_state_batch(
       bool up, mss::util::Rng* lane_rngs, std::uint32_t active_mask,
-      std::array<Vec3, W>& starts, double tilt_nu = 1.0,
-      std::array<double, W>* log_weight = nullptr) const;
+      std::array<Vec3, kLanes>& starts, double tilt_nu = 1.0,
+      std::array<double, kLanes>* log_weight = nullptr) const;
 
   /// Importance-sampled write-error-rate estimator: the rare-event
   /// counterpart of `integrate_thermal_ensemble`. Runs `n_trajectories`
   /// thermal trajectories from the tilted initial cone (see
   /// `LlgWerOptions::tilt`) with `stop_on_switch` early exit, scores each
   /// trajectory v_k = w_k * 1[no switch] with its likelihood-ratio weight,
-  /// and reduces mean/variance/ESS in the fixed chunk order of the PR-5
-  /// determinism contract — estimates are bit-identical for any {threads}
-  /// x {width}. At tilt nu = 1 this is exactly brute-force MC (wer =
+  /// and reduces mean/variance/ESS in the fixed chunk order of the
+  /// determinism contract — estimates are bit-identical for any thread
+  /// count. At tilt nu = 1 this is exactly brute-force MC (wer =
   /// failure fraction); the overlap-regime validation protocol in
   /// src/physics/README.md leans on that.
   [[nodiscard]] LlgWerEstimate estimate_wer(
@@ -313,6 +291,16 @@ class LlgSolver {
 
  private:
   LlgParams params_;
+};
+
+/// Per-lane outcome of one `LlgSolver::integrate_thermal_batch` call.
+/// Lanes excluded by the active mask report `switched = false`,
+/// `switch_time = 0` and a default `m_final`.
+struct LlgBatchRun {
+  std::array<bool, LlgSolver::kLanes> switched{}; ///< lane crossed m_z = 0
+  std::array<double, LlgSolver::kLanes> switch_time{}; ///< first crossing [s]
+  std::array<Vec3, LlgSolver::kLanes> m_final{}; ///< m when the lane froze
+  std::size_t steps_run = 0; ///< integration steps before the batch drained
 };
 
 } // namespace mss::physics

@@ -146,34 +146,6 @@ TEST(CompactModel, LlgsSwitchProbabilityThreadInvariant) {
   EXPECT_EQ(d1, d8);
 }
 
-TEST(CompactModel, LlgsSwitchProbabilityWidthInvariant) {
-  // The SIMD batch width of the underlying thermal ensemble is a pure
-  // performance knob: per-trajectory substreams make the probability and
-  // the post-call RNG state bit-identical for any width (including width
-  // combined with threading).
-  const auto m = model();
-  const double ic = m.critical_current(mc::WriteDirection::ToAntiparallel);
-  const double i = 2.0 * ic;
-  const double t = 2e-9;
-  mss::util::Rng r1(55), r4(55), r8(55), rt(55);
-  const double p1 = m.llgs_switch_probability(
-      mc::WriteDirection::ToAntiparallel, i, t, 18, r1, 1, 1);
-  const double p4 = m.llgs_switch_probability(
-      mc::WriteDirection::ToAntiparallel, i, t, 18, r4, 1, 4);
-  const double p8 = m.llgs_switch_probability(
-      mc::WriteDirection::ToAntiparallel, i, t, 18, r8, 1, 8);
-  const double pt = m.llgs_switch_probability(
-      mc::WriteDirection::ToAntiparallel, i, t, 18, rt, 3, 8);
-  EXPECT_EQ(p1, p4);
-  EXPECT_EQ(p1, p8);
-  EXPECT_EQ(p1, pt);
-  const double d1 = r1.uniform(), d4 = r4.uniform(), d8 = r8.uniform(),
-               dt = rt.uniform();
-  EXPECT_EQ(d1, d4);
-  EXPECT_EQ(d1, d8);
-  EXPECT_EQ(d1, dt);
-}
-
 TEST(CompactModel, LlgsRejectsZeroSamples) {
   const auto m = model();
   mss::util::Rng rng(1);

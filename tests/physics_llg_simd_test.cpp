@@ -1,11 +1,11 @@
 // Determinism contract of the SIMD structure-of-arrays LLG batch layer:
 //
-//  * lane k of `integrate_thermal_batch<W>` is bit-identical to a scalar
+//  * lane k of `integrate_thermal_batch` is bit-identical to a scalar
 //    `integrate_thermal` run on lane k's (start, rng stream) — the batched
 //    kernel mirrors the scalar step expression-for-expression;
-//  * `integrate_thermal_ensemble` statistics are bit-identical across every
-//    {threads} x {width} combination, because trajectories are keyed to
-//    per-trajectory jump substreams and accumulated in trajectory order;
+//  * `integrate_thermal_ensemble` statistics are bit-identical for any
+//    thread count, because trajectories are keyed to per-trajectory jump
+//    substreams and accumulated in trajectory order;
 //  * masked lanes (partial tail batches) and stop_on_switch freezing are
 //    per-trajectory decisions, so they preserve both contracts.
 #include <gtest/gtest.h>
@@ -34,13 +34,12 @@ mp::LlgParams test_params() {
   return p;
 }
 
-mp::LlgEnsembleResult run_ensemble(std::size_t threads, std::size_t width,
-                                   std::uint64_t seed, std::size_t n = 37,
+mp::LlgEnsembleResult run_ensemble(std::size_t threads, std::uint64_t seed,
+                                   std::size_t n = 37,
                                    bool stop_on_switch = false) {
   const mp::LlgSolver solver(test_params());
   mp::LlgEnsembleOptions opt;
   opt.threads = threads;
-  opt.width = width;
   opt.stop_on_switch = stop_on_switch;
   mu::Rng rng(seed);
   return solver.integrate_thermal_ensemble(n, {0.0, 0.0, -1.0}, 1.5e-9, 1e-12,
@@ -61,30 +60,24 @@ void expect_identical(const mp::LlgEnsembleResult& a,
 
 } // namespace
 
-// The full invariance matrix: {threads: 1, 2, 8} x {width: 1, 4, 8} must be
-// bit-identical. n = 37 is deliberately not a multiple of any width or of
-// the chunk size, so partial chunks and masked tail lanes are exercised in
-// every combination. This is how SIMD (and thread) correctness is verified
-// on single-CPU runners, where scaling curves are flat by design.
-TEST(LlgSimd, EnsembleBitIdenticalAcrossThreadsTimesWidth) {
-  const auto reference = run_ensemble(1, 1, 11);
+// The invariance matrix: threads 1, 2 and 8 must be bit-identical. n = 37
+// is deliberately not a multiple of the lane count or of the chunk size, so
+// partial chunks and masked tail lanes are exercised at every thread count.
+// This is how thread correctness is verified on single-CPU runners, where
+// scaling curves are flat by design.
+TEST(LlgSimd, EnsembleBitIdenticalAcrossThreads) {
+  const auto reference = run_ensemble(1, 11);
   EXPECT_GT(reference.n_switched, 0u);
-  for (const std::size_t threads : {1u, 2u, 8u}) {
-    for (const std::size_t width : {1u, 4u, 8u}) {
-      const auto other = run_ensemble(threads, width, 11);
-      expect_identical(reference, other);
-    }
+  for (const std::size_t threads : {2u, 8u}) {
+    expect_identical(reference, run_ensemble(threads, 11));
   }
 }
 
-TEST(LlgSimd, StopOnSwitchBitIdenticalAcrossThreadsTimesWidth) {
-  const auto reference = run_ensemble(1, 1, 13, 37, /*stop_on_switch=*/true);
+TEST(LlgSimd, StopOnSwitchBitIdenticalAcrossThreads) {
+  const auto reference = run_ensemble(1, 13, 37, /*stop_on_switch=*/true);
   EXPECT_GT(reference.n_switched, 0u);
-  for (const std::size_t threads : {1u, 2u, 8u}) {
-    for (const std::size_t width : {1u, 4u, 8u}) {
-      const auto other = run_ensemble(threads, width, 13, 37, true);
-      expect_identical(reference, other);
-    }
+  for (const std::size_t threads : {2u, 8u}) {
+    expect_identical(reference, run_ensemble(threads, 13, 37, true));
   }
 }
 
@@ -93,7 +86,7 @@ TEST(LlgSimd, StopOnSwitchBitIdenticalAcrossThreadsTimesWidth) {
 // switch time, and final magnetisation.
 TEST(LlgSimd, BatchLanesMatchScalarIntegratorBitForBit) {
   const mp::LlgSolver solver(test_params());
-  constexpr std::size_t W = 4;
+  constexpr std::size_t W = mp::LlgSolver::kLanes;
   mu::Rng root(29);
   const std::vector<mu::Rng> streams = root.jump_substreams(W);
 
@@ -119,8 +112,8 @@ TEST(LlgSimd, BatchLanesMatchScalarIntegratorBitForBit) {
     EXPECT_EQ(batch_starts[k].x, starts[k].x);
     EXPECT_EQ(batch_starts[k].z, starts[k].z);
   }
-  const auto batch = solver.integrate_thermal_batch<W>(
-      batch_starts, 1e-9, 1e-12, 80e-6, lanes.data(), 0xFu);
+  const auto batch = solver.integrate_thermal_batch(
+      batch_starts, 1e-9, 1e-12, 80e-6, lanes.data(), (1u << W) - 1u);
 
   for (std::size_t k = 0; k < W; ++k) {
     EXPECT_EQ(batch.switched[k], scalar[k].switched) << "lane " << k;
@@ -134,7 +127,7 @@ TEST(LlgSimd, BatchLanesMatchScalarIntegratorBitForBit) {
 // The ensemble's scalar reference: trajectory k is exactly
 // thermal_initial_state + integrate_thermal on substream k, accumulated in
 // trajectory order. Replaying that by hand must reproduce the ensemble's
-// statistics bit-for-bit (here against a threaded, widest-width run).
+// statistics bit-for-bit (here against a threaded run).
 TEST(LlgSimd, EnsembleMatchesHandRolledScalarReference) {
   const mp::LlgSolver solver(test_params());
   constexpr std::size_t kN = 21;
@@ -143,7 +136,6 @@ TEST(LlgSimd, EnsembleMatchesHandRolledScalarReference) {
   const auto ens = [&] {
     mp::LlgEnsembleOptions opt;
     opt.threads = 2;
-    opt.width = 8;
     return solver.integrate_thermal_ensemble(kN, {0.0, 0.0, -1.0}, 1e-9,
                                              1e-12, 150e-6, rng, opt);
   }();
@@ -176,7 +168,8 @@ TEST(LlgSimd, EnsembleMatchesHandRolledScalarReference) {
 // unaffected by who rides beside them.
 TEST(LlgSimd, InactiveLanesAreInertAndReportNothing) {
   const mp::LlgSolver solver(test_params());
-  constexpr std::size_t W = 4;
+  constexpr std::size_t W = mp::LlgSolver::kLanes;
+  static_assert(W == 4, "the lane masks below spell out four lanes");
   mu::Rng root(5);
   const std::vector<mu::Rng> streams = root.jump_substreams(W);
 
@@ -184,13 +177,13 @@ TEST(LlgSimd, InactiveLanesAreInertAndReportNothing) {
   std::array<mp::Vec3, W> starts;
   starts.fill(mp::Vec3{0.05, 0.0, -1.0});
   for (std::size_t k = 0; k < W; ++k) full_lanes[k] = streams[k];
-  const auto full = solver.integrate_thermal_batch<W>(
+  const auto full = solver.integrate_thermal_batch(
       starts, 1e-9, 1e-12, 150e-6, full_lanes.data(), 0xFu);
 
   // Same batch with only lanes 0 and 2 active.
   std::array<mu::Rng, W> some_lanes;
   for (std::size_t k = 0; k < W; ++k) some_lanes[k] = streams[k];
-  const auto some = solver.integrate_thermal_batch<W>(
+  const auto some = solver.integrate_thermal_batch(
       starts, 1e-9, 1e-12, 150e-6, some_lanes.data(), 0b0101u);
 
   for (const std::size_t k : {0u, 2u}) {
@@ -214,7 +207,7 @@ TEST(LlgSimd, InactiveLanesAreInertAndReportNothing) {
 // crossing, and the batch drains early once every lane has finished.
 TEST(LlgSimd, StopOnSwitchFreezesLanesAndDrainsEarly) {
   const mp::LlgSolver solver(test_params());
-  constexpr std::size_t W = 4;
+  constexpr std::size_t W = mp::LlgSolver::kLanes;
   mu::Rng root(17);
   const std::vector<mu::Rng> streams = root.jump_substreams(W);
   std::array<mp::Vec3, W> starts;
@@ -223,11 +216,11 @@ TEST(LlgSimd, StopOnSwitchFreezesLanesAndDrainsEarly) {
   std::array<mu::Rng, W> a_lanes, b_lanes;
   for (std::size_t k = 0; k < W; ++k) a_lanes[k] = b_lanes[k] = streams[k];
   // A strong pulse: every trajectory switches well before the 4 ns horizon.
-  const auto run_full = solver.integrate_thermal_batch<W>(
-      starts, 4e-9, 1e-12, 250e-6, a_lanes.data(), 0xFu,
+  const auto run_full = solver.integrate_thermal_batch(
+      starts, 4e-9, 1e-12, 250e-6, a_lanes.data(), (1u << W) - 1u,
       /*stop_on_switch=*/false);
-  const auto run_stop = solver.integrate_thermal_batch<W>(
-      starts, 4e-9, 1e-12, 250e-6, b_lanes.data(), 0xFu,
+  const auto run_stop = solver.integrate_thermal_batch(
+      starts, 4e-9, 1e-12, 250e-6, b_lanes.data(), (1u << W) - 1u,
       /*stop_on_switch=*/true);
 
   for (std::size_t k = 0; k < W; ++k) {
@@ -246,22 +239,12 @@ TEST(LlgSimd, StopOnSwitchFreezesLanesAndDrainsEarly) {
   EXPECT_LT(run_stop.steps_run, run_full.steps_run);
 }
 
-TEST(LlgSimd, EnsembleRejectsUnsupportedWidth) {
-  const mp::LlgSolver solver(test_params());
-  mp::LlgEnsembleOptions opt;
-  opt.width = 3;
-  mu::Rng rng(1);
-  EXPECT_THROW((void)solver.integrate_thermal_ensemble(
-                   8, {0.0, 0.0, 1.0}, 1e-9, 1e-12, 0.0, rng, opt),
-               std::invalid_argument);
-}
-
 TEST(LlgSimd, BatchKernelRejectsBadTimeStep) {
   const mp::LlgSolver solver(test_params());
-  std::array<mp::Vec3, 4> starts;
+  std::array<mp::Vec3, mp::LlgSolver::kLanes> starts;
   starts.fill(mp::Vec3{0.0, 0.0, 1.0});
-  std::array<mu::Rng, 4> lanes;
-  EXPECT_THROW((void)solver.integrate_thermal_batch<4>(
+  std::array<mu::Rng, mp::LlgSolver::kLanes> lanes;
+  EXPECT_THROW((void)solver.integrate_thermal_batch(
                    starts, 1e-9, 0.0, 0.0, lanes.data(), 0xFu),
                std::invalid_argument);
 }

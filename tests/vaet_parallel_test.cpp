@@ -65,17 +65,14 @@ TEST(VaetParallel, OddSampleCountCoversPartialChunk) {
 
 namespace {
 
-mp::LlgEnsembleResult run_ensemble(std::size_t threads, std::uint64_t seed,
-                                   std::size_t n = 40,
-                                   std::size_t width = 0) {
+mp::LlgEnsembleResult run_ensemble(std::size_t threads, std::uint64_t seed) {
   mp::LlgParams p; // defaults: a realistic perpendicular free layer
   const mp::LlgSolver solver(p);
   mp::LlgEnsembleOptions opt;
   opt.threads = threads;
-  opt.width = width;
   mss::util::Rng rng(seed);
   // Strong overdrive pulse towards +z from the -z basin.
-  return solver.integrate_thermal_ensemble(n, {0.0, 0.0, -1.0}, 3e-9, 1e-12,
+  return solver.integrate_thermal_ensemble(40, {0.0, 0.0, -1.0}, 3e-9, 1e-12,
                                            200e-6, rng, opt);
 }
 
@@ -90,24 +87,6 @@ TEST(LlgEnsemble, BitIdenticalAcrossThreadCounts) {
     EXPECT_EQ(serial.switch_time.mean(), parallel.switch_time.mean());
     EXPECT_EQ(serial.switch_time.stddev(), parallel.switch_time.stddev());
     EXPECT_EQ(serial.mean_mz_final, parallel.mean_mz_final);
-  }
-}
-
-TEST(LlgEnsemble, BitIdenticalAcrossThreadsTimesSimdWidth) {
-  // The {threads} x {width} invariance matrix on the default free layer
-  // (the physics-level matrix lives in physics_llg_simd_test): trajectories
-  // key to per-trajectory substreams, so the SIMD batch width is as free a
-  // choice as the thread count.
-  const auto reference = run_ensemble(1, 19, 40, 1);
-  for (const std::size_t threads : {1u, 2u, 8u}) {
-    for (const std::size_t width : {1u, 4u, 8u}) {
-      const auto other = run_ensemble(threads, 19, 40, width);
-      EXPECT_EQ(reference.n_switched, other.n_switched);
-      EXPECT_EQ(reference.switch_time.count(), other.switch_time.count());
-      EXPECT_EQ(reference.switch_time.mean(), other.switch_time.mean());
-      EXPECT_EQ(reference.switch_time.stddev(), other.switch_time.stddev());
-      EXPECT_EQ(reference.mean_mz_final, other.mean_mz_final);
-    }
   }
 }
 

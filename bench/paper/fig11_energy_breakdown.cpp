@@ -3,22 +3,18 @@
 //
 // Four scenarios: Full-SRAM (reference), LITTLE-L2-STT-MRAM,
 // big-L2-STT-MRAM, Full-L2-STT-MRAM — one scenario sweep through
-// sweep::Runner. For each we emit the per-component energies (cores, L1,
-// L2, interconnect, DRAM+MC) as a ResultTable and an ASCII bar chart of
-// the totals.
-#include <cstdio>
+// sweep::Runner. For each: the per-component energies (cores, L1, L2,
+// interconnect, DRAM+MC) with a TOTAL row, and each STT scenario's total
+// against the Full-SRAM reference.
 #include <string>
 #include <vector>
 
 #include "magpie/scenario.hpp"
-#include "util/table.hpp"
+#include "paper.hpp"
 
-int main() {
-  using namespace mss;
+namespace mss::paper {
 
-  std::printf("=== Fig. 11: energy breakdown by component, bodytrack on "
-              "big.LITTLE ===\n\n");
-
+Figure fig11_energy_breakdown() {
   const auto pdk = core::Pdk::mss45();
   const auto runs = magpie::run_scenario_sweep(
       {magpie::kernel_by_name("bodytrack")}, pdk);
@@ -47,29 +43,19 @@ int main() {
   for (const auto& run : runs) totals.emplace_back(run.energy.total() / 1e-6);
   table.add_row(totals);
 
-  std::printf("%s\n", table.str(4).c_str());
-  if (table.write_csv("fig11_breakdown.csv") &&
-      table.write_json("fig11_breakdown.json")) {
-    std::printf("(series written to fig11_breakdown.{csv,json})\n");
-  }
-
-  std::printf("\nTotal energy by scenario:\n");
-  std::vector<std::pair<std::string, double>> bars;
-  for (const auto& run : runs) {
-    bars.emplace_back(magpie::to_string(run.scenario),
-                      run.energy.total() / 1e-6);
-  }
-  std::printf("%s\n", mss::util::bar_chart(bars).c_str());
-
+  sweep::ResultTable vs_sram({"scenario", "energy_pct_of_full_sram"});
   const double ref = runs[0].energy.total();
   for (std::size_t i = 1; i < runs.size(); ++i) {
-    std::printf("%-22s energy vs Full-SRAM: %.1f%%\n",
-                magpie::to_string(runs[i].scenario),
-                100.0 * runs[i].energy.total() / ref);
+    vs_sram.add_row({std::string(magpie::to_string(runs[i].scenario)),
+                     100.0 * runs[i].energy.total() / ref});
   }
-  std::printf("\nShape check (paper): \"the overall energy consumption is "
-              "improved in all scenarios, at least up to 17%%\" — every STT "
-              "scenario must land below 100%%, with the L2 leakage "
-              "elimination the dominant effect.\n");
-  return 0;
+
+  return {{{"", "", std::move(table)},
+           {"vs_sram", "total energy vs Full-SRAM", std::move(vs_sram)}},
+          "Shape check (paper): \"the overall energy consumption is improved "
+          "in all scenarios, at least up to 17%\" — every STT scenario must "
+          "land below 100%, with the L2 leakage elimination the dominant "
+          "effect."};
 }
+
+} // namespace mss::paper

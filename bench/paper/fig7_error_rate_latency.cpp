@@ -5,12 +5,15 @@
 // (WER) from 1e-5 down to 1e-15 and shows the overall latency the memory
 // must budget: the lower the target error rate, the higher the timing
 // margin. The sweep is one declarative node x error-rate space evaluated
-// through sweep::Runner, emitted as a ResultTable (console + CSV + JSON).
-#include <cstdio>
+// through sweep::Runner.
+#include <string>
 
+#include "paper.hpp"
 #include "sweep/experiment.hpp"
 #include "util/units.hpp"
 #include "vaet/estimator.hpp"
+
+namespace mss::paper {
 
 namespace {
 
@@ -21,12 +24,8 @@ struct Margins {
 
 } // namespace
 
-int main() {
-  using namespace mss;
+Figure fig7_error_rate_latency() {
   using util::kNs;
-
-  std::printf("=== Fig. 7: overall read & write latency vs target error "
-              "rate ===\n\n");
 
   const auto space =
       sweep::ParamSpace()
@@ -43,7 +42,7 @@ int main() {
                 vaet.read_latency_for_rer(target)};
       });
 
-  const auto table = sweep::Runner().table(
+  auto table = sweep::Runner().table(
       space, exp,
       {"node", "error_rate", "write_latency_ns", "read_latency_ns"},
       [&](const sweep::Point& p, const Margins& m) {
@@ -52,13 +51,10 @@ int main() {
                                          m.read_latency / kNs};
       });
 
-  std::printf("%s\n", table.str(4).c_str());
-  if (table.write_csv("fig7_error_rate_latency.csv") &&
-      table.write_json("fig7_error_rate_latency.json")) {
-    std::printf("(series written to fig7_error_rate_latency.{csv,json})\n");
-  }
-  std::printf("\nShape check (paper): \"for lower values of target error "
-              "rates, high timing margins are required\" — both series "
-              "increase monotonically as the target tightens.\n");
-  return 0;
+  return {{{"", "", std::move(table)}},
+          "Shape check (paper): \"for lower values of target error rates, "
+          "high timing margins are required\" — both series increase "
+          "monotonically as the target tightens."};
 }
+
+} // namespace mss::paper

@@ -9,21 +9,21 @@
 // in latency for higher bit error correction is comparatively less."
 //
 // One node x t_correct space through sweep::Runner, one ResultTable out.
-#include <cstdio>
+#include <string>
 
+#include "paper.hpp"
 #include "sweep/experiment.hpp"
 #include "util/units.hpp"
 #include "vaet/ecc.hpp"
 #include "vaet/estimator.hpp"
 
-int main() {
-  using namespace mss;
+namespace mss::paper {
+
+Figure fig8_ecc_write_latency() {
   using util::kNs;
 
   constexpr double kWerTarget = 1e-18;
   constexpr std::size_t kWordBits = 256;
-  std::printf("=== Fig. 8: write latency vs ECC correction capability "
-              "(WER target %.0e) ===\n\n", kWerTarget);
 
   const auto space =
       sweep::ParamSpace()
@@ -59,12 +59,9 @@ int main() {
                    100.0 * (1.0 - latencies[i] / t0)});
   }
 
-  std::printf("%s\n", table.str(4).c_str());
-  if (table.write_csv("fig8_ecc_write_latency.csv") &&
-      table.write_json("fig8_ecc_write_latency.json")) {
-    std::printf("(series written to fig8_ecc_write_latency.{csv,json})\n");
-  }
-  std::printf("\nShape check (paper): drastic improvement from 0 -> 1 "
-              "corrected bit, comparatively less for higher correction.\n");
-  return 0;
+  return {{{"", "", std::move(table)}},
+          "Shape check (paper): drastic improvement from 0 -> 1 corrected "
+          "bit, comparatively less for higher correction."};
 }
+
+} // namespace mss::paper

@@ -2,26 +2,22 @@
 // playing with the diameter of the stack thus allowing to minimize the
 // switching current according to the specified retention."
 //
-// This bench sweeps retention targets from scratchpad-grade (hours) to
+// This driver sweeps retention targets from scratchpad-grade (hours) to
 // storage-grade (10 years) through the parallel RetentionDesigner sweep
-// and emits the designed pillar diameter, thermal stability, critical
+// and reports the designed pillar diameter, thermal stability, critical
 // current, switching time and write energy — the MSS retention/write-cost
-// trade-off curve — as a ResultTable (console + CSV + JSON).
-#include <cstdio>
+// trade-off curve.
 #include <string>
 #include <vector>
 
 #include "core/pdk.hpp"
 #include "core/retention.hpp"
-#include "sweep/result_table.hpp"
+#include "paper.hpp"
 #include "util/units.hpp"
 
-int main() {
-  using namespace mss;
+namespace mss::paper {
 
-  std::printf("=== MSS retention vs write-cost trade-off (adjustable "
-              "diameter) ===\n\n");
-
+Figure retention_tradeoff() {
   const auto pdk = core::Pdk::mss45();
   const core::RetentionDesigner designer(pdk.mtj, pdk.write_overdrive);
 
@@ -42,17 +38,13 @@ int main() {
                    d.write_energy / util::kFj});
   }
 
-  std::printf("%s\n", table.str(4).c_str());
-  if (table.write_csv("retention_tradeoff.csv") &&
-      table.write_json("retention_tradeoff.json")) {
-    std::printf("(series written to retention_tradeoff.{csv,json})\n");
-  }
-
-  const double first_iw = designs.front().write_current;
-  const double last_iw = designs.back().write_current;
-  std::printf("\nRelaxing retention from 10 years to 1 hour cuts the write "
-              "current by %.0f%% on the same baseline stack — the knob that "
-              "lets one MSS recipe serve caches and storage alike.\n",
-              100.0 * (1.0 - first_iw / last_iw));
-  return 0;
+  const double cut = 100.0 * (1.0 - designs.front().write_current /
+                                        designs.back().write_current);
+  return {{{"", "", std::move(table)},
+           {"summary", "relaxing retention from 10 years to 1 hour",
+            key_values({{"write_current_cut_pct", cut}})}},
+          "The write-current cut on the same baseline stack is the knob that "
+          "lets one MSS recipe serve caches and storage alike."};
 }
+
+} // namespace mss::paper

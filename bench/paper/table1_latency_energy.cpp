@@ -1,33 +1,29 @@
 // Table 1 reproduction: "Overall latency and energy values for 45 nm and
 // 65 nm technology nodes for a memory array of 1024x1024".
 //
-// For each node we print the NVSim-style nominal value next to the
+// For each node: the NVSim-style nominal value next to the
 // variation-aware mean (mu) and standard deviation (sigma) from the
 // VAET-STT Monte-Carlo analysis — the exact quadruple-per-row structure of
 // the paper's Table 1. The node axis is an Experiment through
-// sweep::Runner (serial outside, the MC sharded across the pool inside);
-// the table is a ResultTable emitted to console + CSV + JSON.
+// sweep::Runner (serial outside, the MC sharded across the pool inside).
 //
 // Paper values for comparison (45 nm / 65 nm):
 //   Write Latency (ns):  nominal 4.9 / 4.4,  mu 14.7 / 12.1,  sigma 1.82 / 1.32
 //   Write Energy  (pJ):  nominal 159 / 272.8, mu 425 / 512.2, sigma 3.73 / 2.79
 //   Read  Latency (ns):  nominal 1.2 / 1.22, mu 1.7 / 1.5,   sigma 0.08 / 0.05
 //   Read  Energy  (pJ):  nominal 3.4 / 4.8,  mu 4.8 / 5.7,   sigma 0.002 / 0.001
-#include <cstdio>
 #include <string>
 
+#include "paper.hpp"
 #include "sweep/experiment.hpp"
 #include "util/units.hpp"
 #include "vaet/estimator.hpp"
 
-int main() {
-  using namespace mss;
+namespace mss::paper {
+
+Figure table1_latency_energy() {
   using util::kNs;
   using util::kPj;
-
-  std::printf("=== Table 1: overall latency & energy, 1024x1024 array ===\n");
-  std::printf("(nominal = variation-unaware NVSim-style estimate; mu/sigma "
-              "from the VAET-STT Monte Carlo)\n\n");
 
   const auto space = sweep::ParamSpace().cross(
       sweep::Axis::list("node", {std::string("45nm"), "65nm"}));
@@ -71,12 +67,12 @@ int main() {
         "4.8/5.7/0.001");
   }
 
-  std::printf("%s\n", table.str(3).c_str());
-  if (table.write_csv("table1_latency_energy.csv") &&
-      table.write_json("table1_latency_energy.json")) {
-    std::printf("(series written to table1_latency_energy.{csv,json})\n");
-  }
-  std::printf("\nShape checks (paper): mu >> nominal for latencies; sigma/mu "
-              "larger at 45nm; energies lower at 45nm.\n");
-  return 0;
+  return {{{"",
+            "nominal = variation-unaware NVSim-style estimate; mu/sigma from "
+            "the VAET-STT Monte Carlo",
+            std::move(table)}},
+          "Shape checks (paper): mu >> nominal for latencies; sigma/mu "
+          "larger at 45nm; energies lower at 45nm."};
 }
+
+} // namespace mss::paper

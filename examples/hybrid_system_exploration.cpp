@@ -13,11 +13,10 @@
 #include <vector>
 
 #include "magpie/scenario.hpp"
-#include "util/table.hpp"
+#include "sweep/result_table.hpp"
 
 int main() {
   using namespace mss;
-  using util::TextTable;
 
   std::printf("=== MAGPIE hybrid-memory exploration: IoT gateway kernel "
               "mix ===\n\n");
@@ -41,8 +40,8 @@ int main() {
   };
   std::vector<Tally> tally(scenarios.size());
 
-  TextTable per_kernel({"kernel", "scenario", "exec (ms)", "energy (mJ)",
-                        "EDP ratio vs SRAM"});
+  sweep::ResultTable per_kernel(
+      {"kernel", "scenario", "exec_ms", "energy_mJ", "edp_ratio_vs_sram"});
   for (std::size_t k = 0; k < mix.size(); ++k) {
     const auto* base = &runs[k * scenarios.size()];
     for (std::size_t i = 0; i < scenarios.size(); ++i) {
@@ -50,17 +49,17 @@ int main() {
       tally[i].time += run.activity.exec_time;
       tally[i].energy += run.energy.total();
       const auto m = magpie::normalize(base[0], run);
-      per_kernel.add_row({mix[k].name, magpie::to_string(run.scenario),
-                          TextTable::num(run.activity.exec_time / 1e-3, 3),
-                          TextTable::num(run.energy.total() / 1e-3, 3),
-                          TextTable::num(m.edp_ratio, 3)});
+      per_kernel.add_row({mix[k].name,
+                          std::string(magpie::to_string(run.scenario)),
+                          run.activity.exec_time / 1e-3,
+                          run.energy.total() / 1e-3, m.edp_ratio});
     }
   }
-  std::printf("%s\n", per_kernel.str().c_str());
+  std::printf("%s\n", per_kernel.str(4).c_str());
 
   std::printf("Mix totals:\n");
-  TextTable totals({"scenario", "time (ms)", "energy (mJ)", "EDP (uJs)",
-                    "vs Full-SRAM"});
+  sweep::ResultTable totals({"scenario", "time_ms", "energy_mJ", "edp_uJs",
+                             "edp_pct_of_full_sram"});
   const double ref_edp = tally[0].time * tally[0].energy;
   std::size_t best = 0;
   double best_edp = 1e300;
@@ -70,13 +69,11 @@ int main() {
       best_edp = edp;
       best = i;
     }
-    totals.add_row({magpie::to_string(scenarios[i]),
-                    TextTable::num(tally[i].time / 1e-3, 3),
-                    TextTable::num(tally[i].energy / 1e-3, 3),
-                    TextTable::num(edp / 1e-9, 2),
-                    TextTable::num(100.0 * edp / ref_edp, 1) + "%"});
+    totals.add_row({std::string(magpie::to_string(scenarios[i])),
+                    tally[i].time / 1e-3, tally[i].energy / 1e-3, edp / 1e-9,
+                    100.0 * edp / ref_edp});
   }
-  std::printf("%s\n", totals.str().c_str());
+  std::printf("%s\n", totals.str(4).c_str());
   std::printf("Recommendation for this mix: %s (EDP %.1f%% of the "
               "Full-SRAM reference).\n",
               magpie::to_string(scenarios[best]),

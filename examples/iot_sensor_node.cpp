@@ -22,12 +22,11 @@
 #include "core/mss_stack.hpp"
 #include "core/pdk.hpp"
 #include "core/retention.hpp"
-#include "util/table.hpp"
+#include "sweep/result_table.hpp"
 #include "util/units.hpp"
 
 int main() {
   using namespace mss;
-  using util::TextTable;
 
   const auto pdk = core::Pdk::mss45();
   std::printf("=== MSS-based IoT sensor node (all functions, one stack) "
@@ -94,13 +93,16 @@ int main() {
       + 64.0 * (ff.e_store + ff.e_restore);        // power gating
   const double e_day = e_sample * (86400.0 / sample_period);
 
-  TextTable t({"component", "energy per sample (nJ)"});
-  t.add_row({"MCU active window", TextTable::num(p_active_cmos * t_active / 1e-9, 1)});
-  t.add_row({"sensor bias", TextTable::num(i_bias * 0.4 * 1e-3 / 1e-9, 2)});
-  t.add_row({"MRAM log write", TextTable::num(64.0 * log_cell.write_energy / samples_per_word / 1e-9, 3)});
-  t.add_row({"radio share", TextTable::num(p_radio * 5e-3 / 60.0 / 1e-9, 2)});
-  t.add_row({"NVFF power gating", TextTable::num(64.0 * (ff.e_store + ff.e_restore) / 1e-9, 3)});
-  std::printf("%s\n", t.str().c_str());
+  sweep::ResultTable t({"component", "energy_per_sample_nJ"});
+  t.add_row(
+      {std::string("MCU active window"), p_active_cmos * t_active / 1e-9});
+  t.add_row({std::string("sensor bias"), i_bias * 0.4 * 1e-3 / 1e-9});
+  t.add_row({std::string("MRAM log write"),
+             64.0 * log_cell.write_energy / samples_per_word / 1e-9});
+  t.add_row({std::string("radio share"), p_radio * 5e-3 / 60.0 / 1e-9});
+  t.add_row({std::string("NVFF power gating"),
+             64.0 * (ff.e_store + ff.e_restore) / 1e-9});
+  std::printf("%s\n", t.str(4).c_str());
 
   const double days = 3.0 * 3600.0 / e_day;
   if (days > 3650.0) {

@@ -12,14 +12,13 @@
 #include <cstdio>
 
 #include "nvsim/optimizer.hpp"
-#include "util/table.hpp"
+#include "sweep/result_table.hpp"
 #include "util/units.hpp"
 #include "vaet/ecc.hpp"
 #include "vaet/estimator.hpp"
 
 int main() {
   using namespace mss;
-  using util::TextTable;
   using util::kNs;
   using util::kPj;
 
@@ -40,18 +39,17 @@ int main() {
                                          nvsim::Goal::ReadEdp, eopt);
   std::printf("[1] %zu feasible organisations; top three by read EDP:\n",
               candidates.size());
-  TextTable orgs({"mats x rows x cols", "read (ns)", "write (ns)",
-                  "area (mm2)", "leakage (mW)"});
+  sweep::ResultTable orgs({"mats x rows x cols", "read_ns", "write_ns",
+                           "area_mm2", "leakage_mW"});
   for (std::size_t i = 0; i < candidates.size() && i < 3; ++i) {
     const auto& c = candidates[i];
     orgs.add_row({std::to_string(c.mats) + "x" + std::to_string(c.org.rows) +
                       "x" + std::to_string(c.org.cols),
-                  TextTable::num(c.estimate.read_latency / kNs, 2),
-                  TextTable::num(c.estimate.write_latency / kNs, 2),
-                  TextTable::num(c.estimate.area / util::kMm2, 3),
-                  TextTable::num(c.estimate.leakage_power / util::kMw, 3)});
+                  c.estimate.read_latency / kNs, c.estimate.write_latency / kNs,
+                  c.estimate.area / util::kMm2,
+                  c.estimate.leakage_power / util::kMw});
   }
-  std::printf("%s\n", orgs.str().c_str());
+  std::printf("%s\n", orgs.str(4).c_str());
   const auto best = candidates.front();
 
   // [2] variation-aware distributions for the chosen organisation.
@@ -61,20 +59,16 @@ int main() {
   util::Rng rng(2024);
   const auto dist = vaet.monte_carlo(rng);
   std::printf("[2] variation-aware behaviour (chosen organisation):\n");
-  TextTable t1({"metric", "nominal", "mu", "sigma", "p99"});
-  t1.add_row({"write latency (ns)", TextTable::num(dist.write_latency.nominal / kNs, 2),
-              TextTable::num(dist.write_latency.mean / kNs, 2),
-              TextTable::num(dist.write_latency.sigma / kNs, 2),
-              TextTable::num(dist.write_latency.p99 / kNs, 2)});
-  t1.add_row({"read latency (ns)", TextTable::num(dist.read_latency.nominal / kNs, 2),
-              TextTable::num(dist.read_latency.mean / kNs, 2),
-              TextTable::num(dist.read_latency.sigma / kNs, 2),
-              TextTable::num(dist.read_latency.p99 / kNs, 2)});
-  t1.add_row({"write energy (pJ)", TextTable::num(dist.write_energy.nominal / kPj, 1),
-              TextTable::num(dist.write_energy.mean / kPj, 1),
-              TextTable::num(dist.write_energy.sigma / kPj, 1),
-              TextTable::num(dist.write_energy.p99 / kPj, 1)});
-  std::printf("%s\n", t1.str().c_str());
+  sweep::ResultTable t1({"metric", "nominal", "mu", "sigma", "p99"});
+  const auto add = [&t1](const char* metric,
+                         const vaet::DistributionSummary& d, double unit) {
+    t1.add_row({std::string(metric), d.nominal / unit, d.mean / unit,
+                d.sigma / unit, d.p99 / unit});
+  };
+  add("write latency (ns)", dist.write_latency, kNs);
+  add("read latency (ns)", dist.read_latency, kNs);
+  add("write energy (pJ)", dist.write_energy, kPj);
+  std::printf("%s\n", t1.str(4).c_str());
 
   // [3] raw write margin for the target.
   const double t_raw = vaet.write_latency_for_wer(kErrorBudget);
@@ -84,18 +78,17 @@ int main() {
 
   // [4] ECC trade-off.
   std::printf("[4] ECC alternative:\n");
-  TextTable t2({"scheme", "write latency (ns)", "storage overhead"});
+  sweep::ResultTable t2({"scheme", "write_latency_ns", "overhead_pct"});
   const auto word_bits = static_cast<unsigned>(best.org.word_bits);
   for (unsigned t = 0; t <= 3; ++t) {
     vaet::EccScheme scheme;
     scheme.data_bits = word_bits;
     scheme.t_correct = t;
     const double lat = vaet.write_latency_with_ecc(kErrorBudget, t);
-    t2.add_row({t == 0 ? "no ECC" : ("BCH t=" + std::to_string(t)),
-                TextTable::num(lat / kNs, 2),
-                TextTable::num(100.0 * scheme.overhead(), 1) + "%"});
+    t2.add_row({t == 0 ? std::string("no ECC") : "BCH t=" + std::to_string(t),
+                lat / kNs, 100.0 * scheme.overhead()});
   }
-  std::printf("%s", t2.str().c_str());
+  std::printf("%s", t2.str(4).c_str());
   const double t_ecc1 = vaet.write_latency_with_ecc(kErrorBudget, 1);
   std::printf("-> single-error correction buys %.0f%% write-latency "
               "reduction for %.1f%% extra bits.\n\n",

@@ -13,12 +13,11 @@
 
 #include "cells/nvff.hpp"
 #include "core/pdk.hpp"
-#include "util/table.hpp"
+#include "sweep/result_table.hpp"
 #include "util/units.hpp"
 
 int main() {
   using namespace mss;
-  using util::TextTable;
 
   const auto pdk = core::Pdk::mss45();
   std::printf("=== Normally-off computing with MSS non-volatile flip-flops "
@@ -48,19 +47,18 @@ int main() {
   // Sizing sweep: bigger latch writes the shadow MTJs faster (more store
   // current) but costs area and restore energy.
   std::printf("latch sizing sweep (store phase fixed at 10 ns):\n");
-  TextTable t({"latch W/Wmin", "store ok", "E_store (pJ)", "t_restore (ns)",
-               "E_restore (pJ)"});
+  sweep::ResultTable t({"latch_w_over_wmin", "store_ok", "e_store_pJ",
+                        "t_restore_ns", "e_restore_pJ"});
   for (double w : {6.0, 10.0, 14.0, 18.0}) {
     cells::NvffOptions opt;
     opt.latch_width_factor = w;
     const cells::Nvff sized(pdk, opt);
     const auto r = sized.characterize(true);
-    t.add_row({TextTable::num(w, 0), r.store_ok && r.restore_ok ? "yes" : "NO",
-               TextTable::num(r.e_store / util::kPj, 2),
-               TextTable::num(r.t_restore / util::kNs, 2),
-               TextTable::num(r.e_restore / util::kPj, 2)});
+    t.add_row({w, std::string(r.store_ok && r.restore_ok ? "yes" : "NO"),
+               r.e_store / util::kPj, r.t_restore / util::kNs,
+               r.e_restore / util::kPj});
   }
-  std::printf("%s\n", t.str().c_str());
+  std::printf("%s\n", t.str(3).c_str());
   std::printf("The MSS shadow pair makes any pipeline stage instantly "
               "power-gateable — the \"normally-off\" IoT operating mode the "
               "paper targets.\n");

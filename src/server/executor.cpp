@@ -11,18 +11,18 @@ namespace mss::server {
 StripedRun::StripedRun(const sweep::RowExperiment& exp,
                        const sweep::ParamSpace& space, const ExecOptions& opt,
                        ResultCache& cache)
-    : exp_(exp), space_(space), opt_(opt), cache_(cache) {
+    : exp_(exp),
+      space_(space),
+      opt_(opt),
+      cache_(cache),
+      // The RNG keying of sweep::Runner, shared.
+      streams_(opt.seed, space.size(), opt.chunk_size) {
   n_ = space_.size();
-  chunk_ = opt_.chunk_size == 0 ? 1 : opt_.chunk_size;
-  stripe_ = chunk_ * (opt_.stripe_chunks == 0 ? 1 : opt_.stripe_chunks);
+  stripe_ = streams_.chunk() *
+            (opt_.stripe_chunks == 0 ? 1 : opt_.stripe_chunks);
   stats_.points = n_;
   rows_.resize(n_);
   if (n_ == 0) return;
-
-  // Identical RNG keying to sweep::Runner: substream per chunk, fork per
-  // in-chunk offset.
-  util::Rng base(opt_.seed);
-  streams_ = base.jump_substreams(util::ThreadPool::chunk_count(n_, chunk_));
 
   // First-occurrence scan (serial, no evaluation) — memo semantics. The
   // cache key is injective over Point::key() for a fixed (experiment,
@@ -66,8 +66,7 @@ void StripedRun::step() {
       [&](std::size_t, std::size_t b, std::size_t e) {
         for (std::size_t k = b; k < e; ++k) {
           const std::size_t i = pending_[k];
-          util::Rng rng =
-              streams_[i / chunk_].fork(std::uint64_t(i % chunk_));
+          util::Rng rng = streams_.at(i);
           Row row = exp_.evaluate(space_.at(i), rng);
           if (row.size() != exp_.columns.size()) {
             throw std::logic_error(

@@ -39,9 +39,8 @@
 #include <vector>
 
 #include "server/cache.hpp"
-#include "sweep/experiment.hpp" // RunStats
+#include "sweep/experiment.hpp" // RunStats, PointStreams
 #include "sweep/servable.hpp"
-#include "util/rng.hpp"
 
 namespace mss::server {
 
@@ -94,12 +93,11 @@ class StripedRun {
   ExecOptions opt_;
   ResultCache& cache_;
 
+  sweep::PointStreams streams_;
   std::size_t n_;
-  std::size_t chunk_;
   std::size_t stripe_;
   std::size_t next_ = 0; ///< first index of the next stripe
 
-  std::vector<util::Rng> streams_;    ///< jump substream per chunk
   std::vector<std::size_t> owner_;    ///< first occurrence of each key
   std::vector<std::string> key_of_;   ///< cache keys of first occurrences
   std::vector<std::size_t> pending_;  ///< scratch: this stripe's misses

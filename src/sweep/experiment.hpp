@@ -13,7 +13,8 @@
 //  * chunk c draws from jump substream c of a base stream seeded with
 //    RunOptions::seed, and the point at in-chunk offset j forks that
 //    substream with label j — so the RNG a point sees is a pure function
-//    of (seed, chunk_size, point index).
+//    of (seed, chunk_size, point index). PointStreams is the one
+//    implementation of this keying; server::StripedRun shares it.
 //
 // The Runner evaluates every point, repeated ones included. Memoising
 // repeated Point::key()s at their first occurrence is the server
@@ -62,6 +63,30 @@ struct RunOptions {
   std::uint64_t seed = 0x5EEDC0DEull;
 };
 
+/// The RNG keying of the determinism contract: index i of an n-point run
+/// draws from jump substream i / chunk of a base stream seeded with `seed`,
+/// forked with label i % chunk.
+class PointStreams {
+ public:
+  /// `chunk_size` 0 means 1.
+  PointStreams(std::uint64_t seed, std::size_t n, std::size_t chunk_size)
+      : chunk_(chunk_size == 0 ? 1 : chunk_size),
+        streams_(util::Rng(seed).jump_substreams(
+            util::ThreadPool::chunk_count(n, chunk_))) {}
+
+  /// Points per chunk (the normalised chunk_size).
+  [[nodiscard]] std::size_t chunk() const { return chunk_; }
+
+  /// The RNG of flat index i.
+  [[nodiscard]] util::Rng at(std::size_t i) const {
+    return streams_[i / chunk_].fork(std::uint64_t(i % chunk_));
+  }
+
+ private:
+  std::size_t chunk_;
+  std::vector<util::Rng> streams_; ///< jump substream per chunk
+};
+
 /// What a memoised, cached run did. Only server::run_cached (and the
 /// server's StripedRun behind it) fills it; the Runner keeps no stats.
 struct RunStats {
@@ -86,19 +111,15 @@ class Runner {
   [[nodiscard]] std::vector<Result> run(const ParamSpace& space,
                                         const Experiment<Result>& exp) const {
     const std::size_t n = space.size();
-    const std::size_t chunk = opt_.chunk_size == 0 ? 1 : opt_.chunk_size;
     std::vector<Result> results(n);
     if (n == 0) return results;
 
-    // Chunk-keyed substreams: layout depends only on (n, chunk).
-    util::Rng base(opt_.seed);
-    const auto streams =
-        base.jump_substreams(util::ThreadPool::chunk_count(n, chunk));
+    const PointStreams streams(opt_.seed, n, opt_.chunk_size);
     util::ThreadPool::run_with(
-        opt_.threads, n, chunk,
+        opt_.threads, n, streams.chunk(),
         [&](std::size_t, std::size_t b, std::size_t e) {
           for (std::size_t i = b; i < e; ++i) {
-            util::Rng rng = streams[i / chunk].fork(std::uint64_t(i % chunk));
+            util::Rng rng = streams.at(i);
             results[i] = exp.evaluate(space.at(i), rng);
           }
         });

@@ -4,11 +4,7 @@
 #include <cmath>
 #include <cstdio>
 #include <fstream>
-#include <numeric>
 #include <stdexcept>
-
-#include "util/csv.hpp"
-#include "util/table.hpp"
 
 namespace mss::sweep {
 
@@ -69,11 +65,31 @@ std::string json_cell(const Value& v) {
   return '"' + json_escape(std::get<std::string>(v)) + '"';
 }
 
+std::vector<std::string> row_text(const std::vector<Value>& row,
+                                  int precision) {
+  std::vector<std::string> cells;
+  cells.reserve(row.size());
+  for (const auto& v : row) cells.push_back(cell_text(v, precision));
+  return cells;
+}
+
+/// RFC-4180: quote a cell holding a comma, quote or newline; double quotes.
+std::string csv_escape(const std::string& cell) {
+  if (cell.find_first_of(",\"\n") == std::string::npos) return cell;
+  std::string out = "\"";
+  for (char ch : cell) {
+    if (ch == '"') out += '"';
+    out += ch;
+  }
+  out += '"';
+  return out;
+}
+
 bool write_text_file(const std::string& path, const std::string& body) {
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) return false;
   out << body;
-  return bool(out);
+  out.close(); // flush first: a full device only fails here
+  return !out.fail();
 }
 
 } // namespace
@@ -149,25 +165,45 @@ ResultTable ResultTable::filter(
 }
 
 std::string ResultTable::str(int precision) const {
-  util::TextTable t(columns_);
-  for (const auto& row : rows_) {
-    std::vector<std::string> cells;
-    cells.reserve(row.size());
-    for (const auto& v : row) cells.push_back(cell_text(v, precision));
-    t.add_row(std::move(cells));
+  std::vector<std::vector<std::string>> text{columns_};
+  for (const auto& row : rows_) text.push_back(row_text(row, precision));
+  std::vector<std::size_t> widths(columns_.size(), 0);
+  for (const auto& cells : text) {
+    for (std::size_t c = 0; c < cells.size(); ++c) {
+      widths[c] = std::max(widths[c], cells[c].size());
+    }
   }
-  return t.str();
+  // Right-aligned cells two spaces apart, a dash rule under the header.
+  std::string out;
+  for (std::size_t r = 0; r < text.size(); ++r) {
+    for (std::size_t c = 0; c < text[r].size(); ++c) {
+      if (c != 0) out += "  ";
+      out.append(widths[c] - text[r][c].size(), ' ');
+      out += text[r][c];
+    }
+    out += '\n';
+    if (r == 0) {
+      std::size_t rule = 2 * (widths.size() - 1);
+      for (std::size_t w : widths) rule += w;
+      out.append(rule, '-');
+      out += '\n';
+    }
+  }
+  return out;
 }
 
 std::string ResultTable::csv() const {
-  util::CsvWriter w(columns_);
-  for (const auto& row : rows_) {
-    std::vector<std::string> cells;
-    cells.reserve(row.size());
-    for (const auto& v : row) cells.push_back(cell_text(v, 12));
-    w.add_row(std::move(cells));
-  }
-  return w.str();
+  std::string out;
+  const auto emit = [&out](const std::vector<std::string>& cells) {
+    for (std::size_t c = 0; c < cells.size(); ++c) {
+      if (c != 0) out += ',';
+      out += csv_escape(cells[c]);
+    }
+    out += '\n';
+  };
+  emit(columns_);
+  for (const auto& row : rows_) emit(row_text(row, 12));
+  return out;
 }
 
 bool ResultTable::write_csv(const std::string& path) const {

@@ -1,7 +1,8 @@
 // Structured sweep output: named columns of typed cells with sort/filter
-// and text / CSV / JSON emission. Replaces the hand-rolled printf tables
-// of the bench fig drivers — one table object serves the console view,
-// the re-plottable CSV, and the machine-readable JSON.
+// and text / CSV / JSON emission. The library's one table type: every
+// paper-figure driver, example and client emits through it — one table
+// object serves the console view, the re-plottable CSV, and the
+// machine-readable JSON.
 #pragma once
 
 #include <cstddef>
@@ -43,17 +44,21 @@ class ResultTable {
   [[nodiscard]] ResultTable filter(
       const std::function<bool(const ResultTable&, std::size_t)>& keep) const;
 
-  /// Aligned console rendering (reals formatted "%.*g" with `precision`).
+  /// Right-aligned console rendering under a dashed header rule (reals
+  /// formatted "%.*g" with `precision`).
   [[nodiscard]] std::string str(int precision = 5) const;
 
   /// RFC-4180-ish CSV ("%.12g" reals, so series can be re-plotted
   /// faithfully).
   [[nodiscard]] std::string csv() const;
+  /// Writes csv() to `path`; false on any I/O failure, including one
+  /// only the final flush sees (a full device).
   bool write_csv(const std::string& path) const;
 
   /// JSON array of row objects; ints stay ints, reals "%.12g", strings
   /// escaped.
   [[nodiscard]] std::string json() const;
+  /// Writes json() to `path`; false on any I/O failure, as write_csv.
   bool write_json(const std::string& path) const;
 
  private:

@@ -1,17 +1,21 @@
 // The executor's round-robin stripe scheduler: fairness between
 // equal-priority jobs (a small job streams and finishes while a big one
-// is mid-flight), strict priority preemption at stripe boundaries,
+// is mid-flight), strict priority preemption at stripe boundaries (both
+// ordered by construction through a gated experiment, not by timing),
 // slice accounting, bit-identity of interleaved runs against solo runs
 // at several {threads} x {stripe} combinations, re-fetching a finished
 // job from the cache-owned rows, and the connection-lifecycle regression
 // tests (fd leak, connection-table GC).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
+#include <condition_variable>
 #include <cstdio>
 #include <cstring>
 #include <dirent.h>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -47,12 +51,13 @@ struct TestServer {
   std::string socket_path = temp_name(".sock");
   std::unique_ptr<Server> server;
 
-  explicit TestServer(std::size_t threads = 1, std::size_t stripe_chunks = 2) {
+  explicit TestServer(std::size_t threads = 1, std::size_t stripe_chunks = 2,
+                      Registry registry = Registry::builtin()) {
     ServerOptions opt;
     opt.socket_path = socket_path;
     opt.threads = threads;
     opt.stripe_chunks = stripe_chunks;
-    server = std::make_unique<Server>(opt);
+    server = std::make_unique<Server>(opt, std::move(registry));
     server->start();
   }
   ~TestServer() {
@@ -63,6 +68,47 @@ struct TestServer {
     std::remove(socket_path.c_str());
   }
 };
+
+/// Holds every evaluation of the "test.gated" experiment until open(), and
+/// logs each evaluated point's `samples` value in evaluation order. A test
+/// submits its jobs (Submit replies only after the queue push), opens the
+/// gate, and reads the executor's order off the log — no timing involved.
+struct Gate {
+  std::mutex m;
+  std::condition_variable cv;
+  bool opened = false;
+  std::vector<std::int64_t> log;
+
+  void open() {
+    {
+      std::lock_guard<std::mutex> lock(m);
+      opened = true;
+    }
+    cv.notify_all();
+  }
+  std::vector<std::int64_t> evaluated() {
+    std::lock_guard<std::mutex> lock(m);
+    return log;
+  }
+};
+
+/// The builtin registry plus "test.gated": demo.mc_tail's rows behind `gate`.
+Registry gated_registry(const std::shared_ptr<Gate>& gate) {
+  Registry reg = Registry::builtin();
+  auto exp = demo_mc_tail_experiment();
+  exp.id = "test.gated";
+  exp.evaluate = [gate, inner = exp.evaluate](const mss::sweep::Point& p,
+                                               mss::util::Rng& rng) {
+    {
+      std::unique_lock<std::mutex> lock(gate->m);
+      gate->cv.wait(lock, [&] { return gate->opened; });
+      gate->log.push_back(p.integer("samples"));
+    }
+    return inner(p, rng);
+  };
+  reg.add(std::move(exp));
+  return reg;
+}
 
 bool tables_bit_identical(const mss::sweep::ResultTable& a,
                           const mss::sweep::ResultTable& b) {
@@ -100,23 +146,25 @@ mss::sweep::ResultTable solo_run(const ParamSpace& space, std::uint64_t seed,
 
 // A small equal-priority job submitted behind a much larger one must not
 // wait for it: round-robin at stripe granularity means the small job
-// finishes (24 points = 12 stripes vs 6 points = 3 stripes) while the
-// big one is still mid-flight. Once both jobs are enqueued this is a
-// property of the queue rotation, not of timing; the big job's points are
-// heavy enough (~tens of ms in all) that it cannot finish inside the
-// small job's submit round trip even on a loaded host.
+// finishes (6 points = 3 stripes) while the big one (24 points = 12
+// stripes) is still mid-flight. The gate holds the executor in the big
+// job's first stripe until the small job is queued, so the rotation is
+// fixed: one big stripe, then the two alternate.
 TEST(ServerSched, EqualPriorityJobsRoundRobin) {
-  TestServer ts;
+  const auto gate = std::make_shared<Gate>();
+  TestServer ts(/*threads=*/1, /*stripe_chunks=*/2, gated_registry(gate));
   Client big_client(ts.socket_path);
   Client small_client(ts.socket_path);
 
   // Distinct seeds: the two spaces share points (both span threshold
   // 0.5..2.5), and with one seed the shared in-memory cache would serve
   // one job rows computed at the *other* job's flat index — the
-  // documented stochastic-caveat, not a scheduler property.
+  // documented stochastic-caveat, not a scheduler property. Distinct
+  // `samples` values tell the jobs apart in the gate's log.
   const std::uint64_t seed_big = 77, seed_small = 78;
-  const ParamSpace big_space = demo_space(400000, 24);   // 12 stripes
-  const ParamSpace small_space = demo_space(40000, 6);   // 3 stripes
+  constexpr std::int64_t kBig = 2000, kSmall = 1000;
+  const ParamSpace big_space = demo_space(kBig, 24);     // 12 stripes
+  const ParamSpace small_space = demo_space(kSmall, 6);  // 3 stripes
 
   SubmitOptions big;
   big.seed = seed_big;
@@ -125,26 +173,26 @@ TEST(ServerSched, EqualPriorityJobsRoundRobin) {
   small.seed = seed_small;
   small.space = small_space;
 
-  const std::uint64_t big_job = big_client.submit("demo.mc_tail", big);
-  const std::uint64_t small_job = small_client.submit("demo.mc_tail", small);
+  const std::uint64_t big_job = big_client.submit("test.gated", big);
+  const std::uint64_t small_job = small_client.submit("test.gated", small);
+  gate->open();
 
-  // Stream the small job to completion, then look at the big one.
   std::size_t small_rows_streamed = 0;
   const auto small_result = small_client.fetch(
       small_job, [&](const std::vector<Value>&) { ++small_rows_streamed; });
-  const auto big_status_at_small_done = big_client.status(big_job);
-
   EXPECT_EQ(small_result.status.state, JobState::Done);
   EXPECT_EQ(small_rows_streamed, 6u);
-  // Fairness: the big job got slices too (it was submitted first)...
-  EXPECT_GT(big_status_at_small_done.rows_done, 0u);
-  // ...but is far from finished when the small job completes. Even if
-  // the big job won a few slices before the small submit landed, 12
-  // stripes cannot fit into the ~3 quanta the rotation grants it.
-  EXPECT_LT(big_status_at_small_done.rows_done, big_space.size());
-
   const auto big_result = big_client.fetch(big_job);
   EXPECT_EQ(big_result.status.state, JobState::Done);
+
+  const auto log = gate->evaluated();
+  ASSERT_EQ(log.size(), 30u);
+  const auto small_last = std::find(log.rbegin(), log.rend(), kSmall).base();
+  // Fairness: the big job (submitted first) got exactly one stripe per
+  // small stripe while the small job ran...
+  EXPECT_EQ(std::count(log.begin(), small_last, kBig), 6);
+  // ...so it was far from finished when the small job completed.
+  EXPECT_EQ(std::count(small_last, log.end(), kBig), 18);
 
   // Interleaving is invisible in the rows: both match solo runs bit for
   // bit (the RNG stream of point i depends only on seed/chunk/index).
@@ -155,34 +203,46 @@ TEST(ServerSched, EqualPriorityJobsRoundRobin) {
 }
 
 // A higher-priority submission preempts a running lower-priority job at
-// its next stripe boundary and runs to completion first.
+// its next stripe boundary and runs to completion first. The gate holds
+// the executor in the low job's first stripe (if it got that far) until
+// the high job is queued.
 TEST(ServerSched, HigherPriorityPreemptsAtStripeBoundary) {
-  TestServer ts;
+  const auto gate = std::make_shared<Gate>();
+  TestServer ts(/*threads=*/1, /*stripe_chunks=*/2, gated_registry(gate));
   Client low_client(ts.socket_path);
   Client high_client(ts.socket_path);
 
+  constexpr std::int64_t kLow = 2000, kHigh = 1000;
   SubmitOptions low;
   low.seed = 5;
-  low.space = demo_space(40000, 24); // 12 stripes of background work
+  low.space = demo_space(kLow, 24); // 12 stripes of background work
   low.priority = 0;
   SubmitOptions high;
   high.seed = 6; // distinct seed: no cross-job cache traffic
-  high.space = demo_space(40000, 8); // 4 stripes
+  high.space = demo_space(kHigh, 8); // 4 stripes
   high.priority = 10;
 
-  const std::uint64_t low_job = low_client.submit("demo.mc_tail", low);
-  const std::uint64_t high_job = high_client.submit("demo.mc_tail", high);
+  const std::uint64_t low_job = low_client.submit("test.gated", low);
+  const std::uint64_t high_job = high_client.submit("test.gated", high);
+  gate->open();
 
   const auto high_result = high_client.fetch(high_job);
-  const auto low_status = low_client.status(low_job);
   EXPECT_EQ(high_result.status.state, JobState::Done);
-  // The low job must not have finished while the high one had stripes
-  // left: the queue strictly prefers the higher priority level.
-  EXPECT_LT(low_status.rows_done, low.space->size());
-
   const auto low_result = low_client.fetch(low_job);
   EXPECT_EQ(low_result.status.state, JobState::Done);
   EXPECT_EQ(low_result.table.rows(), 24u);
+
+  const auto log = gate->evaluated();
+  ASSERT_EQ(log.size(), 32u);
+  const auto high_first = std::find(log.begin(), log.end(), kHigh);
+  const auto high_last = std::find(log.rbegin(), log.rend(), kHigh).base();
+  // At most the one low stripe already running precedes the high job...
+  EXPECT_LE(high_first - log.begin(), 2);
+  // ...which then runs without a low stripe in between: the queue strictly
+  // prefers the higher priority level...
+  EXPECT_EQ(high_last - high_first, 8);
+  // ...and finishes while the low job still has stripes left.
+  EXPECT_GE(log.end() - high_last, 22);
 }
 
 // The slices counter counts scheduling quanta exactly: 9 points at

@@ -1,7 +1,7 @@
-// sweep::ResultTable emission: CSV quoting/escaping, JSON escaping and
-// typing, and the column-typing round trip (ints stay ints, reals keep
-// %.12g fidelity, strings survive quoting) — the one src/sweep/ component
-// that had no direct tests.
+// sweep::ResultTable emission: the aligned console rendering, CSV
+// quoting/escaping, JSON escaping and typing, the column-typing round trip
+// (ints stay ints, reals keep %.12g fidelity, strings survive quoting),
+// and write failures reported as failures.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -12,53 +12,14 @@
 #include <string>
 #include <vector>
 
+#include <unistd.h>
+
+#include "csv_parse.hpp"
 #include "sweep/result_table.hpp"
 
 namespace sw = mss::sweep;
 
 namespace {
-
-/// Minimal RFC-4180 CSV line parser (quotes, escaped quotes, commas and
-/// newlines inside quoted cells) — enough to round-trip what ResultTable
-/// emits.
-std::vector<std::vector<std::string>> parse_csv(const std::string& text) {
-  std::vector<std::vector<std::string>> rows;
-  std::vector<std::string> row;
-  std::string cell;
-  bool quoted = false;
-  for (std::size_t i = 0; i < text.size(); ++i) {
-    const char c = text[i];
-    if (quoted) {
-      if (c == '"') {
-        if (i + 1 < text.size() && text[i + 1] == '"') {
-          cell += '"';
-          ++i;
-        } else {
-          quoted = false;
-        }
-      } else {
-        cell += c;
-      }
-    } else if (c == '"') {
-      quoted = true;
-    } else if (c == ',') {
-      row.push_back(cell);
-      cell.clear();
-    } else if (c == '\n') {
-      row.push_back(cell);
-      cell.clear();
-      rows.push_back(row);
-      row.clear();
-    } else if (c != '\r') {
-      cell += c;
-    }
-  }
-  if (!cell.empty() || !row.empty()) {
-    row.push_back(cell);
-    rows.push_back(row);
-  }
-  return rows;
-}
 
 sw::ResultTable sample_table() {
   sw::ResultTable t({"name", "count", "ratio"});
@@ -70,6 +31,24 @@ sw::ResultTable sample_table() {
 }
 
 } // namespace
+
+TEST(ResultTableText, RendersAlignedRows) {
+  sw::ResultTable t({"name", "value"});
+  t.add_row({std::string("x"), 1.5});
+  t.add_row({std::string("longer"), 2.25});
+  // Right-aligned to the widest cell, two spaces apart, dashed rule.
+  EXPECT_EQ(t.str(),
+            "  name  value\n"
+            "-------------\n"
+            "     x    1.5\n"
+            "longer   2.25\n");
+}
+
+TEST(ResultTable, RejectsRowWidthMismatch) {
+  sw::ResultTable t({"a", "b"});
+  EXPECT_THROW(t.add_row({std::string("only-one")}), std::invalid_argument);
+  EXPECT_EQ(t.rows(), 0u);
+}
 
 TEST(ResultTableCsv, QuotesAndEscapes) {
   const auto csv = sample_table().csv();
@@ -112,6 +91,14 @@ TEST(ResultTableCsv, WriteFileMatchesString) {
   ss << in.rdbuf();
   EXPECT_EQ(ss.str(), t.csv());
   std::remove(path.c_str());
+}
+
+TEST(ResultTableCsv, WriteToAFullDeviceFails) {
+  // The body fits the stream buffer, so only the final flush sees ENOSPC.
+  if (::access("/dev/full", W_OK) != 0) GTEST_SKIP() << "no /dev/full";
+  const auto t = sample_table();
+  EXPECT_FALSE(t.write_csv("/dev/full"));
+  EXPECT_FALSE(t.write_json("/dev/full"));
 }
 
 TEST(ResultTableJson, EscapesAndTypes) {

@@ -1,7 +1,5 @@
-// Unit tests for streaming stats, histograms, tables and CSV output.
-#include "util/csv.hpp"
+// Unit tests for streaming stats, quantiles and histograms.
 #include "util/stats.hpp"
-#include "util/table.hpp"
 
 #include <cmath>
 #include <gtest/gtest.h>
@@ -75,37 +73,4 @@ TEST(Histogram, ClampsOutOfRange) {
   h.add(7.0);
   EXPECT_EQ(h.counts().front(), 1u);
   EXPECT_EQ(h.counts().back(), 1u);
-}
-
-TEST(TextTable, RendersAlignedRows) {
-  mu::TextTable t({"name", "value"});
-  t.add_row({"x", "1.5"});
-  t.add_row({"longer", "2.25"});
-  const std::string s = t.str();
-  EXPECT_NE(s.find("name"), std::string::npos);
-  EXPECT_NE(s.find("longer"), std::string::npos);
-  EXPECT_NE(s.find("-----"), std::string::npos);
-  EXPECT_THROW(t.add_row({"only-one"}), std::invalid_argument);
-}
-
-TEST(TextTable, NumberFormatting) {
-  EXPECT_EQ(mu::TextTable::num(3.14159, 2), "3.14");
-  EXPECT_EQ(mu::TextTable::sci(1.5e-10, 1), "1.5e-10");
-}
-
-TEST(BarChart, ScalesToMax) {
-  const auto s = mu::bar_chart({{"a", 1.0}, {"b", 2.0}}, 10);
-  // 'b' should have the full 10 hashes, 'a' five.
-  EXPECT_NE(s.find("##########"), std::string::npos);
-  EXPECT_NE(s.find("#####"), std::string::npos);
-}
-
-TEST(CsvWriter, EscapesSpecials) {
-  mu::CsvWriter w({"a", "b"});
-  w.add_row({"plain", "with,comma"});
-  w.add_row({"quote\"inside", "line\nbreak"});
-  const std::string s = w.str();
-  EXPECT_NE(s.find("\"with,comma\""), std::string::npos);
-  EXPECT_NE(s.find("\"quote\"\"inside\""), std::string::npos);
-  EXPECT_THROW(w.add_row({"x"}), std::invalid_argument);
 }

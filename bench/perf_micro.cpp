@@ -13,11 +13,11 @@
 // BM_MagpieScenarioSweep (the kernel x scenario crossed sweep); real_time
 // is the metric that must shrink with N, and every N reports bit-identical
 // results.
-// MNA backend scaling is the `/dim:N` suffix of BM_SpiceSparseTransient /
-// BM_SpiceDenseTransient: per-step real_time over the matrix dimension
-// (sparse must scale sub-quadratically, dense goes quadratic once past the
-// factorization cache), plus BM_SpiceArrayWrite for the nonlinear
-// array-characterisation path.
+// MNA solver scaling is the `/dim:N` suffix of BM_SpiceSparseTransient:
+// per-step real_time over the matrix dimension (must scale
+// sub-quadratically), plus BM_SpiceArrayWrite for the nonlinear
+// array-characterisation path and BM_SpiceCellCharacterize for the
+// cell-level netlists of tens of unknowns.
 #include <benchmark/benchmark.h>
 
 #include <cmath>
@@ -27,7 +27,12 @@
 #include <string>
 #include <vector>
 
+#include "cells/bitcell.hpp"
 #include "cells/characterization.hpp"
+#include "cells/current_source.hpp"
+#include "cells/nvff.hpp"
+#include "cells/sense_amp.hpp"
+#include "cells/write_driver.hpp"
 #include "core/compact_model.hpp"
 #include "core/pdk.hpp"
 #include "magpie/cache.hpp"
@@ -103,12 +108,9 @@ void BM_SpiceRcTransient(benchmark::State& state) {
 BENCHMARK(BM_SpiceRcTransient);
 
 /// RC ladder of `dim` nodes: a linear transient whose per-step cost is one
-/// back-substitution against the cached factorization. The sparse backend
-/// must hold per-step real_time sub-quadratic in the dimension (ladder
-/// nnz(LU) is O(dim)); the dense path is the quadratic baseline.
-void spice_ladder_transient(benchmark::State& state,
-                            mss::spice::SolverKind kind,
-                            bool stamp_cache = true) {
+/// back-substitution against the cached factorization. Per-step real_time
+/// must stay sub-quadratic in the dimension (ladder nnz(LU) is O(dim)).
+void spice_ladder_transient(benchmark::State& state, bool stamp_cache) {
   const auto n = static_cast<std::size_t>(state.range(0));
   mss::spice::Circuit ckt;
   int prev = ckt.node("n0");
@@ -125,7 +127,6 @@ void spice_ladder_transient(benchmark::State& state,
     prev = cur;
   }
   mss::spice::EngineOptions opt;
-  opt.solver = kind;
   opt.stamp_cache = stamp_cache;
   mss::spice::Engine eng(ckt, opt);
   constexpr double kDt = 10e-12;
@@ -140,7 +141,7 @@ void spice_ladder_transient(benchmark::State& state,
 }
 
 void BM_SpiceSparseTransient(benchmark::State& state) {
-  spice_ladder_transient(state, mss::spice::SolverKind::Sparse);
+  spice_ladder_transient(state, /*stamp_cache=*/true);
 }
 BENCHMARK(BM_SpiceSparseTransient)
     ->ArgName("dim")
@@ -149,21 +150,11 @@ BENCHMARK(BM_SpiceSparseTransient)
     ->Arg(1024)
     ->Arg(4096);
 
-void BM_SpiceDenseTransient(benchmark::State& state) {
-  spice_ladder_transient(state, mss::spice::SolverKind::Dense);
-}
-BENCHMARK(BM_SpiceDenseTransient)
-    ->ArgName("dim")
-    ->Arg(64)
-    ->Arg(256)
-    ->Arg(1024);
-
 // The same sparse ladder with per-element stamp-slot caching disabled:
 // every restamp pays the (i, j) hash lookup. The gap to
 // BM_SpiceSparseTransient at equal dim is what the slot cache buys.
 void BM_SpiceSparseTransientUncached(benchmark::State& state) {
-  spice_ladder_transient(state, mss::spice::SolverKind::Sparse,
-                         /*stamp_cache=*/false);
+  spice_ladder_transient(state, /*stamp_cache=*/false);
 }
 BENCHMARK(BM_SpiceSparseTransientUncached)
     ->ArgName("dim")
@@ -214,6 +205,31 @@ void BM_SpiceArrayWriteAdaptive(benchmark::State& state) {
 }
 BENCHMARK(BM_SpiceArrayWriteAdaptive)->ArgName("rows")->Arg(64)
     ->Unit(benchmark::kMillisecond);
+
+/// The cell-level netlists of the fig. 6 test chip (tens of unknowns each):
+/// one iteration runs bit-cell write and read, the latch sense amplifier,
+/// the write driver, both NVFF data values and the current source.
+void BM_SpiceCellCharacterize(benchmark::State& state) {
+  const auto pdk = mss::core::Pdk::mss45();
+  const mss::cells::Bitcell cell(pdk);
+  const mss::cells::SenseAmp sa(pdk);
+  const mss::cells::WriteDriver wd(pdk);
+  const mss::cells::Nvff ff(pdk);
+  const mss::cells::CurrentSource cs(pdk);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        cell.characterize_write(mss::core::WriteDirection::ToAntiparallel,
+                                20e-9)
+            .t_switch);
+    benchmark::DoNotOptimize(cell.characterize_read(5e-9).delta_i);
+    benchmark::DoNotOptimize(sa.resolve(0.62, 0.55).t_resolve);
+    benchmark::DoNotOptimize(wd.characterize().t_rise);
+    benchmark::DoNotOptimize(ff.characterize(true).e_store);
+    benchmark::DoNotOptimize(ff.characterize(false).e_store);
+    benchmark::DoNotOptimize(cs.characterize().tuning_range);
+  }
+}
+BENCHMARK(BM_SpiceCellCharacterize)->Unit(benchmark::kMillisecond);
 
 void BM_VaetMonteCarloAccess(benchmark::State& state) {
   const auto pdk = mss::core::Pdk::mss45();

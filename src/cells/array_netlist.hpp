@@ -1,6 +1,6 @@
 // Array-level netlist builder: a rows x cols block of 1T-1MTJ bit cells
 // with distributed wordline/bitline parasitics, for SPICE characterisation
-// at array scale through the sparse MNA backend.
+// at array scale through the sparse MNA solver.
 //
 // Modelling choices (the standard characterisation reduction):
 //  * the selected wordline carries one full device cell (access NMOS + MTJ)
@@ -14,9 +14,9 @@
 //  * unselected columns are tied to their inhibit level through the driver
 //    resistance, the selected column is driven by ideal pulse sources.
 //
-// A 64 x 64 build with segments = 0 assembles ~4.4k unknowns — far past
-// the dense backend's practical range and the reason the solver layer is
-// pluggable. Every array build solves on the flat sparse backend.
+// A 64 x 64 build with segments = 0 assembles ~4.4k unknowns, far past
+// what a dense LU could factor per Newton iteration; like every netlist, it
+// solves on the flat sparse LU.
 #pragma once
 
 #include <cstddef>

@@ -70,13 +70,12 @@ namespace {
 ArrayWriteResult characterize_array_write(const core::Pdk& pdk,
                                           const ArrayNetlistOptions& opt,
                                           core::WriteDirection dir,
-                                          double pulse_width,
-                                          spice::SolverKind solver) {
+                                          double pulse_width) {
   const double t_start = 0.5e-9;
   const double t_stop = t_start + pulse_width + 1.0e-9;
   auto net = build_array_write_netlist(pdk, opt, dir, pulse_width);
 
-  spice::Engine engine(net.circuit, spice::EngineOptions{.solver = solver});
+  spice::Engine engine(net.circuit);
   const auto tr = run_array_transient(engine, opt, t_stop);
 
   const bool to_p = dir == core::WriteDirection::ToParallel;
@@ -84,7 +83,6 @@ ArrayWriteResult characterize_array_write(const core::Pdk& pdk,
   out.converged = tr.converged();
   out.dim = net.dim;
   out.steps = tr.accepted_steps();
-  out.backend = engine.solver_backend();
   out.factor_cols = engine.factor_cols_total();
   out.switched = net.target_mtj->state() ==
                  (to_p ? core::MtjState::Parallel
@@ -106,14 +104,13 @@ ArrayWriteResult characterize_array_write(const core::Pdk& pdk,
 
 ArrayReadResult characterize_array_read(const core::Pdk& pdk,
                                         const ArrayNetlistOptions& opt,
-                                        double t_read,
-                                        spice::SolverKind solver) {
+                                        double t_read) {
   const double t_start = 0.5e-9;
   ArrayReadResult out;
   for (const core::MtjState st :
        {core::MtjState::Parallel, core::MtjState::Antiparallel}) {
     auto net = build_array_read_netlist(pdk, opt, st, t_read);
-    spice::Engine engine(net.circuit, spice::EngineOptions{.solver = solver});
+    spice::Engine engine(net.circuit);
     const auto tr = run_array_transient(engine, opt, t_start + t_read + 0.3e-9);
 
     // MDL pipeline: settled bitline-source current during the pulse.
@@ -126,7 +123,6 @@ ArrayReadResult characterize_array_read(const core::Pdk& pdk,
     const double i_cell = std::abs(meas.at("iread"));
     out.dim = net.dim;
     out.steps = tr.accepted_steps();
-    out.backend = engine.solver_backend();
     out.factor_cols += engine.factor_cols_total();
     if (st == core::MtjState::Parallel) {
       out.i_cell_p = i_cell;

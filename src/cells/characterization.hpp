@@ -3,7 +3,7 @@
 // template-netlist -> transient -> MDL -> parse pipeline of the paper's
 // Fig. 10 circuit level, and the array-scale characterisation drivers
 // (rows x cols bit-cell blocks with wordline/bitline parasitics, solved
-// through the sparse MNA backend).
+// through the sparse MNA solver).
 #pragma once
 
 #include <cstddef>
@@ -61,7 +61,9 @@ struct ArrayWriteResult {
   double i_settled = 0.0;  ///< stack current just before the flip [A]
   std::size_t dim = 0;     ///< MNA unknowns of the array system
   std::size_t steps = 0;   ///< accepted transient steps (adaptive << fixed)
-  std::string backend;     ///< linear-solver backend that ran ("sparse"...)
+  // The one linear solver; the field stays because the end-to-end
+  // benchmark digests it.
+  std::string backend = "sparse";
   /// Total columns numerically factored over the run (the
   /// partial-refactorization observable).
   std::size_t factor_cols = 0;
@@ -79,25 +81,22 @@ struct ArrayReadResult {
   double energy_read = 0.0;///< read energy per access (parallel state) [J]
   std::size_t dim = 0;
   std::size_t steps = 0;   ///< accepted steps of the last transient
-  std::string backend;
+  std::string backend = "sparse"; ///< see ArrayWriteResult::backend
   std::size_t factor_cols = 0;    ///< factored columns, both runs combined
 };
 
 /// Write characterisation of a full rows x cols array: builds the netlist
-/// (array_netlist.hpp), runs the transient on the selected backend, and
-/// extracts switching delay / energy / currents. Array builds resolve to
-/// the flat sparse solver under SolverKind::Auto at every size.
+/// (array_netlist.hpp), runs the transient, and extracts switching delay /
+/// energy / currents.
 [[nodiscard]] ArrayWriteResult characterize_array_write(
     const core::Pdk& pdk, const ArrayNetlistOptions& opt,
-    core::WriteDirection dir, double pulse_width,
-    spice::SolverKind solver = spice::SolverKind::Auto);
+    core::WriteDirection dir, double pulse_width);
 
 /// Read characterisation of the array: two transients (P / AP target
 /// state), settled current via the MDL measurement pipeline, margin as the
 /// difference — the paper's netlist -> transient -> MDL -> parse flow at
 /// array scale.
 [[nodiscard]] ArrayReadResult characterize_array_read(
-    const core::Pdk& pdk, const ArrayNetlistOptions& opt, double t_read,
-    spice::SolverKind solver = spice::SolverKind::Auto);
+    const core::Pdk& pdk, const ArrayNetlistOptions& opt, double t_read);
 
 } // namespace mss::cells

@@ -47,7 +47,6 @@ AcResult ac_analysis(Circuit& circuit, const std::vector<double>& freqs,
     throw std::invalid_argument("ac_analysis: empty frequency list");
   }
   EngineOptions dc_opt;
-  dc_opt.solver = options.solver;
   dc_opt.ordering = options.ordering;
   dc_opt.stamp_cache = options.stamp_cache;
   Engine engine(circuit, dc_opt);
@@ -68,28 +67,26 @@ AcResult ac_analysis(Circuit& circuit, const std::vector<double>& freqs,
   // Same assembly protocol as the transient engine, complex-valued: the
   // admittances move with omega, so the solver's value compare refactors
   // once per sweep point while the symbolic structure is reused throughout.
-  SolverOptions so;
-  so.kind = options.solver;
-  so.ordering = options.ordering;
-  const auto ac_solver = make_ac_solver(so, dim);
+  AcSparseSolver ac_solver;
+  ac_solver.set_ordering(options.ordering);
   std::vector<std::complex<double>> rhs(dim);
   std::vector<std::complex<double>> xout(dim);
   GminSlotCache gmin_slots;
   for (double f : freqs) {
     const double omega = 2.0 * M_PI * f;
-    ac_solver->begin(dim);
+    ac_solver.begin(dim);
     std::fill(rhs.begin(), rhs.end(), std::complex<double>{});
-    AcSystem sys(*ac_solver, rhs, options.stamp_cache);
+    AcSystem sys(ac_solver, rhs, options.stamp_cache);
     circuit.stamp_all_ac(sys, op, omega);
     // gmin on every node diagonal; the slots are fixed across the sweep.
     if (options.stamp_cache) {
-      gmin_slots.add_all(*ac_solver, n_nodes, std::complex<double>(1e-12));
+      gmin_slots.add_all(ac_solver, n_nodes, std::complex<double>(1e-12));
     } else {
       for (std::size_t k = 0; k < n_nodes; ++k) {
         sys.add_g(static_cast<int>(k), static_cast<int>(k), 1e-12);
       }
     }
-    if (!ac_solver->solve(rhs, xout)) {
+    if (!ac_solver.solve(rhs, xout)) {
       res.converged_ = false;
       xout.assign(dim, std::complex<double>{});
     }
@@ -97,13 +94,6 @@ AcResult ac_analysis(Circuit& circuit, const std::vector<double>& freqs,
     res.samples_.push_back(xout);
   }
   return res;
-}
-
-AcResult ac_analysis(Circuit& circuit, const std::vector<double>& freqs,
-                     SolverKind solver) {
-  AcOptions o;
-  o.solver = solver;
-  return ac_analysis(circuit, freqs, o);
 }
 
 } // namespace mss::spice

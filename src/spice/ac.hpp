@@ -16,13 +16,12 @@
 #include <vector>
 
 #include "spice/circuit.hpp"
-#include "spice/solver.hpp"
+#include "spice/sparse.hpp"
 
 namespace mss::spice {
 
 /// AC analysis configuration.
 struct AcOptions {
-  SolverKind solver = SolverKind::Auto;
   Ordering ordering = Ordering::Auto; ///< sparse column-ordering policy
   bool stamp_cache = true; ///< per-element stamp-slot caching (A/B knob)
 };
@@ -64,14 +63,10 @@ class AcResult {
 
 /// Runs the AC analysis over `freqs`. Computes the DC operating point
 /// first (throws std::runtime_error if it does not converge), then solves
-/// the complex linearised system per frequency through the selected
-/// linear-solver backend (Auto: dense below kSparseAutoThreshold unknowns,
-/// sparse at array scale).
+/// the complex linearised system per frequency on the sparse LU, whose
+/// symbolic structure is reused across the sweep.
 [[nodiscard]] AcResult ac_analysis(Circuit& circuit,
                                    const std::vector<double>& freqs,
-                                   const AcOptions& options);
-[[nodiscard]] AcResult ac_analysis(Circuit& circuit,
-                                   const std::vector<double>& freqs,
-                                   SolverKind solver = SolverKind::Auto);
+                                   const AcOptions& options = {});
 
 } // namespace mss::spice

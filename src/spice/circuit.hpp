@@ -5,9 +5,8 @@
 // unknowns (voltage sources, inductor-like elements).
 //
 // Elements stamp into an `MnaSystem` (real) or `AcSystem` (complex), which
-// drop ground rows/columns and forward matrix coefficients to the pluggable
-// LinearSolver backend (solver.hpp) — elements never see whether the system
-// is assembled densely or sparsely.
+// drop ground rows/columns and forward matrix coefficients straight into the
+// sparse LU (sparse.hpp) — a direct call, no virtual dispatch per entry.
 #pragma once
 
 #include <array>
@@ -20,7 +19,7 @@
 #include <utility>
 #include <vector>
 
-#include "spice/solver.hpp"
+#include "spice/sparse.hpp"
 
 namespace mss::spice {
 
@@ -47,11 +46,12 @@ struct StampContext {
 /// positions. An element declares one `mutable StampSlots<N>` member per
 /// stamping pattern and accumulates through `MnaSystemT::add_all`, which
 /// re-resolves the handles only when the (solver instance, stamp epoch)
-/// tag no longer matches — i.e. after the engine swapped or reset the
-/// backend. Handles are scalar-agnostic, so the same member serves the
-/// real (transient) and complex (AC) stamping paths; the owner tag keeps
-/// them apart. Not thread-safe per element: a circuit (and therefore its
-/// elements) belongs to one engine at a time.
+/// tag no longer matches — i.e. after the element was stamped into another
+/// solver or the solver was reset to a new dimension. Handles are
+/// scalar-agnostic, so the same member serves the real (transient) and
+/// complex (AC) stamping paths; the owner tag keeps them apart. Not
+/// thread-safe per element: a circuit (and therefore its elements) belongs
+/// to one engine at a time.
 template <std::size_t N>
 struct StampSlots {
   const void* owner = nullptr; ///< solver the handles index into
@@ -67,7 +67,7 @@ class GminSlotCache {
   /// Accumulates `gmin` on every node diagonal through cached slots,
   /// re-resolving when the solver instance/epoch/node count changed.
   template <typename T>
-  void add_all(LinearSolverT<T>& solver, std::size_t n_nodes, T gmin) {
+  void add_all(SparseSolverT<T>& solver, std::size_t n_nodes, T gmin) {
     if (owner_ != &solver || epoch_ != solver.stamp_epoch() ||
         slots_.size() != n_nodes) {
       slots_.resize(n_nodes);
@@ -87,7 +87,7 @@ class GminSlotCache {
 };
 
 /// The MNA system elements stamp into: matrix coefficients go to the linear
-/// solver backend, RHS terms to the analysis-owned right-hand-side vector.
+/// solver, RHS terms to the analysis-owned right-hand-side vector.
 /// Node index kGround is silently dropped. Instantiated for double
 /// (DC/transient conductances) and std::complex<double> (AC admittances).
 template <typename T>
@@ -95,7 +95,7 @@ class MnaSystemT {
  public:
   /// `use_slot_cache` routes `add_all` through cached slot handles; false
   /// forces the per-position `add_g` path (A/B validation of the cache).
-  MnaSystemT(LinearSolverT<T>& solver, std::vector<T>& rhs,
+  MnaSystemT(SparseSolverT<T>& solver, std::vector<T>& rhs,
              bool use_slot_cache = true)
       : solver_(solver), rhs_(rhs), cache_(use_slot_cache) {}
 
@@ -107,7 +107,7 @@ class MnaSystemT {
 
   /// Accumulates `vals[k]` at `pos[k]` through the element's slot cache:
   /// slots are resolved once per (solver, epoch) and every later restamp
-  /// is a direct indexed add, skipping the backend's position lookup.
+  /// is a direct indexed add, skipping the solver's position lookup.
   /// Ground positions resolve to kNoSlot and are dropped. Accumulation
   /// order matches the equivalent add_g sequence exactly, so cached and
   /// uncached restamps are bit-identical.
@@ -125,7 +125,7 @@ class MnaSystemT {
       for (std::size_t k = 0; k < N; ++k) {
         cache.s[k] =
             (pos[k].first == kGround || pos[k].second == kGround)
-                ? LinearSolverT<T>::kNoSlot
+                ? kNoSlot
                 : solver_.slot(static_cast<std::size_t>(pos[k].first),
                                static_cast<std::size_t>(pos[k].second));
       }
@@ -133,7 +133,7 @@ class MnaSystemT {
       cache.epoch = solver_.stamp_epoch();
     }
     for (std::size_t k = 0; k < N; ++k) {
-      if (cache.s[k] != LinearSolverT<T>::kNoSlot) {
+      if (cache.s[k] != kNoSlot) {
         solver_.add_slot(cache.s[k], vals[k]);
       }
     }
@@ -146,12 +146,8 @@ class MnaSystemT {
   }
   /// System dimension.
   [[nodiscard]] std::size_t dim() const { return rhs_.size(); }
-  /// The backend assembling this system.
-  [[nodiscard]] const LinearSolverT<T>& solver() const { return solver_; }
-  /// Whether add_all runs through cached slot handles.
-  [[nodiscard]] bool slot_cache_enabled() const { return cache_; }
  private:
-  LinearSolverT<T>& solver_;
+  SparseSolverT<T>& solver_;
   std::vector<T>& rhs_;
   bool cache_;
 };

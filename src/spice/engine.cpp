@@ -74,38 +74,28 @@ bool TransientResult::has_source(const std::string& vsource) const {
 }
 
 Engine::Engine(Circuit& circuit, EngineOptions options)
-    : ckt_(circuit), opt_(options) {}
-
-void Engine::ensure_workspace(std::size_t dim) {
-  if (ws_dim_ == dim && solver_) return;
-  SolverOptions so;
-  so.kind = opt_.solver;
-  so.ordering = opt_.ordering;
-  so.partial_refactor = opt_.partial_refactor;
-  solver_ = make_solver(so, dim);
-  rhs_.assign(dim, 0.0);
-  x_new_.assign(dim, 0.0);
-  ws_dim_ = dim;
+    : ckt_(circuit), opt_(options) {
+  solver_.set_ordering(opt_.ordering);
+  solver_.set_partial_refactor(opt_.partial_refactor);
 }
 
 bool Engine::solve(std::vector<double>& x, const StampContext& ctx,
                    std::size_t dim) {
   const std::size_t n_nodes = ckt_.node_count();
-  ensure_workspace(dim);
   // Scanned every solve (allocation-free) so element-set changes between
   // analyses cannot leave a stale linearity assumption.
   const bool any_nonlinear = ckt_.any_nonlinear();
   const int iters = any_nonlinear ? opt_.max_newton : 1;
 
   for (int it = 0; it < iters; ++it) {
-    solver_->begin(dim);
-    std::fill(rhs_.begin(), rhs_.end(), 0.0);
-    MnaSystem sys(*solver_, rhs_, opt_.stamp_cache);
+    solver_.begin(dim);
+    rhs_.assign(dim, 0.0);
+    MnaSystem sys(solver_, rhs_, opt_.stamp_cache);
     ckt_.stamp_all(sys, Solution(x), ctx);
     // gmin to ground on every node row keeps floating nodes solvable; the
     // diagonal slots are cached like any element's stamp positions.
     if (opt_.stamp_cache) {
-      gmin_slots_.add_all(*solver_, n_nodes, opt_.gmin);
+      gmin_slots_.add_all(solver_, n_nodes, opt_.gmin);
     } else {
       for (std::size_t k = 0; k < n_nodes; ++k) {
         sys.add_g(static_cast<int>(k), static_cast<int>(k), opt_.gmin);
@@ -117,7 +107,7 @@ bool Engine::solve(std::vector<double>& x, const StampContext& ctx,
     // histories move the RHS) and back-substitutes against the cached
     // factorization; nonlinear stamps change per iteration and refactor —
     // partially, when only late-ordered device columns moved.
-    if (!solver_->solve(rhs_, x_new_)) return false;
+    if (!solver_.solve(rhs_, x_new_)) return false;
 
     if (!any_nonlinear) {
       x = x_new_;

@@ -2,20 +2,17 @@
 // Circuit, with trapezoidal or backward-Euler integration. Fixed-step
 // transient plus an adaptive variant driven by a local-truncation-error
 // step-doubling controller that lands exactly on source-waveform
-// breakpoints. The linear algebra runs through the pluggable solver layer
-// (solver.hpp): dense LU for cell-level netlists, the flat sparse LU for
-// array-level ones, selected automatically from the system dimension
-// unless pinned by the options. Assembly is one serial stamping pass per
-// Newton iteration.
+// breakpoints. Every solve runs on the one sparse LU (sparse.hpp), from
+// cell-level netlists of tens of unknowns to array-level ones of
+// thousands. Assembly is one serial stamping pass per Newton iteration.
 #pragma once
 
-#include <memory>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
 #include "spice/circuit.hpp"
-#include "spice/solver.hpp"
+#include "spice/sparse.hpp"
 
 namespace mss::spice {
 
@@ -26,8 +23,7 @@ struct EngineOptions {
   double gmin = 1e-12;     ///< node-to-ground shunt conductance
   double damping = 0.6;    ///< max voltage change per Newton step [V]
   Integrator method = Integrator::Trapezoidal;
-  SolverKind solver = SolverKind::Auto; ///< linear-solver backend choice
-  Ordering ordering = Ordering::Auto;   ///< sparse column-ordering policy
+  Ordering ordering = Ordering::Auto; ///< sparse column-ordering policy
   /// Per-element stamp-slot caching: elements restamp by cached slot
   /// handle instead of (i, j) lookup. Bit-identical either way; off only
   /// for A/B validation.
@@ -147,25 +143,19 @@ class Engine {
       double t_stop, double dt_initial, AdaptiveOptions adaptive = {},
       bool use_initial_conditions = false);
 
-  /// Name of the linear-solver backend in use ("dense" / "sparse";
-  /// "unresolved" before the first solve when the options say Auto).
-  [[nodiscard]] const char* solver_backend() const {
-    return solver_ ? solver_->name() : "unresolved";
-  }
-
   /// Numeric factorizations performed so far — the dirty-stamp cache
   /// observable (a linear fixed-step transient settles at three: DC
   /// operating point, first backward-Euler step, steady trapezoidal
   /// pattern).
   [[nodiscard]] std::size_t factor_count() const {
-    return solver_ ? solver_->factor_count() : 0;
+    return solver_.factor_count();
   }
 
   /// Total columns numerically factored — the partial-refactorization
-  /// observable (full refactors contribute `dim` each; sparse partial
-  /// refactors contribute only the recomputed suffix).
+  /// observable (full refactors contribute `dim` each; partial refactors
+  /// contribute only the recomputed columns).
   [[nodiscard]] std::size_t factor_cols_total() const {
-    return solver_ ? solver_->factor_cols_total() : 0;
+    return solver_.factor_cols_total();
   }
 
  private:
@@ -176,17 +166,12 @@ class Engine {
   // every timestep and Newton iteration: the transient hot loop performs no
   // heap allocation after the first step. The solver owns the assembled
   // matrix, its factorization, and the dirty-stamp refactor cache.
-  std::unique_ptr<LinearSolver> solver_;
-  std::vector<double> rhs_;          ///< stamped right-hand side
-  std::vector<double> x_new_;        ///< solve output buffer
-  std::size_t ws_dim_ = 0;           ///< dimension the workspace is sized for
+  SparseSolver solver_;
+  std::vector<double> rhs_;   ///< stamped right-hand side
+  std::vector<double> x_new_; ///< solve output buffer
 
   // Cached gmin diagonal slots (invalidated via the solver stamp epoch).
   GminSlotCache gmin_slots_;
-
-  /// (Re)sizes the workspace for `dim` unknowns, creating the backend the
-  /// options select for that dimension.
-  void ensure_workspace(std::size_t dim);
 
   /// One Newton solve at the given context; x is in/out. Returns converged.
   bool solve(std::vector<double>& x, const StampContext& ctx,

@@ -1,6 +1,7 @@
 #include "spice/sparse.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <limits>
 #include <numeric>
@@ -8,6 +9,15 @@
 #include <utility>
 
 namespace mss::spice {
+
+namespace detail {
+
+std::uint64_t next_stamp_epoch() {
+  static std::atomic<std::uint64_t> counter{1};
+  return counter.fetch_add(1, std::memory_order_relaxed);
+}
+
+} // namespace detail
 
 namespace {
 
@@ -316,12 +326,18 @@ std::size_t fill_from_adjacency(std::size_t dim, const SymAdjacency& g,
 // SparseSolverT
 // ---------------------------------------------------------------------------
 
-template <typename T>
-SparseSolverT<T>::SparseSolverT(double pivot_tol) : tol_(pivot_tol) {
-  if (tol_ <= 0.0 || tol_ > 1.0) {
-    throw std::invalid_argument("SparseSolverT: pivot_tol must be in (0, 1]");
-  }
+namespace {
+
+/// Threshold of the partial pivoting: the diagonal stays the pivot while
+/// its magnitude is >= kPivotTol * (column max). 1.0 would be exact
+/// partial pivoting; smaller values favour the ordering's sparsity.
+constexpr double kPivotTol = 0.1;
+
+[[nodiscard]] std::uint64_t position_key(std::size_t i, std::size_t j) {
+  return (static_cast<std::uint64_t>(i) << 32) | static_cast<std::uint64_t>(j);
 }
+
+} // namespace
 
 template <typename T>
 void SparseSolverT<T>::set_ordering(Ordering ordering) {
@@ -340,17 +356,15 @@ void SparseSolverT<T>::begin(std::size_t dim) {
     vals_.clear();
     pattern_dirty_ = true;
     factor_valid_ = false;
-    this->bump_epoch(); // outstanding slot handles are now meaningless
+    epoch_ = detail::next_stamp_epoch(); // outstanding handles are void
   }
   std::fill(vals_.begin(), vals_.end(), T{});
 }
 
 template <typename T>
 std::uint32_t SparseSolverT<T>::slot(std::size_t i, std::size_t j) {
-  const std::uint64_t key = (static_cast<std::uint64_t>(i) << 32) |
-                            static_cast<std::uint64_t>(j);
-  const auto [it, inserted] =
-      slot_of_.try_emplace(key, static_cast<std::uint32_t>(slot_row_.size()));
+  const auto [it, inserted] = slot_of_.try_emplace(
+      position_key(i, j), static_cast<std::uint32_t>(slot_row_.size()));
   if (inserted) {
     slot_row_.push_back(static_cast<std::uint32_t>(i));
     slot_col_.push_back(static_cast<std::uint32_t>(j));
@@ -361,8 +375,9 @@ std::uint32_t SparseSolverT<T>::slot(std::size_t i, std::size_t j) {
 }
 
 template <typename T>
-void SparseSolverT<T>::add(std::size_t i, std::size_t j, T v) {
-  vals_[slot(i, j)] += v;
+T SparseSolverT<T>::value(std::size_t i, std::size_t j) const {
+  const auto it = slot_of_.find(position_key(i, j));
+  return it == slot_of_.end() ? T{} : vals_[it->second];
 }
 
 template <typename T>
@@ -526,9 +541,9 @@ bool SparseSolverT<T>::factor(std::size_t start) {
     }
 
     // Threshold partial pivoting among the not-yet-pivotal rows; the
-    // diagonal row wins when within tol_ of the column maximum (keeps the
-    // ordering's structure), otherwise the max-magnitude row (handles the
-    // zero-diagonal branch rows of voltage sources).
+    // diagonal row wins when within kPivotTol of the column maximum (keeps
+    // the ordering's structure), otherwise the max-magnitude row (handles
+    // the zero-diagonal branch rows of voltage sources).
     double best = 0.0;
     std::uint32_t pr = 0;
     bool have = false;
@@ -545,7 +560,7 @@ bool SparseSolverT<T>::factor(std::size_t start) {
     } else {
       if (col < n && pinv_[col] < 0 && mark_[col]) {
         const double dmag = std::abs(work_[col]);
-        if (dmag > 0.0 && dmag >= tol_ * best) pr = col;
+        if (dmag > 0.0 && dmag >= kPivotTol * best) pr = col;
       }
       const T piv = work_[pr];
       pinv_[pr] = static_cast<std::int32_t>(k);
@@ -656,7 +671,7 @@ bool SparseSolverT<T>::replay_column(std::size_t k) {
   if (!have || best < 1e-300) return finish(false);
   if (col < dim_ && (pinv_[col] < 0 || pinv_[col] >= kb) && mark_[col]) {
     const double dmag = std::abs(work_[col]);
-    if (dmag > 0.0 && dmag >= tol_ * best) pr = col;
+    if (dmag > 0.0 && dmag >= kPivotTol * best) pr = col;
   }
   if (pr != prow_[k]) return finish(false);
 

@@ -1,8 +1,17 @@
-// Sparse MNA backend: triplet assembly -> compressed-sparse-column pattern,
-// a fill-reducing column ordering (reverse-Cuthill-McKee or approximate
-// minimum degree, selected by predicted fill under Ordering::Auto), and a
-// left-looking (Gilbert-Peierls-style) sparse LU with threshold partial
-// pivoting.
+// The linear solver of the MNA engine: triplet assembly ->
+// compressed-sparse-column pattern, a fill-reducing column ordering
+// (reverse-Cuthill-McKee or approximate minimum degree, selected by
+// predicted fill under Ordering::Auto), and a left-looking
+// (Gilbert-Peierls-style) sparse LU with threshold partial pivoting. Every
+// analysis (DC Newton, transient stepping, AC sweep) stamps straight into
+// it, from the cell-level netlists of tens of unknowns to the array
+// netlists of thousands.
+//
+// Protocol per solve: `begin(dim)` clears the accumulated values (symbolic
+// state and factorization caches survive), elements accumulate
+// coefficients — by position (`add`) or by cached slot handle
+// (`add_slot`) — then `solve` factors only if the stamped values differ
+// from the factored copy, and back-substitutes.
 //
 // Assembly model. MNA stamps are position-stable but *value*-varying: every
 // Newton iteration re-stamps the same (i, j) set with new linearisations,
@@ -16,7 +25,9 @@
 // skip even the hash via the slot-handle fast path (`slot`/`add_slot`):
 // slot indices are append-only under a fixed dimension, so cached handles
 // survive pattern growth and are invalidated — via the stamp epoch — only
-// by a dimension reset.
+// by a dimension reset. Epochs are unique across solver instances, so a
+// (instance pointer, epoch) pair cached by an element can never alias a
+// different solver that happens to reuse the address.
 //
 // Ordering. RCM minimises the profile (right for banded ladder/line
 // netlists); AMD greedily minimises fill (right for meshy array cores with
@@ -29,11 +40,11 @@
 // pivot columns are applied in ascending pivot order via a min-heap
 // worklist (entries only ever introduce later pivots, so the heap pops
 // monotonically), and the pivot row is chosen by threshold partial
-// pivoting: the diagonal row wins whenever it is within `pivot_tol` of the
-// column maximum, preserving the ordering's structure; otherwise the max
-// row wins, which is what makes the zero-diagonal branch rows of voltage
-// sources solvable. L and U are stored column-wise in flat arrays reused
-// across refactors.
+// pivoting: the diagonal row wins whenever it is within a fixed tolerance
+// (0.1) of the column maximum, preserving the ordering's structure;
+// otherwise the max row wins, which is what makes the zero-diagonal branch
+// rows of voltage sources solvable. L and U are stored column-wise in flat
+// arrays reused across refactors.
 //
 // The dirty-value cache compares the gathered CSC values against the
 // factored copy and skips the numeric factorization when unchanged, so a
@@ -49,14 +60,28 @@
 // structure, again bit-identical to a full refactor.
 #pragma once
 
+#include <complex>
 #include <cstddef>
 #include <cstdint>
 #include <unordered_map>
 #include <vector>
 
-#include "spice/solver.hpp"
-
 namespace mss::spice {
+
+/// Fill-reducing column ordering. `Auto` computes both RCM and AMD and
+/// keeps whichever predicts less factor fill for the assembled pattern
+/// (RCM's profile heuristic wins on banded ladders, AMD on meshy periphery
+/// netlists).
+enum class Ordering { Auto, Natural, Rcm, Amd };
+
+/// Slot-handle sentinel used by callers for ground-dropped positions.
+inline constexpr std::uint32_t kNoSlot = 0xffffffffu;
+
+namespace detail {
+/// Allocates a fresh stamp epoch — one process-wide monotonic counter
+/// shared by the real and complex solver instantiations (thread-safe).
+[[nodiscard]] std::uint64_t next_stamp_epoch();
+} // namespace detail
 
 /// Reverse-Cuthill-McKee ordering of a sparse pattern given in CSC form
 /// (the pattern is symmetrised internally; every component is seeded from a
@@ -86,36 +111,63 @@ namespace mss::spice {
     const std::vector<std::uint32_t>& row_ind,
     const std::vector<std::uint32_t>& order);
 
-/// The sparse backend. Instantiated for double (DC/transient) and
+/// The linear solver. Instantiated for double (DC/transient) and
 /// std::complex<double> (AC).
 template <typename T>
-class SparseSolverT final : public LinearSolverT<T> {
+class SparseSolverT final {
  public:
-  /// `pivot_tol` in (0, 1]: the diagonal is kept as pivot when its
-  /// magnitude is >= pivot_tol * (column max); 1.0 degenerates to exact
-  /// partial pivoting, small values favour sparsity.
-  explicit SparseSolverT(double pivot_tol = 0.1);
-
   /// Column-ordering policy; takes effect at the next symbolic rebuild.
   void set_ordering(Ordering ordering);
   /// Enables/disables the partial-refactorization fast path (on by
   /// default; the off state exists for A/B equivalence validation).
   void set_partial_refactor(bool enabled) { partial_ = enabled; }
 
-  void begin(std::size_t dim) override;
-  void add(std::size_t i, std::size_t j, T v) override;
-  [[nodiscard]] std::uint32_t slot(std::size_t i, std::size_t j) override;
-  void add_slot(std::uint32_t slot, T v) override { vals_[slot] += v; }
-  [[nodiscard]] bool solve(const std::vector<T>& b,
-                           std::vector<T>& x) override;
-  [[nodiscard]] std::size_t dim() const override { return dim_; }
-  [[nodiscard]] std::size_t factor_count() const override {
-    return factor_count_;
-  }
-  [[nodiscard]] std::size_t factor_cols_total() const override {
+  /// Starts a stamping pass for an n x n system. Changing `dim` resets the
+  /// solver completely (and bumps the stamp epoch); re-using the same
+  /// `dim` only zeroes the values.
+  void begin(std::size_t dim);
+
+  /// Accumulates A[i][j] += v. Valid between `begin` and `solve`.
+  void add(std::size_t i, std::size_t j, T v) { vals_[slot(i, j)] += v; }
+
+  /// Resolves the accumulation slot of position (i, j), inserting the
+  /// position into the pattern if never seen. The handle stays valid — and
+  /// keeps addressing the same position — while `stamp_epoch()` is
+  /// unchanged.
+  [[nodiscard]] std::uint32_t slot(std::size_t i, std::size_t j);
+
+  /// Accumulates A[slot] += v, skipping the position lookup. `slot` must
+  /// come from `this->slot()` under the current stamp epoch.
+  void add_slot(std::uint32_t slot, T v) { vals_[slot] += v; }
+
+  /// Epoch of the slot address space: changes whenever previously returned
+  /// handles become invalid (dimension reset). Monotonic and unique across
+  /// all solver instances in the process.
+  [[nodiscard]] std::uint64_t stamp_epoch() const { return epoch_; }
+
+  /// Solves A x = b for the stamped A. `x` is resized by the call. Returns
+  /// false when the matrix is numerically singular (the factorization cache
+  /// is invalidated so the next solve retries from scratch).
+  [[nodiscard]] bool solve(const std::vector<T>& b, std::vector<T>& x);
+
+  /// Dimension of the last `begin`.
+  [[nodiscard]] std::size_t dim() const { return dim_; }
+
+  /// Number of numeric factorizations performed so far — the observable of
+  /// the dirty-value cache.
+  [[nodiscard]] std::size_t factor_count() const { return factor_count_; }
+
+  /// Total columns numerically factored so far. A full refactorization
+  /// contributes `dim`; a partial refactorization contributes only the
+  /// recomputed columns — the observable of the partial-refactor path.
+  [[nodiscard]] std::size_t factor_cols_total() const {
     return factor_cols_total_;
   }
-  [[nodiscard]] const char* name() const override { return "sparse"; }
+
+  /// Accumulated A[i][j] of the current stamping pass (0 for a position
+  /// outside the pattern) — read access for tests that rebuild the
+  /// assembled matrix.
+  [[nodiscard]] T value(std::size_t i, std::size_t j) const;
 
   /// Structural nonzeros of the assembled pattern.
   [[nodiscard]] std::size_t nnz() const { return slot_row_.size(); }
@@ -139,7 +191,7 @@ class SparseSolverT final : public LinearSolverT<T> {
 
  private:
   std::size_t dim_ = 0;
-  double tol_;
+  std::uint64_t epoch_ = detail::next_stamp_epoch();
   Ordering ordering_ = Ordering::Auto;
   bool partial_ = true;
   std::size_t factor_count_ = 0;

@@ -1,6 +1,5 @@
-// Array-scale characterisation through the sparse MNA backend: netlist
-// builder invariants, dense-vs-sparse equivalence on a small array, the
-// 64 x 64 write/read acceptance runs, golden write/read outputs, and the
+// Array-scale characterisation through the sparse MNA solver: netlist
+// builder invariants, the 64 x 64 write/read acceptance runs, golden write/read outputs, and the
 // nvsim SPICE calibration.
 #include <cmath>
 #include <gtest/gtest.h>
@@ -9,10 +8,8 @@
 #include "cells/characterization.hpp"
 #include "core/pdk.hpp"
 #include "nvsim/array_model.hpp"
-#include "spice/engine.hpp"
 
 namespace mc = mss::core;
-namespace ms = mss::spice;
 using mss::cells::ArrayNetlistOptions;
 
 namespace {
@@ -57,36 +54,15 @@ TEST(ArrayNetlist, RejectsBadOrganisation) {
                std::invalid_argument);
 }
 
-TEST(ArrayCharacterization, SmallArrayDenseSparseAgree) {
-  const mc::Pdk pdk;
-  const auto o = small_opt();
-  const auto wd = mss::cells::characterize_array_write(
-      pdk, o, mc::WriteDirection::ToAntiparallel, 5e-9,
-      ms::SolverKind::Dense);
-  const auto ws = mss::cells::characterize_array_write(
-      pdk, o, mc::WriteDirection::ToAntiparallel, 5e-9,
-      ms::SolverKind::Sparse);
-  ASSERT_TRUE(wd.converged);
-  ASSERT_TRUE(ws.converged);
-  EXPECT_EQ(wd.backend, "dense");
-  EXPECT_EQ(ws.backend, "sparse");
-  EXPECT_EQ(wd.switched, ws.switched);
-  EXPECT_NEAR(wd.t_switch, ws.t_switch, 1e-12);
-  EXPECT_NEAR(wd.energy, ws.energy, 1e-9 * std::abs(wd.energy) + 1e-18);
-  EXPECT_NEAR(wd.i_peak, ws.i_peak, 1e-9);
-}
-
 TEST(ArrayCharacterization, SixtyFourBySixtyFourWriteSwitchesSparse) {
   // The acceptance-scale run: a 64 x 64 bitcell array write transient
-  // through the sparse backend (Auto resolves sparse far past the
-  // threshold at this dimension).
+  // through the sparse solver.
   const mc::Pdk pdk;
   ArrayNetlistOptions o; // defaults: 64 x 64, 8 RC segments per line
   const auto wr = mss::cells::characterize_array_write(
       pdk, o, mc::WriteDirection::ToAntiparallel, 6e-9);
   ASSERT_TRUE(wr.converged);
   EXPECT_EQ(wr.backend, "sparse");
-  EXPECT_GT(wr.dim, mss::spice::kSparseAutoThreshold);
   EXPECT_TRUE(wr.switched);
   EXPECT_GT(wr.t_switch, 0.0);
   EXPECT_GT(wr.energy, 0.0);
@@ -95,8 +71,7 @@ TEST(ArrayCharacterization, SixtyFourBySixtyFourWriteSwitchesSparse) {
 
 TEST(ArrayCharacterization, SixtyFourFullFidelityBitlineGrid) {
   // Full fidelity: one RC segment per cell -> ~4.4k unknowns, a system
-  // the dense backend cannot practically factor per Newton iteration.
-  // Like every array build, it solves on the flat sparse backend.
+  // a dense LU could not practically factor per Newton iteration.
   const mc::Pdk pdk;
   ArrayNetlistOptions o;
   o.segments = 0;

@@ -113,7 +113,6 @@ TEST(AdaptiveArrayGolden, MatchesFixedStepReferenceWithHalfTheSteps) {
   const auto adapt = adapt_eng.transient_adaptive(t_stop, opt.sim_dt, aopt);
   ASSERT_TRUE(fixed.converged());
   ASSERT_TRUE(adapt.converged());
-  EXPECT_STREQ(adapt_eng.solver_backend(), "sparse");
 
   // Waveform match at the fixed-step sample times on the nodes that define
   // the write: the bitline at the target cell and the cell's source line.
@@ -179,11 +178,9 @@ TEST(PartialRefactor, NewtonTransientBitIdenticalAndCheaper) {
   auto full_net = mc::build_array_write_netlist(
       pdk, opt, mss::core::WriteDirection::ToAntiparallel, pulse);
 
-  ms::EngineOptions popt, fopt;
-  popt.solver = ms::SolverKind::Sparse;
-  fopt.solver = ms::SolverKind::Sparse;
+  ms::EngineOptions fopt;
   fopt.partial_refactor = false;
-  ms::Engine partial_eng(partial_net.circuit, popt);
+  ms::Engine partial_eng(partial_net.circuit);
   ms::Engine full_eng(full_net.circuit, fopt);
 
   const auto ptr_res = partial_eng.transient(t_stop, opt.sim_dt);
@@ -262,10 +259,8 @@ TEST(PredictorLte, FewerFactoredColumnsPerStepOnNewtonTransient) {
   auto pred_net = mc::build_array_write_netlist(
       pdk, opt, mss::core::WriteDirection::ToAntiparallel, pulse);
 
-  ms::EngineOptions eopt;
-  eopt.solver = ms::SolverKind::Sparse;
-  ms::Engine dbl_eng(dbl_net.circuit, eopt);
-  ms::Engine pred_eng(pred_net.circuit, eopt);
+  ms::Engine dbl_eng(dbl_net.circuit);
+  ms::Engine pred_eng(pred_net.circuit);
 
   ms::AdaptiveOptions dopt;
   ms::AdaptiveOptions popt;

@@ -1,12 +1,11 @@
-// Sparse MNA backend validation: solver-level unit tests, RCM ordering,
-// the dirty-stamp factorization cache, and randomized sparse-vs-dense
-// equivalence over RLC + nonlinear (MOSFET/diode/switch/MTJ) netlists in
-// DC, transient, and AC.
+// Sparse MNA solver validation: solver-level unit tests, RCM ordering,
+// the dirty-stamp factorization cache, and the dense-LU oracle
+// (tests/dense_lu.hpp) over RLC + nonlinear (MOSFET/diode/switch/MTJ)
+// netlists stamped in DC, transient, and AC.
 #include <cmath>
 #include <gtest/gtest.h>
 
 #include <complex>
-#include <functional>
 #include <memory>
 #include <random>
 
@@ -18,13 +17,11 @@
 #include "spice/mosfet.hpp"
 #include "spice/mtj_element.hpp"
 #include "spice/sparse.hpp"
-#include "spice/solver.hpp"
+#include "dense_lu.hpp"
 
 namespace ms = mss::spice;
 
 namespace {
-
-constexpr double kTol = 1e-9;
 
 /// Random RLC ladder with cross-coupling resistors and a pulse source —
 /// linear, always solvable, topology a pure function of the seed.
@@ -92,33 +89,6 @@ ms::Circuit nonlinear_cell(std::uint32_t seed) {
                                        ms::kGround, 0.55, 10e3, 1e9));
   ckt.add(std::make_unique<ms::Capacitor>("cbl", bl, ms::kGround, 40e-15));
   return ckt;
-}
-
-/// Runs a transient on both backends (fresh circuit instances from the
-/// same builder) and asserts identical node voltages within kTol.
-void expect_transient_equivalence(
-    const std::function<ms::Circuit(std::uint32_t)>& build,
-    std::uint32_t seed, double t_stop, double dt) {
-  auto dense_ckt = build(seed);
-  auto sparse_ckt = build(seed);
-  ms::EngineOptions dopt, sopt;
-  dopt.solver = ms::SolverKind::Dense;
-  sopt.solver = ms::SolverKind::Sparse;
-  ms::Engine de(dense_ckt, dopt), se(sparse_ckt, sopt);
-  const auto dtr = de.transient(t_stop, dt);
-  const auto str = se.transient(t_stop, dt);
-  ASSERT_TRUE(dtr.converged());
-  ASSERT_TRUE(str.converged());
-  EXPECT_STREQ(de.solver_backend(), "dense");
-  EXPECT_STREQ(se.solver_backend(), "sparse");
-  ASSERT_EQ(dtr.size(), str.size());
-  for (std::size_t n = 0; n < dense_ckt.node_count(); ++n) {
-    const auto& name = dense_ckt.node_name(n);
-    for (std::size_t k = 0; k < dtr.size(); ++k) {
-      ASSERT_NEAR(dtr.v(name, k), str.v(name, k), kTol)
-          << "node " << name << " step " << k << " seed " << seed;
-    }
-  }
 }
 
 } // namespace
@@ -239,115 +209,57 @@ TEST(SparseSolver, RcmOrderIsPermutation) {
 }
 
 // ---------------------------------------------------------------------------
-// Engine-level equivalence
+// Dense-LU oracle over stamped netlists
 // ---------------------------------------------------------------------------
 
-TEST(SparseEquivalence, RandomRlcDc) {
-  for (std::uint32_t seed : {1u, 2u, 3u, 4u, 5u}) {
-    auto dense_ckt = random_rlc(seed, 12 + seed);
-    auto sparse_ckt = random_rlc(seed, 12 + seed);
-    ms::EngineOptions dopt, sopt;
-    dopt.solver = ms::SolverKind::Dense;
-    sopt.solver = ms::SolverKind::Sparse;
-    ms::Engine de(dense_ckt, dopt), se(sparse_ckt, sopt);
-    const auto dd = de.dc();
-    const auto sd = se.dc();
-    ASSERT_TRUE(dd.converged);
-    ASSERT_TRUE(sd.converged);
-    ASSERT_EQ(dd.x.size(), sd.x.size());
-    for (std::size_t k = 0; k < dd.x.size(); ++k) {
-      ASSERT_NEAR(dd.x[k], sd.x[k], kTol) << "unknown " << k << " seed "
-                                          << seed;
-    }
+TEST(SparseOracle, RandomRlcStampsMatchDenseLu) {
+  const auto freqs = ms::log_sweep(1e6, 1e10, 5);
+  for (std::uint32_t seed : {1u, 2u, 3u, 4u, 5u, 11u, 12u, 13u, 41u, 42u}) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    auto ckt = random_rlc(seed, 12 + seed % 10);
+    dynamic_cast<ms::VoltageSource*>(ckt.elements()[0].get())->set_ac(1.0);
+    const auto dc = ms::Engine(ckt).dc();
+    ASSERT_TRUE(dc.converged);
+    ms::oracle::expect_stamps_match_dense(ckt, dc.x, freqs);
+    if (HasFatalFailure()) return;
   }
 }
 
-TEST(SparseEquivalence, RandomRlcTransient) {
-  for (std::uint32_t seed : {11u, 12u, 13u}) {
-    expect_transient_equivalence(
-        [](std::uint32_t s) { return random_rlc(s, 16); }, seed, 3e-9,
-        10e-12);
-  }
-}
-
-TEST(SparseEquivalence, NonlinearMtjCellTransient) {
+TEST(SparseOracle, MtjCellStampsMatchDenseLu) {
   for (std::uint32_t seed : {21u, 22u, 23u}) {
-    expect_transient_equivalence(nonlinear_cell, seed, 5e-9, 10e-12);
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    auto ckt = nonlinear_cell(seed);
+    dynamic_cast<ms::VoltageSource*>(ckt.elements()[0].get())->set_ac(1.0);
+    const auto dc = ms::Engine(ckt).dc();
+    ASSERT_TRUE(dc.converged);
+    ms::oracle::expect_stamps_match_dense(ckt, dc.x,
+                                          ms::log_sweep(1e6, 1e10, 2));
+    if (HasFatalFailure()) return;
   }
 }
 
-TEST(SparseEquivalence, MtjStateAgreesAcrossBackends) {
-  // The state machine (flip times) must follow the identical waveforms.
-  auto dense_ckt = nonlinear_cell(33);
-  auto sparse_ckt = nonlinear_cell(33);
-  ms::EngineOptions dopt, sopt;
-  dopt.solver = ms::SolverKind::Dense;
-  sopt.solver = ms::SolverKind::Sparse;
-  auto* dmtj = dynamic_cast<ms::MtjDevice*>(dense_ckt.elements()[2].get());
-  auto* smtj = dynamic_cast<ms::MtjDevice*>(sparse_ckt.elements()[2].get());
-  ASSERT_NE(dmtj, nullptr);
-  ASSERT_NE(smtj, nullptr);
-  ms::Engine de(dense_ckt, dopt), se(sparse_ckt, sopt);
-  (void)de.transient(6e-9, 10e-12);
-  (void)se.transient(6e-9, 10e-12);
-  EXPECT_EQ(dmtj->state(), smtj->state());
-  ASSERT_EQ(dmtj->flip_times().size(), smtj->flip_times().size());
-  for (std::size_t k = 0; k < dmtj->flip_times().size(); ++k) {
-    EXPECT_NEAR(dmtj->flip_times()[k], smtj->flip_times()[k], 1e-12);
-  }
-}
-
-TEST(SparseEquivalence, AcSweep) {
-  for (std::uint32_t seed : {41u, 42u}) {
-    auto dense_ckt = random_rlc(seed, 14);
-    auto sparse_ckt = random_rlc(seed, 14);
-    // Flag the input source as the AC stimulus in both instances.
-    dynamic_cast<ms::VoltageSource*>(dense_ckt.elements()[0].get())
-        ->set_ac(1.0);
-    dynamic_cast<ms::VoltageSource*>(sparse_ckt.elements()[0].get())
-        ->set_ac(1.0);
-    const auto freqs = ms::log_sweep(1e6, 1e10, 5);
-    const auto da = ms::ac_analysis(dense_ckt, freqs, ms::SolverKind::Dense);
-    const auto sa = ms::ac_analysis(sparse_ckt, freqs, ms::SolverKind::Sparse);
-    ASSERT_TRUE(da.converged());
-    ASSERT_TRUE(sa.converged());
-    for (std::size_t k = 0; k < freqs.size(); ++k) {
-      for (std::size_t n = 0; n < dense_ckt.node_count(); ++n) {
-        const auto& name = dense_ckt.node_name(n);
-        const auto dv = da.v(name, k);
-        const auto sv = sa.v(name, k);
-        ASSERT_NEAR(dv.real(), sv.real(), kTol) << name << " @f" << k;
-        ASSERT_NEAR(dv.imag(), sv.imag(), kTol) << name << " @f" << k;
-      }
-    }
+TEST(SparseOracle, MtjCellNewtonSequenceMatchesDenseLu) {
+  // A persistent solver through the DC Newton iterates and a 6 ns
+  // transient across both pulse edges: every solve matches a fresh dense
+  // LU of the same stamps.
+  for (std::uint32_t seed : {21u, 22u, 23u, 33u}) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    auto ckt = nonlinear_cell(seed);
+    ms::SparseSolver solver;
+    ms::oracle::expect_newton_sequence_matches_dense(ckt, solver, 600,
+                                                     10e-12);
+    if (HasFatalFailure()) return;
   }
 }
 
 TEST(SparseEquivalence, LinearTransientFactorsThrice) {
-  // The dirty-stamp cache contract, now held by the solver layer: a linear
+  // The dirty-stamp cache contract, held by the solver: a linear
   // fixed-step transient factors for the DC operating point, the first
   // backward-Euler step, and the steady trapezoidal pattern — then
-  // back-substitutes only, on both backends.
-  for (const auto kind : {ms::SolverKind::Dense, ms::SolverKind::Sparse}) {
-    auto ckt = random_rlc(7, 20);
-    ms::EngineOptions opt;
-    opt.solver = kind;
-    ms::Engine eng(ckt, opt);
-    const auto tr = eng.transient(5e-9, 10e-12);
-    ASSERT_TRUE(tr.converged());
-    EXPECT_EQ(eng.factor_count(), 3u)
-        << "backend " << eng.solver_backend();
-  }
-}
-
-TEST(SparseEquivalence, AutoSelectsByDimension) {
-  auto small = random_rlc(3, 8);
-  ms::Engine se(small);
-  (void)se.dc();
-  EXPECT_STREQ(se.solver_backend(), "dense");
-
-  auto big = random_rlc(3, ms::kSparseAutoThreshold + 8);
-  ms::Engine be(big);
-  (void)be.dc();
-  EXPECT_STREQ(be.solver_backend(), "sparse");
+  // back-substitutes only.
+  auto ckt = random_rlc(7, 20);
+  ms::Engine eng(ckt);
+  const auto tr = eng.transient(5e-9, 10e-12);
+  ASSERT_TRUE(tr.converged());
+  EXPECT_EQ(eng.factor_count(), 3u);
 }

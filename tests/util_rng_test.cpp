@@ -6,6 +6,8 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <vector>
 
 namespace mu = mss::util;
@@ -113,6 +115,96 @@ TEST(Rng, NormalTailProbabilities) {
   EXPECT_NEAR(double(over1) / n, 0.3173, 0.005);
   EXPECT_NEAR(double(over2) / n, 0.0455, 0.002);
   EXPECT_NEAR(double(over3) / n, 0.0027, 0.0006);
+}
+
+// ------------------------------------------------- pinned normal sequence
+
+namespace {
+
+// Bit pattern of a double, for exact sequence digests.
+std::uint64_t bits_of(double d) {
+  std::uint64_t u;
+  std::memcpy(&u, &d, sizeof u);
+  return u;
+}
+
+} // namespace
+
+TEST(Rng, NormalSequencePinned) {
+  // Every stochastic golden in the library sits on top of normal(); this
+  // pins its exact output so that a rewrite of the ziggurat (fast path or
+  // slow path) must stay bit-identical.
+  static constexpr double kFirst64[64] = {
+      -0x1.8d2e0b227603bp+0, 0x1.d287c820d3bedp+0, -0x1.6040b9f3b92fep+0,
+      -0x1.27638100cb845p-1, -0x1.06cc2c7ea40cep+0, 0x1.ac00595f82f63p+0,
+      0x1.2b9ee93d077fbp-1, 0x1.d761fe13d964dp-1, 0x1.832951c04d989p-2,
+      -0x1.883d37f84353p+0, -0x1.5e3ea75b8f968p+0, -0x1.07e8cfc1cbdbcp+1,
+      0x1.589b3f99e24acp-1, 0x1.0574b11142f51p-1, -0x1.a82eb5426bb45p-1,
+      -0x1.bc75bae6f6d91p-1, 0x1.9490f793a1c17p-1, 0x1.4551235fb60fap-1,
+      -0x1.c0664f177c52cp-3, -0x1.55ae44ac5a8edp-6, -0x1.36d7111b51adep-2,
+      -0x1.2ac03218cc7cp+0, -0x1.778ad4676d0a5p+0, 0x1.a81daf6705facp-3,
+      0x1.1b92a7f78555p-1, 0x1.ee00641957bf3p-1, 0x1.ea67af7b3dabfp-4,
+      0x1.bab8de168f31dp-2, -0x1.147ef8e620cf8p-1, 0x1.3cb2477dce58bp+1,
+      0x1.e2146e1c5eef5p-5, 0x1.72caabfdf6762p-2, 0x1.2a332cb5839a4p-1,
+      -0x1.0cb02d1a485f7p+1, -0x1.90c6addfca552p-2, 0x1.90cafe6a6e134p-1,
+      0x1.26b813adce41fp+0, -0x1.214dc2df7f727p-3, -0x1.92422584aa991p+0,
+      -0x1.2fa6efea80165p-4, 0x1.02d15170d3284p-1, 0x1.87f2cba479377p-1,
+      0x1.07dc62f3c2a0dp+0, 0x1.7288d7f67335p+0, 0x1.2fba13a614dbdp+0,
+      -0x1.822d886d54eb1p-2, -0x1.0520c68069c2cp-3, -0x1.1ae1dadd28523p-2,
+      0x1.cd820e6d265fdp-1, -0x1.a0c53eb36b096p-2, -0x1.0dc458db41fc5p+1,
+      -0x1.04bc778d5228p-6, 0x1.0b2384bf02b72p-2, -0x1.2b28efd03dfefp-2,
+      -0x1.87d503a854438p+0, -0x1.7effd9ee35f37p+0, 0x1.806fe7333818p-1,
+      -0x1.0a3716105e55ap-3, 0x1.4c60c720bab66p+0, -0x1.890fb54b774d4p-1,
+      0x1.65f171c43eacdp-1, 0x1.911f22c11521bp-1, 0x1.2457b54c0e921p+0,
+      -0x1.534e7047a64e5p+0
+  };
+  mu::Rng rng(20240917);
+  for (int i = 0; i < 64; ++i) {
+    ASSERT_EQ(bits_of(rng.normal()), bits_of(kFirst64[i])) << "draw " << i;
+  }
+
+  // FNV-1a over the bit patterns of the first 10^6 draws.
+  mu::Rng d(20240917);
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (int i = 0; i < 1000000; ++i) {
+    h = (h ^ bits_of(d.normal())) * 0x100000001b3ull;
+  }
+  EXPECT_EQ(h, 0x1ef4e7daee82a5b7ull);
+
+  // Draws that leave the fast path: the first normal() of each seed takes
+  // the named normal_slow branch. `layer0` says whether its first u64 lands
+  // in the base strip (idx 0: the tail) or in a wedge, `negative` is its
+  // sign bit, and `consumed` is how many u64s the draw takes (tail: 1 + two
+  // uniforms; wedge accept: 1 + one uniform; wedge reject: 1 + one uniform
+  // + a fast-path redraw).
+  struct SlowDraw {
+    const char* branch;
+    std::uint64_t seed;
+    bool layer0;
+    bool negative;
+    int consumed;
+    double value;
+  };
+  static constexpr SlowDraw kSlow[] = {
+      {"tail+", 7857, true, false, 3, 0x1.fb066607b4506p+1},
+      {"tail-", 2554, true, true, 3, -0x1.0a912ee1fd862p+2},
+      {"wedge accept+", 111, false, false, 2, 0x1.27fc54497870ap-5},
+      {"wedge accept-", 57, false, true, 2, -0x1.6bea42ec687fep-1},
+      {"wedge reject+", 459, false, false, 3, -0x1.3caa686d31c84p+0},
+      {"wedge reject-", 94, false, true, 3, 0x1.04200e384c8cp+0},
+  };
+  for (const SlowDraw& s : kSlow) {
+    mu::Rng raw(s.seed);
+    const std::uint64_t first = raw.next_u64();
+    EXPECT_EQ((first & 0xffu) == 0, s.layer0) << s.branch;
+    EXPECT_EQ(((first >> 8) & 1u) != 0, s.negative) << s.branch;
+
+    mu::Rng r(s.seed);
+    EXPECT_EQ(bits_of(r.normal()), bits_of(s.value)) << s.branch;
+    mu::Rng expect(s.seed);
+    for (int k = 0; k < s.consumed; ++k) (void)expect.next_u64();
+    EXPECT_EQ(r.next_u64(), expect.next_u64()) << s.branch;
+  }
 }
 
 // --------------------------------------------------------- batched draws

@@ -35,6 +35,7 @@
 #include "cells/write_driver.hpp"
 #include "core/compact_model.hpp"
 #include "core/pdk.hpp"
+#include "core/wer_scenario.hpp"
 #include "magpie/cache.hpp"
 #include "magpie/scenario.hpp"
 #include "magpie/workload.hpp"
@@ -511,6 +512,34 @@ void BM_WerImportanceSampledDeepTail(benchmark::State& state) {
 BENCHMARK(BM_WerImportanceSampledDeepTail)
     ->ArgName("wer")
     ->Arg(13)
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
+
+// The IS-MC WER overlay stage of a reliability sweep: WerScenario over 5
+// pulse widths x 2 temperatures at 256 trajectories per point (the shape
+// of the perfbench reliability_flow overlay, fewer trajectories). The
+// points run in order and each point's trajectories spread across the
+// pool, so /threads:0 against /threads:1 is the stage's core occupancy;
+// both rows produce bit-identical tables.
+void BM_WerScenarioOverlay(benchmark::State& state) {
+  mss::core::WerScenarioConfig cfg;
+  cfg.pulse_widths = {3e-9, 4e-9, 5e-9, 7e-9, 10e-9};
+  cfg.voltages = {0.45};
+  cfg.temperatures = {300.0, 350.0};
+  cfg.sigma_ic_rel = 0.2;
+  cfg.trajectories = 256;
+  cfg.threads = static_cast<std::size_t>(state.range(0));
+  const mss::core::WerScenario scenario(cfg);
+  for (auto _ : state) {
+    const auto pts = scenario.run();
+    benchmark::DoNotOptimize(pts.back().mc.wer);
+  }
+  state.SetItemsProcessed(state.iterations() * 10 * 256);
+}
+BENCHMARK(BM_WerScenarioOverlay)
+    ->Arg(1)
+    ->Arg(0)
+    ->ArgName("threads")
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 

@@ -30,6 +30,7 @@ std::vector<WerScenarioPoint> WerScenario::run() const {
       .cross(sw::Axis::list("voltage", cfg_.voltages))
       .cross(sw::Axis::list("temp", cfg_.temperatures));
 
+  const bool mc = cfg_.trajectories > 0;
   const auto exp = sw::make_experiment(
       "wer-pulse-width", [&](const sw::Point& pt, util::Rng& rng) {
         WerScenarioPoint out;
@@ -59,12 +60,12 @@ std::vector<WerScenarioPoint> WerScenario::run() const {
                                                  cfg_.sigma_ic_rel) /
             kLn10;
 
-        if (cfg_.trajectories > 0) {
-          // Estimator threads pinned to 1: the sweep layer owns the
-          // parallelism, and nested pools would break the per-point
-          // determinism keying.
+        if (mc) {
+          // The estimator owns the parallelism: a point's trajectories
+          // spread evenly over the pool, whereas points differ in cost by
+          // ~4x (pulse width) and would leave threads idle at the end.
           WerEstimateOptions opt;
-          opt.threads = 1;
+          opt.threads = cfg_.threads;
           opt.dt = cfg_.dt;
           // Sample the same threshold spread the analytic column assumes,
           // so the MC column is the overlay that validates (and, past the
@@ -77,7 +78,9 @@ std::vector<WerScenarioPoint> WerScenario::run() const {
         return out;
       });
 
-  const sw::Runner runner({.threads = cfg_.threads, .chunk_size = 1,
+  // Point streams depend only on (seed, point index), so running the
+  // points serially under an MC overlay draws the same randomness.
+  const sw::Runner runner({.threads = mc ? 1 : cfg_.threads, .chunk_size = 1,
                            .seed = cfg_.seed});
   return runner.run(space, exp);
 }

@@ -11,9 +11,11 @@
 //    that validates the analytic tails in the overlap regime.
 //
 // Runs under the sweep determinism contract: per-point RNG streams keyed
-// by the Runner, estimator threads pinned to 1 inside a point (the
-// parallelism lives across points), so every table is bit-identical for
-// any thread count.
+// by the Runner. With an MC overlay the points run one after another and
+// each point's trajectories spread across the pool (the estimator keys a
+// substream per trajectory and combines fixed chunks in order); an
+// analytic-only sweep runs its points across the pool instead. Either
+// way every table is bit-identical for any thread count.
 #pragma once
 
 #include <cstddef>
@@ -38,7 +40,9 @@ struct WerScenarioConfig {
   std::size_t trajectories = 0;
   double dt = 1e-12;                 ///< LLGS step [s]
   std::uint64_t seed = 0x5EEDC0DEull; ///< base seed of the per-point streams
-  std::size_t threads = 0;           ///< sweep-level thread policy
+  /// Thread policy (0 = the global pool, 1 = serial, N = N threads): the
+  /// estimator's trajectories when trajectories > 0, else the points.
+  std::size_t threads = 0;
 };
 
 /// One evaluated operating point.

@@ -74,7 +74,7 @@ __attribute__((init_priority(101)))
 #endif
 const detail::ZigguratTables detail::kZiggurat{};
 
-double Rng::normal_slow(std::size_t idx, bool negative, double x) {
+double Rng::normal_slow(std::size_t idx, std::uint64_t sign, double x) {
   const detail::ZigguratTables& z = detail::kZiggurat;
   if (idx == 0) {
     // Base strip overflow: sample the tail beyond r (Marsaglia's
@@ -84,14 +84,13 @@ double Rng::normal_slow(std::size_t idx, bool negative, double x) {
       xx = -z.inv_r * std::log1p(-uniform());
       yy = -std::log1p(-uniform());
     } while (yy + yy <= xx * xx);
-    return negative ? -(detail::ZigguratTables::kR + xx)
-                    : detail::ZigguratTables::kR + xx;
+    return detail::with_sign(detail::ZigguratTables::kR + xx, sign);
   }
   // Wedge between layer idx and the one below: accept under the curve,
   // otherwise redraw from scratch.
   if (z.fi[idx] + uniform() * (z.fi[idx - 1] - z.fi[idx]) <
       std::exp(-0.5 * x * x)) {
-    return negative ? -x : x;
+    return detail::with_sign(x, sign);
   }
   return normal();
 }

@@ -4,12 +4,14 @@
 
 #include <cmath>
 #include <stdexcept>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "core/retention.hpp"
 #include "core/wer_scenario.hpp"
 #include "math/special.hpp"
+#include "util/parallel.hpp"
 
 namespace {
 
@@ -17,6 +19,7 @@ using mss::core::MtjParams;
 using mss::core::RetentionDesigner;
 using mss::core::WerScenario;
 using mss::core::WerScenarioConfig;
+using mss::core::WerScenarioPoint;
 
 WerScenarioConfig analytic_config() {
   // Default stack: 0.35/0.45 V drive 1.25x/1.6x the critical current —
@@ -83,26 +86,58 @@ TEST(WerScenarioTest, TableColumnsAndAgreementWithRun) {
   EXPECT_FALSE(tab.json().empty());
 }
 
-TEST(WerScenarioTest, DeterministicAcrossThreadCounts) {
+WerScenarioConfig mc_config() {
+  // A small MC overlay over several pulse widths, so points differ in cost
+  // and the estimator path (trajectories spread across the pool) runs.
   auto cfg = analytic_config();
-  cfg.trajectories = 200; // small MC overlay to cover the estimator path
-  cfg.pulse_widths = {3e-9};
+  cfg.trajectories = 96; // 12 estimator chunks of 8
+  cfg.pulse_widths = {3e-9, 5e-9, 8e-9};
   cfg.voltages = {0.45};
   cfg.temperatures = {300.0, 350.0};
   cfg.sigma_ic_rel = 0.2;
+  return cfg;
+}
 
+void expect_same_rows(const std::vector<WerScenarioPoint>& a,
+                      const std::vector<WerScenarioPoint>& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(a[i].mc.n_trajectories, b[i].mc.n_trajectories) << i;
+    EXPECT_EQ(a[i].mc.wer, b[i].mc.wer) << i;
+    EXPECT_EQ(a[i].mc.variance, b[i].mc.variance) << i;
+    EXPECT_EQ(a[i].mc.ess, b[i].mc.ess) << i;
+    EXPECT_EQ(a[i].mc.n_failures, b[i].mc.n_failures) << i;
+    EXPECT_EQ(a[i].log10_wer_analytic, b[i].log10_wer_analytic) << i;
+  }
+}
+
+TEST(WerScenarioTest, DeterministicAcrossThreadCounts) {
+  auto cfg = mc_config();
   cfg.threads = 1;
   const auto serial = WerScenario(cfg).run();
-  cfg.threads = 4;
-  const auto pooled = WerScenario(cfg).run();
-  ASSERT_EQ(serial.size(), pooled.size());
-  for (std::size_t i = 0; i < serial.size(); ++i) {
-    EXPECT_EQ(serial[i].mc.wer, pooled[i].mc.wer) << i;
-    EXPECT_EQ(serial[i].mc.variance, pooled[i].mc.variance) << i;
-    EXPECT_EQ(serial[i].mc.n_failures, pooled[i].mc.n_failures) << i;
-    EXPECT_EQ(serial[i].log10_wer_analytic, pooled[i].log10_wer_analytic)
-        << i;
+  ASSERT_EQ(serial.size(), 3u * 2u);
+  for (const auto& p : serial) EXPECT_EQ(p.mc.n_trajectories, 96u);
+  for (std::size_t threads : {2u, 4u, 0u}) {
+    SCOPED_TRACE(threads);
+    cfg.threads = threads;
+    expect_same_rows(serial, WerScenario(cfg).run());
   }
+}
+
+TEST(WerScenarioTest, RunInsidePoolWorkerMatchesSerial) {
+  // run() called from a global-pool chunk body: the estimator's pool is
+  // the one already running this body, so it takes the same-pool inline
+  // path instead of deadlocking, and the rows must not change.
+  auto cfg = mc_config();
+  cfg.threads = 1;
+  const auto serial = WerScenario(cfg).run();
+  cfg.threads = 0;
+  std::vector<std::vector<WerScenarioPoint>> nested(2);
+  mss::util::ThreadPool::global().parallel_for_chunks(
+      nested.size(), 1, [&](std::size_t c, std::size_t, std::size_t) {
+        nested[c] = WerScenario(cfg).run();
+      });
+  for (const auto& rows : nested) expect_same_rows(serial, rows);
 }
 
 TEST(WerScenarioTest, ConfigValidation) {

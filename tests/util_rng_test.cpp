@@ -207,6 +207,16 @@ TEST(Rng, NormalSequencePinned) {
   }
 }
 
+TEST(Rng, WithSignMatchesNegation) {
+  // The branch-free sign rule of the ziggurat gives exactly what `-x`
+  // gives, signed zeros and infinities included.
+  for (const double x : {0.0, -0.0, 1.5, -2.25, 0x1.fb066607b4506p+1,
+                         HUGE_VAL}) {
+    EXPECT_EQ(bits_of(mu::detail::with_sign(x, 0)), bits_of(x)) << x;
+    EXPECT_EQ(bits_of(mu::detail::with_sign(x, 1)), bits_of(-x)) << x;
+  }
+}
+
 // --------------------------------------------------------- batched draws
 
 TEST(Rng, NormalBatchMatchesScalarDrawsPerLane) {

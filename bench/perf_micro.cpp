@@ -372,7 +372,7 @@ BENCHMARK(BM_NvsimExplore)
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
-// The MAGPIE kernel x scenario crossed sweep (6 kernels x 4 scenarios)
+// The MAGPIE kernel x scenario crossed sweep (9 kernels x 4 scenarios)
 // through sweep::Runner; per-point work is the trace-driven big.LITTLE
 // simulation. Scenario platforms are derived once per explore call.
 void BM_MagpieScenarioSweep(benchmark::State& state) {

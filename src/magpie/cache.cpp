@@ -1,5 +1,6 @@
 #include "magpie/cache.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <stdexcept>
 
@@ -7,56 +8,51 @@ namespace mss::magpie {
 
 Cache::Cache(std::size_t capacity_bytes, std::size_t ways,
              std::size_t line_bytes, Cache* next)
-    : capacity_(capacity_bytes), ways_(ways), line_bytes_(line_bytes),
-      sets_(capacity_bytes / (ways * line_bytes)), next_(next) {
-  if (capacity_ == 0 || ways_ == 0 || line_bytes_ == 0 || sets_ == 0) {
+    : capacity_(capacity_bytes), ways_(ways),
+      sets_(ways && line_bytes ? capacity_bytes / (ways * line_bytes) : 0),
+      next_(next) {
+  if (capacity_ == 0 || ways_ == 0 || line_bytes == 0 || sets_ == 0) {
     throw std::invalid_argument("Cache: bad geometry");
   }
-  if (!std::has_single_bit(line_bytes_) || !std::has_single_bit(sets_)) {
+  if (!std::has_single_bit(line_bytes) || !std::has_single_bit(sets_)) {
     throw std::invalid_argument("Cache: line size and set count must be powers of two");
   }
-  line_shift_ = static_cast<std::size_t>(std::countr_zero(line_bytes_));
-  lines_.resize(sets_ * ways_);
-}
-
-Cache::Line* Cache::find(std::uint64_t set, std::uint64_t tag) {
-  Line* base = &lines_[set * ways_];
-  for (std::size_t w = 0; w < ways_; ++w) {
-    if (base[w].valid && base[w].tag == tag) return &base[w];
+  if (line_bytes == 1 && sets_ == 1) {
+    throw std::invalid_argument(
+        "Cache: a one-set cache needs lines of at least two bytes");
   }
-  return nullptr;
-}
-
-Cache::Line& Cache::victim(std::uint64_t set) {
-  Line* base = &lines_[set * ways_];
-  Line* best = base;
-  for (std::size_t w = 1; w < ways_; ++w) {
-    if (!base[w].valid) return base[w];
-    if (base[w].lru < best->lru) best = &base[w];
-  }
-  return *best;
+  line_shift_ = static_cast<unsigned>(std::countr_zero(line_bytes));
+  set_shift_ = static_cast<unsigned>(std::countr_zero(sets_));
+  tags_.assign(sets_ * ways_, kEmpty);
+  ticks_.assign(sets_ * ways_, 0);
+  dirty_.assign(sets_ * ways_, 0);
 }
 
 HitLevel Cache::access(std::uint64_t addr, bool is_write) {
   const std::uint64_t line_addr = addr >> line_shift_;
   const std::uint64_t set = line_addr & (sets_ - 1);
-  const std::uint64_t tag = line_addr >> std::countr_zero(sets_);
+  const std::uint64_t tag = line_addr >> set_shift_;
+  const std::size_t base = set * ways_;
+  std::uint64_t* tags = &tags_[base];
+  std::uint64_t* ticks = &ticks_[base];
+  std::uint8_t* dirty = &dirty_[base];
 
-  if (is_write)
-    ++stats_.writes;
-  else
-    ++stats_.reads;
+  // Counted without branching on is_write, a coin flip per access.
+  stats_.writes += is_write;
+  stats_.reads += !is_write;
 
-  if (Line* hit = find(set, tag)) {
-    hit->lru = ++tick_;
-    if (is_write) hit->dirty = true;
+  // A tag sits in at most one way of its set: select its index (ways_ when
+  // absent) over every way rather than branching out of the scan.
+  std::size_t hit = ways_;
+  for (std::size_t w = 0; w < ways_; ++w) hit = tags[w] == tag ? w : hit;
+  if (hit != ways_) {
+    ticks[hit] = ++tick_;
+    dirty[hit] |= static_cast<std::uint8_t>(is_write);
     return HitLevel::L1; // "hit at this level"; caller maps to depth
   }
 
-  if (is_write)
-    ++stats_.write_misses;
-  else
-    ++stats_.read_misses;
+  stats_.write_misses += is_write;
+  stats_.read_misses += !is_write;
 
   // Miss: fetch from below (read), then allocate here.
   HitLevel below = HitLevel::Memory;
@@ -65,25 +61,33 @@ HitLevel Cache::access(std::uint64_t addr, bool is_write) {
     below = b == HitLevel::L1 ? HitLevel::L2 : HitLevel::Memory;
   }
 
-  Line& v = victim(set);
-  if (v.valid && v.dirty) {
+  // Victim: the way with the smallest tick — an empty way (tick 0) if the
+  // set has one, else the least recently used line.
+  std::size_t v = 0;
+  std::uint64_t oldest = ticks[0];
+  for (std::size_t w = 1; w < ways_; ++w) {
+    const bool older = ticks[w] < oldest;
+    oldest = older ? ticks[w] : oldest;
+    v = older ? w : v;
+  }
+  if (dirty[v] != 0) {
     ++stats_.writebacks;
     if (next_ != nullptr) {
       // Reconstruct the victim's address and push it down as a write.
-      const std::uint64_t victim_line =
-          (v.tag << std::countr_zero(sets_)) | set;
+      const std::uint64_t victim_line = (tags[v] << set_shift_) | set;
       (void)next_->access(victim_line << line_shift_, /*is_write=*/true);
     }
   }
-  v.valid = true;
-  v.dirty = is_write;
-  v.tag = tag;
-  v.lru = ++tick_;
+  tags[v] = tag;
+  ticks[v] = ++tick_;
+  dirty[v] = static_cast<std::uint8_t>(is_write);
   return below;
 }
 
 void Cache::flush() {
-  for (auto& l : lines_) l = Line{};
+  std::fill(tags_.begin(), tags_.end(), kEmpty);
+  std::fill(ticks_.begin(), ticks_.end(), 0);
+  std::fill(dirty_.begin(), dirty_.end(), 0);
   tick_ = 0;
 }
 

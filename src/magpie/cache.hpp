@@ -2,6 +2,14 @@
 // the memory-hierarchy half of the gem5 substitute. Latencies are *not*
 // applied here; the simulator reads the per-access outcome and applies the
 // core's overlap model. Energy counters are accumulated per event.
+//
+// Layout: three flat sets x ways arrays — tags (an empty way holds a
+// sentinel no tag can take), last-use ticks (0 = empty, unique >= 1 once
+// filled) and dirty bytes. The way lookup scans every way and selects the
+// matching index without an early exit; the victim is the argmin of the
+// ticks, which is an empty way whenever one exists and otherwise the LRU
+// line. Which way a line sits in never changes an outcome: hits, misses
+// and writebacks depend only on the set's contents and their recency.
 #pragma once
 
 #include <cstdint>
@@ -59,25 +67,22 @@ class Cache {
   [[nodiscard]] std::size_t sets() const { return sets_; }
 
  private:
-  struct Line {
-    std::uint64_t tag = 0;
-    bool valid = false;
-    bool dirty = false;
-    std::uint64_t lru = 0; ///< larger = more recently used
-  };
+  /// Tag of an empty way. A tag is the address shifted right by
+  /// line_shift_ + set_shift_ >= 1 bits (the constructor rejects a one-set
+  /// cache of one-byte lines), so no stored tag is all ones.
+  static constexpr std::uint64_t kEmpty = ~std::uint64_t{0};
 
   std::size_t capacity_;
   std::size_t ways_;
-  std::size_t line_bytes_;
   std::size_t sets_;
-  std::size_t line_shift_;
+  unsigned line_shift_ = 0;
+  unsigned set_shift_ = 0;
   Cache* next_;
-  std::vector<Line> lines_; ///< sets_ x ways_ row-major
+  std::vector<std::uint64_t> tags_;  ///< sets_ x ways_ row-major
+  std::vector<std::uint64_t> ticks_; ///< last use; 0 = empty way
+  std::vector<std::uint8_t> dirty_;  ///< 0 for clean and empty ways
   std::uint64_t tick_ = 0;
   CacheStats stats_;
-
-  [[nodiscard]] Line* find(std::uint64_t set, std::uint64_t tag);
-  [[nodiscard]] Line& victim(std::uint64_t set);
 };
 
 } // namespace mss::magpie

@@ -22,7 +22,6 @@ ClusterActivity run_cluster(const ClusterParams& cl, const UncoreParams& un,
   std::vector<TraceGenerator> gens;
   std::vector<std::uint64_t> refs_left;
   std::vector<double> stall_time(cl.n_cores, 0.0);
-  std::vector<std::uint64_t> l1_miss_loads(cl.n_cores, 0);
 
   for (unsigned c = 0; c < cl.n_cores; ++c) {
     l1s.push_back(std::make_unique<Cache>(cl.l1_bytes, cl.l1_ways, line_bytes,
@@ -30,6 +29,13 @@ ClusterActivity run_cluster(const ClusterParams& cl, const UncoreParams& un,
     gens.emplace_back(kernel, thread_base + c, seed);
     refs_left.push_back(gens.back().total_refs());
   }
+
+  // Exposed load latency per hit level (HitLevel order: L1, L2, Memory),
+  // looked up rather than branched on: the level is data-dependent.
+  const double miss_penalty[3] = {
+      0.0, cl.l2.read_latency * (1.0 - cl.core.miss_overlap),
+      (cl.l2.read_latency + un.bus_latency + un.dram_latency) *
+          (1.0 - cl.core.miss_overlap)};
 
   // Interleave thread reference streams in chunks through the shared L2.
   constexpr std::uint64_t kChunk = 64;
@@ -47,15 +53,7 @@ ClusterActivity run_cluster(const ClusterParams& cl, const UncoreParams& un,
         const std::uint64_t l2_wr_after = l2.stats().writes;
 
         // Latency contribution of this reference.
-        double penalty = 0.0;
-        if (level == HitLevel::L2) {
-          penalty = cl.l2.read_latency * (1.0 - cl.core.miss_overlap);
-          ++l1_miss_loads[c];
-        } else if (level == HitLevel::Memory) {
-          penalty = (cl.l2.read_latency + un.bus_latency + un.dram_latency) *
-                    (1.0 - cl.core.miss_overlap);
-          ++l1_miss_loads[c];
-        }
+        double penalty = miss_penalty[static_cast<std::size_t>(level)];
         // Writebacks emitted into the L2 by this access: mostly absorbed by
         // the write buffer, a fraction of the L2 *write* latency is exposed.
         const std::uint64_t new_l2_writes = l2_wr_after - l2_wr_before;

@@ -58,7 +58,10 @@ struct MemRef {
 class TraceGenerator {
  public:
   /// `thread_id` individualises the private regions and the RNG stream;
-  /// `seed` individualises the kernel run.
+  /// `seed` individualises the kernel run. Throws std::invalid_argument when
+  /// a region the probabilities can reach is empty: `stream_bytes == 0`
+  /// with `hot_fraction < 1`, or a zero `hot_core_bytes` / `hot_bytes` that
+  /// a hot-core or shared hot-tail reference would draw from.
   TraceGenerator(KernelParams kernel, unsigned thread_id,
                  std::uint64_t seed = 0xC0FFEE);
 
@@ -72,16 +75,24 @@ class TraceGenerator {
   [[nodiscard]] const KernelParams& kernel() const { return kernel_; }
 
  private:
-  KernelParams kernel_;
-  unsigned thread_id_;
-  mss::util::Rng rng_;
-  std::uint64_t stream_pos_ = 0;
-
   // Address-space layout (per cluster): shared hot | private hot slices |
   // private streams.
   static constexpr std::uint64_t kSharedBase = 0x1000'0000;
   static constexpr std::uint64_t kPrivateHotBase = 0x4000'0000;
   static constexpr std::uint64_t kStreamBase = 0x8000'0000;
+
+  KernelParams kernel_;
+  mss::util::Rng rng_;
+  // The kernel's per-reference trials, as integer draw thresholds.
+  mss::util::BernoulliTrial write_;
+  mss::util::BernoulliTrial hot_;
+  mss::util::BernoulliTrial core_;
+  mss::util::BernoulliTrial shared_;
+  std::uint64_t core_bytes_;     ///< hot-core slice: min(hot_core, hot)
+  std::uint64_t slice_bytes_;    ///< private hot-tail slice per thread
+  std::uint64_t private_base_;   ///< this thread's private hot slice
+  std::uint64_t stream_base_;    ///< this thread's streaming region
+  std::uint64_t stream_off_ = 0; ///< walk position, < stream_bytes
 };
 
 } // namespace mss::magpie

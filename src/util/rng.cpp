@@ -29,12 +29,14 @@ double Rng::uniform(double lo, double hi) {
   return lo + (hi - lo) * uniform();
 }
 
-std::uint64_t Rng::uniform_u64(std::uint64_t n) {
-  if (n == 0) throw std::invalid_argument("uniform_u64: n must be > 0");
-  // 128-bit multiply-shift mapping.
-  const unsigned __int128 m =
-      static_cast<unsigned __int128>(next_u64()) * n;
-  return static_cast<std::uint64_t>(m >> 64);
+BernoulliTrial::BernoulliTrial(double p)
+    : threshold_(!(p > 0.0)   ? 0
+                 : p >= 1.0   ? std::uint64_t{1} << 53
+                              : static_cast<std::uint64_t>(
+                                    std::ceil(p * 0x1.0p53))) {}
+
+void Rng::throw_zero_range() {
+  throw std::invalid_argument("uniform_u64: n must be > 0");
 }
 
 // See the ZigguratTables declaration in rng.hpp: tables are derived once at
@@ -102,8 +104,6 @@ double Rng::normal(double mean, double sigma) {
 double Rng::lognormal_median(double median, double sigma_log) {
   return median * std::exp(sigma_log * normal());
 }
-
-bool Rng::bernoulli(double p) { return uniform() < p; }
 
 double Rng::exponential(double mean) {
   // 1 - uniform() is in (0, 1]: log never sees zero.

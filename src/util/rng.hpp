@@ -48,7 +48,9 @@ inline double with_sign(double x, std::uint64_t sign) {
 /// sequences are stable across standard library implementations. The draw
 /// fast paths are header-inline: they sit three calls deep in every
 /// Monte-Carlo hot loop (3 thermal-field normals per LLG step per
-/// trajectory), where an out-of-line call per draw is measurable.
+/// trajectory) and in the MAGPIE trace generator (2-5 bernoulli /
+/// uniform_u64 draws per memory reference), where an out-of-line call per
+/// draw is measurable.
 class Rng {
  public:
   /// Seeds the four 64-bit lanes from a single seed via SplitMix64.
@@ -73,9 +75,16 @@ class Rng {
   /// Uniform double in [lo, hi).
   double uniform(double lo, double hi);
 
-  /// Uniform integer in [0, n) (n > 0); Lemire-style rejection-free mapping
-  /// (tiny bias < 2^-64, irrelevant for simulation use).
-  std::uint64_t uniform_u64(std::uint64_t n);
+  /// Uniform integer in [0, n) (n > 0; throws std::invalid_argument for
+  /// n == 0): the high word of the 128-bit product of one draw and n, a
+  /// Lemire-style rejection-free mapping (tiny bias < 2^-64, irrelevant for
+  /// simulation use).
+  std::uint64_t uniform_u64(std::uint64_t n) {
+    if (n == 0) [[unlikely]] throw_zero_range();
+    const unsigned __int128 m =
+        static_cast<unsigned __int128>(next_u64()) * n;
+    return static_cast<std::uint64_t>(m >> 64);
+  }
 
   /// Standard normal via the 256-layer ziggurat: one u64 draw (8 bits of
   /// layer index, 1 sign bit, 52 bits of magnitude), one table compare and
@@ -103,8 +112,9 @@ class Rng {
   /// `sigma_log`. (Process parameters like RA product are multiplicative.)
   double lognormal_median(double median, double sigma_log);
 
-  /// Bernoulli trial with probability p.
-  bool bernoulli(double p);
+  /// Bernoulli trial with probability p: one uniform() draw, true when it
+  /// falls below p.
+  bool bernoulli(double p) { return uniform() < p; }
 
   /// Exponential with given mean (inverse-CDF).
   double exponential(double mean);
@@ -159,6 +169,9 @@ class Rng {
     return (x << k) | (x >> (64 - k));
   }
 
+  /// uniform_u64's n == 0 error, kept out of line.
+  [[noreturn]] static void throw_zero_range();
+
   /// Ziggurat wedge/tail rejection path (rng.cpp); on a wedge miss it
   /// redraws via `normal()`, which consumes exactly the same stream
   /// sequence as the classic retry loop.
@@ -167,6 +180,24 @@ class Rng {
   void apply_jump(const std::uint64_t (&poly)[4]);
 
   std::array<std::uint64_t, 4> s_{};
+};
+
+/// A Bernoulli trial of fixed probability p as an integer compare: the
+/// 53-bit draw k behind Rng::uniform() is k * 2^-53, exact, so
+/// `uniform() < p` holds iff k < ceil(p * 2^53) (clamped to [0, 2^53]; a
+/// NaN p gives 0). `trial(rng)` therefore consumes one draw and returns
+/// exactly `rng.bernoulli(p)`, without the int-to-double conversion, for
+/// hot loops that test the same p over and over.
+class BernoulliTrial {
+ public:
+  explicit BernoulliTrial(double p);
+
+  bool operator()(Rng& rng) const {
+    return (rng.next_u64() >> 11) < threshold_;
+  }
+
+ private:
+  std::uint64_t threshold_;
 };
 
 } // namespace mss::util

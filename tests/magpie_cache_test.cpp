@@ -3,6 +3,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
+
+#include "magpie_cache_ref.hpp"
+#include "util/rng.hpp"
+
 namespace mm = mss::magpie;
 
 TEST(Cache, ColdMissThenHit) {
@@ -70,6 +76,13 @@ TEST(Cache, FlushClearsContentNotStats) {
 TEST(Cache, RejectsBadGeometry) {
   EXPECT_THROW(mm::Cache(0, 2, 64, nullptr), std::invalid_argument);
   EXPECT_THROW(mm::Cache(1000, 2, 60, nullptr), std::invalid_argument);
+  EXPECT_THROW(mm::Cache(1024, 0, 64, nullptr), std::invalid_argument);
+  EXPECT_THROW(mm::Cache(1024, 2, 0, nullptr), std::invalid_argument);
+  EXPECT_THROW(mm::Cache(3 * 64, 1, 64, nullptr), std::invalid_argument);
+  // One set of one-byte lines leaves no tag value free for empty ways.
+  EXPECT_THROW(mm::Cache(4, 4, 1, nullptr), std::invalid_argument);
+  EXPECT_NO_THROW(mm::Cache(8, 4, 1, nullptr));
+  EXPECT_NO_THROW(mm::Cache(8, 4, 2, nullptr));
 }
 
 TEST(Cache, MissRateDropsWithCapacity) {
@@ -87,4 +100,92 @@ TEST(Cache, MissRateDropsWithCapacity) {
   };
   EXPECT_GT(run(8 * 1024), run(64 * 1024));
   EXPECT_LT(run(64 * 1024), 0.01); // fits entirely
+}
+
+// Randomized equivalence against the array-of-structs reference model
+// (tests/magpie_cache_ref.hpp): same hit level and same counters, access
+// for access.
+namespace {
+
+void expect_same_stats(const mm::CacheStats& a, const mm::CacheStats& b,
+                       const std::string& where) {
+  EXPECT_EQ(a.reads, b.reads) << where;
+  EXPECT_EQ(a.writes, b.writes) << where;
+  EXPECT_EQ(a.read_misses, b.read_misses) << where;
+  EXPECT_EQ(a.write_misses, b.write_misses) << where;
+  EXPECT_EQ(a.writebacks, b.writebacks) << where;
+}
+
+/// Random address over a footprint of `lines` lines of `line` bytes: half
+/// the references go to the first eighth of it, so sets see both reuse
+/// and eviction.
+std::uint64_t random_addr(mss::util::Rng& rng, std::uint64_t lines,
+                          std::uint64_t line) {
+  const std::uint64_t span = rng.bernoulli(0.5) ? lines / 8 + 1 : lines;
+  return (0x40000 + rng.uniform_u64(span)) * line + rng.uniform_u64(line);
+}
+
+} // namespace
+
+TEST(CacheOracle, SingleLevelMatchesReference) {
+  mss::util::Rng rng(2024);
+  for (std::size_t ways = 1; ways <= 16; ++ways) {
+    for (std::size_t sets = 1; sets <= 64; sets *= 4) {
+      const std::size_t line = 32;
+      const std::size_t cap = ways * sets * line;
+      mm::Cache c(cap, ways, line, nullptr);
+      mm::oracle::RefCache r(cap, ways, line, nullptr);
+      const std::string where =
+          std::to_string(ways) + " ways x " + std::to_string(sets) + " sets";
+      for (int i = 0; i < 4000; ++i) {
+        if (i == 2500) {
+          c.flush();
+          r.flush();
+        }
+        const std::uint64_t addr = random_addr(rng, 3 * ways * sets, line);
+        const bool wr = rng.bernoulli(0.3);
+        ASSERT_EQ(c.access(addr, wr), r.access(addr, wr))
+            << where << ", access " << i;
+      }
+      expect_same_stats(c.stats(), r.stats(), where);
+    }
+  }
+}
+
+TEST(CacheOracle, HierarchyWithWritebacksMatchesReference) {
+  mss::util::Rng rng(77);
+  const std::size_t line = 64;
+  for (std::size_t l1_ways = 1; l1_ways <= 16; ++l1_ways) {
+    const std::size_t l2_ways = 17 - l1_ways;
+    const std::size_t l1_sets = l1_ways % 2 ? 4 : 8;
+    const std::size_t l2_sets = 4 * l1_sets;
+    const std::size_t l1_cap = l1_ways * l1_sets * line;
+    const std::size_t l2_cap = l2_ways * l2_sets * line;
+    mm::Cache l2(l2_cap, l2_ways, line, nullptr);
+    mm::Cache l1(l1_cap, l1_ways, line, &l2);
+    mm::oracle::RefCache r2(l2_cap, l2_ways, line, nullptr);
+    mm::oracle::RefCache r1(l1_cap, l1_ways, line, &r2);
+    const std::string where = "L1 " + std::to_string(l1_ways) + " ways, L2 " +
+                              std::to_string(l2_ways) + " ways";
+    const std::uint64_t footprint =
+        2 * (l1_ways * l1_sets + l2_ways * l2_sets);
+    for (int i = 0; i < 6000; ++i) {
+      if (i == 4000) { // the L1 loses its content, the L2 keeps it
+        l1.flush();
+        r1.flush();
+      }
+      const std::uint64_t addr = random_addr(rng, footprint, line);
+      const bool wr = rng.bernoulli(0.4);
+      ASSERT_EQ(l1.access(addr, wr), r1.access(addr, wr))
+          << where << ", access " << i;
+      ASSERT_EQ(l1.stats().writebacks, r1.stats().writebacks)
+          << where << ", access " << i;
+      ASSERT_EQ(l2.stats().accesses(), r2.stats().accesses())
+          << where << ", access " << i;
+    }
+    expect_same_stats(l1.stats(), r1.stats(), where + ", L1");
+    expect_same_stats(l2.stats(), r2.stats(), where + ", L2");
+    EXPECT_GT(l1.stats().writebacks, 0u) << where;
+    EXPECT_GT(l2.stats().writebacks, 0u) << where;
+  }
 }

@@ -3,7 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <set>
+#include <stdexcept>
 
 namespace mm = mss::magpie;
 
@@ -77,4 +79,61 @@ TEST(Workload, HotAccessesDominatePerHotFraction) {
     if (g.next().addr < 0x8000'0000ull) ++hot;
   }
   EXPECT_NEAR(double(hot) / n, k.hot_fraction, 0.02);
+}
+
+// A region the kernel's probabilities can reach must not be empty: the
+// constructor rejects it up front instead of faulting mid-simulation.
+TEST(Workload, RejectsEmptyReachableRegions) {
+  const auto base = mm::kernel_by_name("bodytrack");
+  const auto make = [](const mm::KernelParams& k) {
+    return mm::TraceGenerator(k, 0);
+  };
+
+  auto k = base;
+  k.stream_bytes = 0; // hot_fraction 0.88 < 1: streaming is reachable
+  EXPECT_THROW((void)make(k), std::invalid_argument);
+  k.hot_fraction = 1.0; // never streams
+  EXPECT_NO_THROW((void)make(k));
+
+  k = base;
+  k.hot_core_bytes = 0;
+  EXPECT_THROW((void)make(k), std::invalid_argument);
+  k.hot_core_fraction = 0.0; // the core slice is never drawn from
+  EXPECT_NO_THROW((void)make(k));
+
+  k = base;
+  k.hot_bytes = 0; // empties the core slice and the shared tail
+  EXPECT_THROW((void)make(k), std::invalid_argument);
+  k.hot_core_fraction = 1.0; // core only: still the empty core slice
+  EXPECT_THROW((void)make(k), std::invalid_argument);
+  k.hot_core_fraction = 0.0;
+  k.shared_fraction = 0.0; // tail goes to the private slices (>= 4 KiB)
+  EXPECT_NO_THROW((void)make(k));
+  k.hot_fraction = 0.0; // streaming only: the hot regions are unused
+  k.shared_fraction = 0.5;
+  EXPECT_NO_THROW((void)make(k));
+
+  // A NaN probability makes every bernoulli() false: streaming is reached.
+  k = base;
+  k.stream_bytes = 0;
+  k.hot_fraction = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW((void)make(k), std::invalid_argument);
+}
+
+// Every reference of a valid kernel stays inside its region, including a
+// streaming region shorter than a stride and one that is not a multiple
+// of it.
+TEST(Workload, StreamWrapsInsideItsRegion) {
+  for (const std::size_t region : {std::size_t{3}, std::size_t{12},
+                                   std::size_t{4096}, std::size_t{1000}}) {
+    auto k = mm::kernel_by_name("streamcluster");
+    k.hot_fraction = 0.0;
+    k.stream_bytes = region;
+    mm::TraceGenerator g(k, 2);
+    const std::uint64_t base = 0x8000'0000ull + 2 * (region + (16u << 20));
+    for (std::uint64_t i = 0; i < 5000; ++i) {
+      const auto ref = g.next();
+      ASSERT_EQ(ref.addr, base + (i * 8) % region) << region << " @ " << i;
+    }
+  }
 }

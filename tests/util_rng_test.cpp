@@ -8,6 +8,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <vector>
 
 namespace mu = mss::util;
@@ -90,6 +91,48 @@ TEST(Rng, BernoulliRate) {
   const int n = 100000;
   for (int i = 0; i < n; ++i) hits += rng.bernoulli(0.3) ? 1 : 0;
   EXPECT_NEAR(double(hits) / n, 0.3, 0.01);
+}
+
+// BernoulliTrial is the integer form of bernoulli(): same outcome, same
+// single draw, for every p (edges included) and at the exact boundary
+// where the draw equals p.
+TEST(Rng, BernoulliTrialMatchesBernoulli) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double probs[] = {0.0,
+                          -0.0,
+                          -0.5,
+                          -inf,
+                          std::nan(""),
+                          std::numeric_limits<double>::denorm_min(),
+                          0x1.0p-53,
+                          0x1.8p-53,
+                          0.3,
+                          std::nextafter(0.3, 0.0),
+                          0.5,
+                          0.88,
+                          1.0 - 0x1.0p-53,
+                          1.0,
+                          1.5,
+                          inf};
+  for (const double p : probs) {
+    const mu::BernoulliTrial trial(p);
+    mu::Rng a(31), b(31);
+    for (int i = 0; i < 20000; ++i) {
+      ASSERT_EQ(trial(a), b.bernoulli(p)) << "p = " << p << ", draw " << i;
+    }
+    EXPECT_EQ(a.next_u64(), b.next_u64()) << "p = " << p;
+  }
+  // Boundary: p equal to the draw (false) and one ulp above it (true).
+  mu::Rng src(37);
+  for (int i = 0; i < 2000; ++i) {
+    mu::Rng peek = src;
+    const double u = peek.uniform();
+    for (const double p : {u, std::nextafter(u, 1.0)}) {
+      mu::Rng a = src, b = src;
+      EXPECT_EQ(mu::BernoulliTrial(p)(a), b.bernoulli(p)) << "p = " << p;
+    }
+    (void)src.next_u64();
+  }
 }
 
 TEST(Rng, ExponentialMean) {

@@ -48,7 +48,7 @@ inline double with_sign(double x, std::uint64_t sign) {
 /// sequences are stable across standard library implementations. The draw
 /// fast paths are header-inline: they sit three calls deep in every
 /// Monte-Carlo hot loop (3 thermal-field normals per LLG step per
-/// trajectory) and in the MAGPIE trace generator (2-5 bernoulli /
+/// trajectory) and in the MAGPIE trace generator (2-5 Bernoulli and
 /// uniform_u64 draws per memory reference), where an out-of-line call per
 /// draw is measurable.
 class Rng {

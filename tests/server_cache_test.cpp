@@ -3,6 +3,7 @@
 // of the row pointers the cache hands out.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -275,6 +276,57 @@ void duplicate_records(const std::string& path) {
   const std::string bytes = read_file(path);
   ASSERT_GT(bytes.size(), 8u);
   write_file(path, bytes + bytes.substr(8));
+}
+
+/// FNV-1a (64-bit) over a byte image.
+std::uint64_t fnv1a(const std::string& bytes) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (const char c : bytes) h = (h ^ std::uint8_t(c)) * 0x100000001b3ull;
+  return h;
+}
+
+// The file format is a contract: a cache written by any build replays
+// under any other. Pin the exact bytes one fixed insert sequence writes —
+// every Value tag and its edge cases, an empty row and a rejected
+// duplicate — and the bytes compact() writes for the same live set.
+TEST(ResultCache, FileImagePinned) {
+  const std::string path = temp_path();
+  {
+    ResultCache cache(path);
+    cache.insert("doubles",
+                 {Value(-0.0), Value(std::numeric_limits<double>::denorm_min()),
+                  Value(std::bit_cast<double>(0x7FF800000000BEEFull)),
+                  Value(std::bit_cast<double>(0xFFF8000000000001ull)),
+                  Value(std::numeric_limits<double>::infinity()),
+                  Value(1.0 / 3.0)});
+    cache.insert("ints", {Value(std::numeric_limits<std::int64_t>::min()),
+                          Value(std::numeric_limits<std::int64_t>::max()),
+                          Value(std::int64_t(-1)), Value(std::int64_t(0))});
+    cache.insert("strings", {Value(std::string()),
+                             Value(std::string("a\x1f" "b\0c", 5))});
+    cache.insert("empty", {});
+    cache.insert("ints", {Value(std::int64_t(42))}); // duplicate: dropped
+    cache.insert(cache_key("exp", 3, 0xFFFFFFFFFFFFFFFFull, "x=1;y=\x1f"),
+                 {Value(std::int64_t(7)), Value(2.5), Value(std::string("z"))});
+  }
+  const std::string image = read_file(path);
+  EXPECT_EQ(image.size(), 274u);
+  EXPECT_EQ(fnv1a(image), 0xaf56f78c2de70d13ull);
+
+  // Duplicated on disk, replayed (first write wins) and compacted: the
+  // rewrite is the same records in first-insertion order.
+  duplicate_records(path);
+  {
+    ResultCache cache(path);
+    EXPECT_EQ(cache.replayed(), 5u);
+    const auto stats = cache.compact();
+    EXPECT_EQ(stats.records_before, 10u);
+    EXPECT_EQ(stats.records_after, 5u);
+  }
+  const std::string compacted = read_file(path);
+  EXPECT_EQ(compacted.size(), 274u);
+  EXPECT_EQ(fnv1a(compacted), 0xaf56f78c2de70d13ull);
+  std::remove(path.c_str());
 }
 
 TEST(ResultCache, CompactionShrinksDuplicateHeavyFileBitIdentically) {

@@ -593,6 +593,42 @@ BENCHMARK(BM_SweepCachedRerun)
     ->Arg(1)
     ->UseRealTime();
 
+// Warm-restart cost of the persistent result cache: the constructor's
+// replay of a file of N rows (length/CRC/structure checks of every
+// record, and the key index). The rows are shaped like a served sweep's,
+// ~130 bytes per record; the file is written once, outside the timing.
+void BM_CacheReplay(benchmark::State& state) {
+  const auto n = std::size_t(state.range(0));
+  const std::string path = "bench_cache_replay.mssc";
+  std::remove(path.c_str());
+  {
+    mss::server::ResultCache cache(path);
+    for (std::size_t i = 0; i < n; ++i) {
+      const double x = double(i);
+      cache.insert(mss::server::cache_key(
+                       "nvsim.explore", 1, 0x5EEDC0DEull,
+                       "capacity_mb=" + std::to_string(i % 64) +
+                           ";node_nm=" + std::to_string(i / 64)),
+                   {mss::sweep::Value(x), mss::sweep::Value(x * 0.5),
+                    mss::sweep::Value(x + 0.25), mss::sweep::Value(1.0 / (x + 1)),
+                    mss::sweep::Value(-x), mss::sweep::Value(x * x),
+                    mss::sweep::Value(std::int64_t(i)),
+                    mss::sweep::Value(std::string("stt-mram"))});
+    }
+  }
+  for (auto _ : state) {
+    mss::server::ResultCache cache(path);
+    benchmark::DoNotOptimize(cache.entries());
+  }
+  state.SetItemsProcessed(state.iterations() * std::int64_t(n));
+  std::remove(path.c_str());
+}
+BENCHMARK(BM_CacheReplay)
+    ->ArgName("rows")
+    ->Arg(100'000)
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
+
 void BM_NormalIsfDeepTail(benchmark::State& state) {
   double q = 1e-20;
   for (auto _ : state) {

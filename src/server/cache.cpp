@@ -1,5 +1,6 @@
 #include "server/cache.hpp"
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
@@ -23,12 +24,8 @@ constexpr std::size_t kHeaderBytes = 8;
 // A row record beyond this is certainly garbage from a torn/overwritten
 // file, not data (rows are a handful of cells).
 constexpr std::uint32_t kMaxRecordBytes = 16u << 20;
-
-std::uint32_t read_u32le(const unsigned char* p) {
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) v |= std::uint32_t(p[i]) << (8 * i);
-  return v;
-}
+// Arena block size; a larger record gets a block of its own size.
+constexpr std::size_t kBlockBytes = 1u << 20;
 
 [[noreturn]] void throw_errno(const std::string& what) {
   throw std::system_error(errno, std::generic_category(), what);
@@ -56,36 +53,84 @@ bool write_fully(int fd, const char* data, std::size_t n) {
   return true;
 }
 
+/// A whole file image in one heap block.
+struct Image {
+  std::unique_ptr<char[]> bytes;
+  std::size_t size = 0;
+
+  [[nodiscard]] std::string_view view() const { return {bytes.get(), size}; }
+};
+
 /// Reads a whole file image through the fault shim (pread, EINTR-safe).
-std::string read_image(int fd, const std::string& what) {
+Image read_image(int fd, const std::string& what) {
   struct stat st {};
   if (::fstat(fd, &st) != 0) throw_errno(what + ": fstat");
   const auto file_size = std::size_t(st.st_size);
-  std::string file(file_size, '\0');
-  std::size_t got = 0;
-  while (got < file_size) {
+  Image image{std::make_unique_for_overwrite<char[]>(file_size), 0};
+  while (image.size < file_size) {
     const ssize_t r =
-        util::fault::pread(fd, file.data() + got, file_size - got, off_t(got));
+        util::fault::pread(fd, image.bytes.get() + image.size,
+                           file_size - image.size, off_t(image.size));
     if (r < 0) {
       if (errno == EINTR) continue;
       throw_errno(what + ": pread");
     }
     if (r == 0) break; // truncated under us; use what we have
-    got += std::size_t(r);
+    image.size += std::size_t(r);
   }
-  file.resize(got);
-  return file;
+  return image;
 }
 
-/// Bit-exact Value equality: doubles compare by their IEEE representation
-/// (NaN == NaN, -0.0 != +0.0 — exactly the cache's identity contract).
-bool bit_equal(const sweep::Value& a, const sweep::Value& b) {
-  if (a.index() != b.index()) return false;
-  if (const auto* da = std::get_if<double>(&a)) {
-    const double db = std::get<double>(b);
-    return std::memcmp(da, &db, sizeof db) == 0;
+/// Size of the valid record at the start of `bytes` (its 8-byte head plus
+/// payload), or 0 when there is none: a length out of bounds or past the
+/// end, a CRC mismatch, or a payload that is not exactly
+/// `string key | u32 n_cells | value*`. Walks the structure, decodes
+/// nothing.
+std::size_t valid_record_size(std::string_view bytes) {
+  if (bytes.size() < 8) return 0;
+  const std::uint32_t len = read_u32le(bytes.data());
+  if (len == 0 || len > kMaxRecordBytes || len > bytes.size() - 8) return 0;
+  const char* q = bytes.data() + 8;
+  if (crc32(q, len) != read_u32le(bytes.data() + 4)) return 0;
+
+  const char* const end = q + len;
+  const auto skip = [&](std::size_t n) { // false when fewer than n remain
+    if (std::size_t(end - q) < n) return false;
+    q += n;
+    return true;
+  };
+  const auto skip_string = [&] {
+    return skip(4) && skip(read_u32le(q - 4));
+  };
+  if (!skip_string() || !skip(4)) return 0;
+  const std::uint32_t n_cells = read_u32le(q - 4);
+  for (std::uint32_t c = 0; c < n_cells; ++c) {
+    if (q == end) return 0;
+    switch (*q++) {
+      case 0: // int64
+      case 1: // double
+        if (!skip(8)) return 0;
+        break;
+      case 2:
+        if (!skip_string()) return 0;
+        break;
+      default: return 0; // bad value tag
+    }
   }
-  return a == b;
+  return q == end ? 8 + std::size_t(len) : 0; // no trailing bytes
+}
+
+/// Walks the records of a file image, header excluded, calling
+/// `on_record(offset)` for each valid one. Stops at the first torn or
+/// corrupt record and returns the clean-prefix length.
+template <typename OnRecord>
+std::size_t walk_image(std::string_view image, OnRecord&& on_record) {
+  std::size_t pos = kHeaderBytes;
+  while (const std::size_t n = valid_record_size(image.substr(pos))) {
+    on_record(pos);
+    pos += n;
+  }
+  return pos;
 }
 
 } // namespace
@@ -105,6 +150,31 @@ std::string cache_key(const std::string& experiment_id,
   return key;
 }
 
+// --- RowRef ------------------------------------------------------------------
+
+std::string_view RowRef::record() const {
+  return {record_, 8 + std::size_t(read_u32le(record_))};
+}
+
+std::string_view RowRef::key() const {
+  return {record_ + 12, read_u32le(record_ + 8)};
+}
+
+std::string_view RowRef::cells() const {
+  return record().substr(12 + key().size());
+}
+
+Row RowRef::decode() const {
+  WireReader r(cells());
+  const std::uint32_t n_cells = r.u32();
+  Row row;
+  row.reserve(n_cells);
+  for (std::uint32_t c = 0; c < n_cells; ++c) row.push_back(r.value());
+  return row;
+}
+
+// --- ResultCache -------------------------------------------------------------
+
 ResultCache::ResultCache(const std::string& path, CacheOptions options)
     : path_(path), options_(options) {
   if (path_.empty()) return; // in-memory only
@@ -120,65 +190,31 @@ ResultCache::~ResultCache() {
 std::string ResultCache::encode_record(const std::string& key,
                                        const Row& row) {
   WireWriter w;
+  w.u32(0); // length and CRC, patched below
+  w.u32(0);
   w.str(key);
   w.u32(std::uint32_t(row.size()));
   for (const auto& cell : row) w.value(cell);
-  const std::string payload = w.take();
+  std::string record = w.take();
 
-  std::string record;
-  record.reserve(8 + payload.size());
-  const auto len = std::uint32_t(payload.size());
-  const std::uint32_t crc = crc32(payload.data(), payload.size());
-  for (int i = 0; i < 4; ++i) record += char(len >> (8 * i));
-  for (int i = 0; i < 4; ++i) record += char(crc >> (8 * i));
-  record += payload;
+  const auto len = std::uint32_t(record.size() - 8);
+  const std::uint32_t crc = crc32(record.data() + 8, len);
+  for (int i = 0; i < 4; ++i) {
+    record[i] = char(len >> (8 * i));
+    record[4 + i] = char(crc >> (8 * i));
+  }
   return record;
 }
 
-std::size_t ResultCache::parse_image(
-    const std::string& file, std::vector<std::pair<std::string, Row>>& out,
-    std::size_t& records) {
-  std::size_t pos = kHeaderBytes;
-  std::size_t good_end = pos;
-  std::unordered_map<std::string, std::size_t> seen;
-  while (pos + 8 <= file.size()) {
-    const auto* base = reinterpret_cast<const unsigned char*>(file.data());
-    const std::uint32_t len = read_u32le(base + pos);
-    const std::uint32_t want_crc = read_u32le(base + pos + 4);
-    if (len == 0 || len > kMaxRecordBytes || pos + 8 + len > file.size()) {
-      break; // torn tail (or garbage length): stop before it
-    }
-    const char* payload = file.data() + pos + 8;
-    if (crc32(payload, len) != want_crc) break; // corrupt record
-    try {
-      const std::string body(payload, len);
-      WireReader r(body);
-      std::string key = r.str();
-      const std::uint32_t n_cells = r.u32();
-      Row row;
-      row.reserve(n_cells);
-      for (std::uint32_t c = 0; c < n_cells; ++c) row.push_back(r.value());
-      if (r.remaining() != 0) break; // trailing junk inside the record
-      ++records;
-      if (seen.emplace(key, out.size()).second) { // first write wins
-        out.emplace_back(std::move(key), std::move(row));
-      }
-    } catch (const WireError&) {
-      break; // structurally invalid despite CRC: treat as tail corruption
-    }
-    pos += 8 + std::size_t(len);
-    good_end = pos;
-  }
-  return good_end;
-}
-
 void ResultCache::replay() {
-  const std::string file = read_image(fd_, "ResultCache");
+  Image file = read_image(fd_, "ResultCache");
 
-  if (file.empty()) {
-    // Fresh file: write the header now so every non-empty cache file is
-    // self-identifying.
-    const std::string header = file_header();
+  const std::string header = file_header();
+  if (file.size < kHeaderBytes &&
+      file.view() == std::string_view(header).substr(0, file.size)) {
+    // A fresh file, or one whose header write a crash tore: (re)write the
+    // header now so every non-empty cache file is self-identifying.
+    if (::ftruncate(fd_, 0) != 0) throw_errno("ResultCache: ftruncate");
     if (!write_fully(fd_, header.data(), header.size())) {
       throw_errno("ResultCache: write header");
     }
@@ -186,32 +222,33 @@ void ResultCache::replay() {
     return;
   }
 
-  if (file.size() < kHeaderBytes || std::memcmp(file.data(), kMagic, 4) != 0) {
+  if (file.size < kHeaderBytes ||
+      std::memcmp(file.bytes.get(), kMagic, 4) != 0) {
     throw std::runtime_error("ResultCache: '" + path_ +
                              "' is not a cache file (bad magic)");
   }
-  const std::uint32_t version =
-      read_u32le(reinterpret_cast<const unsigned char*>(file.data()) + 4);
+  const std::uint32_t version = read_u32le(file.bytes.get() + 4);
   if (version != kFormatVersion) {
     throw std::runtime_error("ResultCache: '" + path_ +
                              "' has format version " + std::to_string(version) +
                              ", expected " + std::to_string(kFormatVersion));
   }
 
-  std::vector<std::pair<std::string, Row>> parsed;
+  // The image is the first arena block: records are indexed where they
+  // lie, first write wins.
   std::size_t records = 0;
-  const std::size_t good_end = parse_image(file, parsed, records);
-  for (auto& [key, row] : parsed) {
-    const auto [it, fresh] = map_.emplace(std::move(key), std::move(row));
-    if (fresh) order_.push_back(&it->first);
-  }
+  const std::size_t good_end = walk_image(file.view(), [&](std::size_t at) {
+    ++records;
+    index_locked(RowRef(file.bytes.get() + at));
+  });
+  blocks_.push_back(std::move(file.bytes));
   replayed_ = map_.size();
-  discarded_ = file.size() - good_end;
+  discarded_ = file.size - good_end;
   file_bytes_ = good_end;
   file_records_ = records;
   disk_entries_ = map_.size();
 
-  if (good_end < file.size()) {
+  if (discarded_ != 0) {
     // Truncate the torn tail so the next append starts a clean record.
     if (::ftruncate(fd_, off_t(good_end)) != 0) {
       throw_errno("ResultCache: ftruncate");
@@ -219,13 +256,31 @@ void ResultCache::replay() {
   }
 }
 
-const Row* ResultCache::lookup(const std::string& key) const {
-  std::lock_guard<std::mutex> lk(m_);
-  const auto it = map_.find(key);
-  return it == map_.end() ? nullptr : &it->second;
+void ResultCache::index_locked(RowRef row) {
+  if (map_.try_emplace(row.key(), row).second) order_.push_back(row);
 }
 
-void ResultCache::append_locked(const std::string& record) {
+RowRef ResultCache::store_locked(std::string_view record) {
+  if (record.size() > block_left_) {
+    const std::size_t n = std::max(kBlockBytes, record.size());
+    blocks_.push_back(std::make_unique_for_overwrite<char[]>(n));
+    block_next_ = blocks_.back().get();
+    block_left_ = n;
+  }
+  char* const at = block_next_;
+  std::memcpy(at, record.data(), record.size());
+  block_next_ += record.size();
+  block_left_ -= record.size();
+  return RowRef(at);
+}
+
+RowRef ResultCache::lookup(std::string_view key) const {
+  std::lock_guard<std::mutex> lk(m_);
+  const auto it = map_.find(key);
+  return it == map_.end() ? RowRef() : it->second;
+}
+
+void ResultCache::append_locked(std::string_view record) {
   // Usually one write(2) per record (O_APPEND), but short writes and EINTR
   // are retried, so a crash mid-append can tear the tail record at *any*
   // byte boundary — inside the 8-byte header or mid-payload. Crash safety
@@ -247,16 +302,16 @@ void ResultCache::append_locked(const std::string& record) {
   fd_ = -1;
 }
 
-const Row& ResultCache::insert(const std::string& key, Row row) {
+RowRef ResultCache::insert(const std::string& key, const Row& row) {
+  const std::string record = encode_record(key, row);
   std::lock_guard<std::mutex> lk(m_);
-  const auto [it, fresh] = map_.try_emplace(key, std::move(row));
-  const Row& stored = it->second;
-  if (!fresh) return stored; // first write wins
-  order_.push_back(&it->first);
+  if (const auto it = map_.find(key); it != map_.end()) {
+    return it->second; // first write wins
+  }
+  const RowRef stored = store_locked(record);
+  index_locked(stored);
 
   if (fd_ < 0) return stored;
-  const std::string record = encode_record(key, stored);
-
   if (options_.max_bytes != 0 &&
       file_bytes_ + record.size() > options_.max_bytes) {
     // Over the cap. If the file carries duplicate records (concurrent
@@ -290,12 +345,10 @@ CompactStats ResultCache::compact_locked() {
   stats.records_before = file_records_;
   stats.records_after = map_.size();
 
-  // Build the compacted image: header + one record per live entry, in
+  // The compacted image: header + every stored record verbatim, in
   // first-insertion order (deterministic layout, stable across passes).
   std::string image = file_header();
-  for (const std::string* key : order_) {
-    image += encode_record(*key, map_.at(*key));
-  }
+  for (const RowRef row : order_) image += row.record();
 
   const std::string tmp_path = path_ + ".compact.tmp";
   int tmp = util::fault::open(tmp_path.c_str(),
@@ -308,27 +361,16 @@ CompactStats ResultCache::compact_locked() {
     if (::fsync(tmp) != 0) throw_errno("ResultCache: fsync '" + tmp_path + "'");
 
     // Prove the rewrite before swapping it in: byte-for-byte, and through
-    // the replay parser — the image must parse to exactly the live
-    // entries, every row bit-identical to the in-memory index.
-    const std::string readback = read_image(tmp, "ResultCache: verify");
-    if (readback != image) {
+    // replay's record walk — every record valid, one per live entry.
+    const Image readback = read_image(tmp, "ResultCache: verify");
+    if (readback.view() != image) {
       throw std::runtime_error("ResultCache: compacted file read back "
                                "differently than written");
     }
-    std::vector<std::pair<std::string, Row>> parsed;
     std::size_t records = 0;
-    const std::size_t good_end = parse_image(readback, parsed, records);
-    bool ok = good_end == readback.size() && records == map_.size() &&
-              parsed.size() == map_.size();
-    for (std::size_t i = 0; ok && i < parsed.size(); ++i) {
-      const auto it = map_.find(parsed[i].first);
-      ok = it != map_.end() &&
-           parsed[i].second.size() == it->second.size();
-      for (std::size_t c = 0; ok && c < it->second.size(); ++c) {
-        ok = bit_equal(parsed[i].second[c], it->second[c]);
-      }
-    }
-    if (!ok) {
+    const std::size_t good_end =
+        walk_image(readback.view(), [&](std::size_t) { ++records; });
+    if (good_end != readback.size || records != map_.size()) {
       throw std::runtime_error(
           "ResultCache: compacted file failed replay verification");
     }

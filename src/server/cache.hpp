@@ -16,11 +16,14 @@
 // Crash safety: appends go to an O_APPEND fd and are *usually* one
 // write(2), but short writes and EINTR are retried, so a crash can tear
 // the tail record at any byte boundary (mid-header or mid-payload) — no
-// atomicity is assumed. The real guarantee is replay's: it verifies
-// length bounds and CRC record by record and *truncates* the file at the
-// first bad record, so the next append lands on a clean boundary instead
-// of burying garbage mid-file. CRC (not just length) guards against a
-// torn write whose length field survived.
+// atomicity is assumed. The real guarantee is replay's: it checks each
+// record's length bound and CRC and walks its key and cells (valid tags,
+// nothing past the record's end, no trailing bytes), and *truncates* the
+// file at the first bad record, so the next append lands on a clean
+// boundary instead of burying garbage mid-file. CRC (not just length)
+// guards against a torn write whose length field survived. A file that
+// holds only a prefix of the header (a crash while a fresh cache wrote
+// it) replays as empty, with the header rewritten.
 //
 // Disk-failure degradation: an append that fails mid-record (ENOSPC, EIO)
 // is rolled back with ftruncate to the last clean record boundary and the
@@ -37,23 +40,31 @@
 // file still cannot take the record under the cap, the append is skipped
 // (counted in `capped_appends()`) and the row lives in memory only.
 // `compact()` rewrites the file via temp-file + rename: the rewritten
-// image is re-parsed and every row proven bit-identical to the in-memory
-// index *before* the rename swaps it in, so a crash at any point leaves
-// either the old or the new file, both valid.
+// image is the stored records concatenated, read back and proven
+// byte-identical and structurally valid *before* the rename swaps it in,
+// so a crash at any point leaves either the old or the new file, both
+// valid.
 //
-// Row ownership: the in-memory index is the only copy of every row the
-// daemon serves. lookup() and insert() hand out pointers/references into
-// it, and nothing ever erases an index entry (compaction rewrites only the
-// file; capped and degraded inserts still index the row). unordered_map
-// nodes survive rehash, so those pointers stay valid — and the rows they
-// point to immutable — for the cache's whole lifetime. Readers may
-// therefore dereference them without holding any cache lock.
+// Record ownership: the cache keeps every row as the exact record bytes
+// it writes to the file, never decoded. Records live in an append-only
+// arena of blocks that are never moved or freed before the cache is — the
+// replayed file image is the first block — and the key index holds
+// string_views into them. Memory is therefore about the file's bytes plus
+// the index. lookup() and insert() hand out RowRef handles (one pointer to
+// a record), and nothing ever erases an index entry (compaction rewrites
+// only the file; capped and degraded inserts still store the record), so
+// a handle stays valid — and its bytes immutable — for the cache's whole
+// lifetime. Readers may therefore dereference it without holding any
+// cache lock. A record's cell bytes are byte-identical to the body of a
+// wire Row frame, so fetches stream them verbatim.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -63,6 +74,33 @@ namespace mss::server {
 
 /// One result row: the typed cells of a ResultTable row.
 using Row = std::vector<sweep::Value>;
+
+/// A handle to one stored row: a single pointer to its record in a
+/// ResultCache's arena, or null. Trivially copyable; valid (and the bytes
+/// it names immutable) for the lifetime of the cache that returned it.
+class RowRef {
+ public:
+  RowRef() = default;
+
+  [[nodiscard]] explicit operator bool() const { return record_ != nullptr; }
+  friend bool operator==(RowRef, RowRef) = default;
+
+  /// The cache key the row is stored under.
+  [[nodiscard]] std::string_view key() const;
+  /// The row's wire encoding, `u32 n_cells | value*` — byte-identical to
+  /// the body of a Row frame.
+  [[nodiscard]] std::string_view cells() const;
+  /// Decodes the typed cells (doubles bit-exact).
+  [[nodiscard]] Row decode() const;
+
+ private:
+  friend class ResultCache;
+  explicit RowRef(const char* record) : record_(record) {}
+  /// The whole record: `u32 len | u32 crc | string key | cells`.
+  [[nodiscard]] std::string_view record() const;
+
+  const char* record_ = nullptr;
+};
 
 /// Composes the full cache key. `point_key` is Point::key() — injective
 /// over coordinates — and the 0x1F unit separators cannot appear unescaped
@@ -98,20 +136,20 @@ class ResultCache {
   ResultCache(const ResultCache&) = delete;
   ResultCache& operator=(const ResultCache&) = delete;
 
-  /// The cached row, or nullptr. Valid for the cache's lifetime.
-  [[nodiscard]] const Row* lookup(const std::string& key) const;
+  /// The cached row, or a null handle.
+  [[nodiscard]] RowRef lookup(std::string_view key) const;
 
-  /// Appends (key, row) to the file and the in-memory index and returns
-  /// the stored row (valid for the cache's lifetime). A key that is
-  /// already present keeps its row, which is returned instead (first
-  /// write wins — the memo-hit semantics: the first computed result is the
-  /// canonical one). Disk failures degrade to memory-only (see header) —
-  /// insert never throws for them, so a full disk cannot fail jobs.
-  const Row& insert(const std::string& key, Row row);
+  /// Appends (key, row) to the file and the in-memory store and returns
+  /// the stored row. A key that is already present keeps its row, which
+  /// is returned instead (first write wins — the memo-hit semantics: the
+  /// first computed result is the canonical one). Disk failures degrade
+  /// to memory-only (see header) — insert never throws for them, so a
+  /// full disk cannot fail jobs.
+  RowRef insert(const std::string& key, const Row& row);
 
   /// Rewrites the file with exactly one record per live entry, in
   /// first-insertion order, via temp-file + rename. The new image is
-  /// re-parsed and verified bit-identical to the index before the swap.
+  /// read back and verified byte-identical and valid before the swap.
   /// Throws std::system_error / std::runtime_error on failure — the
   /// original file is left untouched. No-op (zeros) when in-memory.
   CompactStats compact();
@@ -141,26 +179,28 @@ class ResultCache {
   /// Serializes one record (length | crc | payload) for (key, row).
   [[nodiscard]] static std::string encode_record(const std::string& key,
                                                 const Row& row);
-  /// Parses `bytes` (a whole file image) record by record; stops at the
-  /// first torn/corrupt record. Appends (key, row) pairs of *first*
-  /// occurrences to `out`, returns the clean-prefix length and counts all
-  /// valid records (duplicates included) in `records`.
-  static std::size_t parse_image(
-      const std::string& bytes, std::vector<std::pair<std::string, Row>>& out,
-      std::size_t& records);
+  /// Copies `record` into the arena; the copy never moves.
+  RowRef store_locked(std::string_view record);
+  /// Indexes a stored record; a duplicate key keeps its first record.
+  void index_locked(RowRef row);
   CompactStats compact_locked();
   /// Appends `record` with rollback-to-boundary + degrade on failure.
-  void append_locked(const std::string& record);
+  void append_locked(std::string_view record);
 
   std::string path_;
   CacheOptions options_;
   int fd_ = -1; ///< O_APPEND fd; -1 when in-memory or degraded
   mutable std::mutex m_;
-  /// Never erased from (see "Row ownership" above).
-  std::unordered_map<std::string, Row> map_;
-  /// First-insertion order of map_ keys (stable node pointers) — the
-  /// deterministic record order compact() writes.
-  std::vector<const std::string*> order_;
+  /// Append-only record storage; blocks are never moved or freed (see
+  /// "Record ownership" above).
+  std::vector<std::unique_ptr<char[]>> blocks_;
+  char* block_next_ = nullptr; ///< free space of the current block
+  std::size_t block_left_ = 0;
+  /// Key -> record; keys view the records' own bytes. Never erased from.
+  std::unordered_map<std::string_view, RowRef> map_;
+  /// Stored rows in first-insertion order — the deterministic record
+  /// order compact() writes.
+  std::vector<RowRef> order_;
   std::size_t replayed_ = 0;
   std::size_t discarded_ = 0;
   std::size_t file_bytes_ = 0;   ///< clean bytes on disk

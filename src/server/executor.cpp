@@ -47,7 +47,7 @@ void StripedRun::step() {
   pending_.clear();
   for (std::size_t i = begin; i < end; ++i) {
     if (owner_[i] != i) continue; // duplicate: copied below
-    if (const Row* hit = cache_.lookup(key_of_[i])) {
+    if (const RowRef hit = cache_.lookup(key_of_[i])) {
       rows_[i] = hit;
       ++stats_.cache_hits;
       continue;
@@ -83,7 +83,7 @@ void StripedRun::step() {
   // deterministic function of the job, not of thread scheduling.
   for (std::size_t k = 0; k < pending_.size(); ++k) {
     const std::size_t i = pending_[k];
-    rows_[i] = &cache_.insert(key_of_[i], std::move(evaluated_[k]));
+    rows_[i] = cache_.insert(key_of_[i], evaluated_[k]);
   }
 
   for (std::size_t i = begin; i < end; ++i) {
@@ -113,7 +113,7 @@ ExecOutcome run_cached(const sweep::RowExperiment& exp,
     run.step();
     if (on_stripe) {
       for (std::size_t i = done_begin; i < run.done_end(); ++i) {
-        rows[i] = *run.rows()[i];
+        rows[i] = run.rows()[i].decode();
       }
       on_stripe(run.stats(), rows, run.done_end());
     }

@@ -18,7 +18,7 @@
 // over the shared thread pool, inserted into the cache (in index order, so
 // the file layout is deterministic too), and then every row of the stripe
 // is handed to the sink in index order. The cache owns every row; a run
-// holds only pointers into it (see cache.hpp, "Row ownership").
+// holds only RowRef handles into it (see cache.hpp, "Record ownership").
 // Cancellation is cooperative at stripe granularity: rows already
 // streamed stay valid and cached, so a cancelled job resumes from the
 // cache like a killed one.
@@ -57,8 +57,9 @@ struct ExecOptions {
 enum class ExecOutcome { Done, Cancelled };
 
 /// Called after each stripe with the stats accumulated so far and the rows
-/// of the run: `rows` has one slot per point, and [0, done_end) are final
-/// ([done_begin, done_end) are new this stripe). Return value ignored.
+/// of the run, decoded from the cache: `rows` has one slot per point, and
+/// [0, done_end) are final ([done_begin, done_end) are new this stripe).
+/// Return value ignored.
 using StripeFn = std::function<void(const sweep::RunStats& so_far,
                                     const std::vector<std::vector<sweep::Value>>& rows,
                                     std::size_t done_end)>;
@@ -67,7 +68,7 @@ using StripeFn = std::function<void(const sweep::RunStats& so_far,
 /// scheduler-facing core of run_cached(). The referenced experiment,
 /// space and cache must outlive the run. Not thread-safe: one owner
 /// advances it (the server's executor thread); readers synchronise
-/// externally (the server copies row pointers out under the job mutex
+/// externally (the server copies row handles out under the job mutex
 /// after each step).
 class StripedRun {
  public:
@@ -75,16 +76,16 @@ class StripedRun {
              const ExecOptions& opt, ResultCache& cache);
 
   /// Executes the next stripe: cache lookups, parallel evaluation of the
-  /// misses, in-order cache inserts, duplicate pointer copy-down. No-op
+  /// misses, in-order cache inserts, duplicate handle copy-down. No-op
   /// once finished(). Throws what evaluate() throws (the run is then
   /// poisoned; callers treat the job as failed).
   void step();
 
   [[nodiscard]] bool finished() const { return next_ >= n_; }
-  /// Rows completed so far: rows()[0, done_end()) are final and point
-  /// into the cache (valid for its lifetime); later slots are null.
+  /// Rows completed so far: rows()[0, done_end()) are final handles into
+  /// the cache (valid for its lifetime); later slots are null.
   [[nodiscard]] std::size_t done_end() const { return next_; }
-  [[nodiscard]] const std::vector<const Row*>& rows() const { return rows_; }
+  [[nodiscard]] const std::vector<RowRef>& rows() const { return rows_; }
   [[nodiscard]] const sweep::RunStats& stats() const { return stats_; }
 
  private:
@@ -102,7 +103,7 @@ class StripedRun {
   std::vector<std::string> key_of_;   ///< cache keys of first occurrences
   std::vector<std::size_t> pending_;  ///< scratch: this stripe's misses
   std::vector<Row> evaluated_;        ///< scratch: rows of pending_
-  std::vector<const Row*> rows_;
+  std::vector<RowRef> rows_;
   sweep::RunStats stats_;
 };
 

@@ -560,8 +560,17 @@ void Server::stream_fetch(util::Fd& fd, Job& job) {
     send_frame(fd, w.take(), options_.io_timeout_ms);
   }
 
+  // Row frames (and the final TableEnd) are coalesced into writes of up
+  // to kFlushBytes; each Row frame body is its record's cell bytes,
+  // copied verbatim.
+  constexpr std::size_t kFlushBytes = 64u << 10;
+  std::string out;
+  const auto flush = [&] {
+    util::write_all(fd, out.data(), out.size(), options_.io_timeout_ms);
+    out.clear();
+  };
   std::size_t sent = 0;
-  std::vector<const Row*> batch;
+  std::vector<RowRef> batch;
   while (true) {
     bool terminal = false;
     JobStatus final_status;
@@ -577,21 +586,19 @@ void Server::stream_fetch(util::Fd& fd, Job& job) {
     // Stream outside the job lock: a slow client must not stall the
     // executor's stripe hand-off. The rows live in the cache, immutable
     // and never erased, so no cache lock is needed either.
-    for (const Row* row : batch) {
-      WireWriter w;
-      w.u8(std::uint8_t(FrameType::Row));
-      w.u32(std::uint32_t(row->size()));
-      for (const auto& cell : *row) w.value(cell);
-      send_frame(fd, w.take(), options_.io_timeout_ms);
+    for (const RowRef row : batch) {
+      append_frame(out, FrameType::Row, row.cells());
+      if (out.size() >= kFlushBytes) flush();
     }
     sent += batch.size();
     if (terminal) {
       WireWriter w;
-      w.u8(std::uint8_t(FrameType::TableEnd));
       write_status_body(w, final_status);
-      send_frame(fd, w.take(), options_.io_timeout_ms);
+      append_frame(out, FrameType::TableEnd, w.bytes());
+      flush();
       return;
     }
+    if (!out.empty()) flush();
   }
 }
 

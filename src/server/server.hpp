@@ -24,9 +24,10 @@
 // already in the cache, so a cancelled (or SIGKILLed) job's work is never
 // lost — resubmitting it resumes from the cache bit-identically.
 //
-// Rows are stored once, in the cache: a job holds only pointers to its
-// rows there (stable for the server's lifetime, see cache.hpp), and
-// fetches serialize them without holding any lock.
+// Rows are stored once, in the cache, as their on-disk record bytes: a
+// job holds only RowRef handles to its rows there (stable for the
+// server's lifetime, see cache.hpp), and fetches copy each row's cell
+// bytes into its Row frame verbatim, without holding any lock.
 #pragma once
 
 #include <atomic>
@@ -173,8 +174,8 @@ class Server {
     std::condition_variable cv;
     JobState state = JobState::Queued;
     std::uint64_t slices = 0;
-    /// Completed rows in space order, pointing into cache_.
-    std::vector<const Row*> rows;
+    /// Completed rows in space order, handles into cache_.
+    std::vector<RowRef> rows;
     sweep::RunStats stats;
     std::string error;
   };

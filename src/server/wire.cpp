@@ -9,28 +9,46 @@ namespace mss::server {
 
 namespace {
 
-std::array<std::uint32_t, 256> make_crc_table() {
-  std::array<std::uint32_t, 256> t{};
+using CrcTables = std::array<std::array<std::uint32_t, 256>, 8>;
+
+/// Slicing-by-8 tables: t[0] is the byte-wise table of the reflected
+/// polynomial, t[k][i] the CRC of byte i followed by k zero bytes.
+constexpr CrcTables make_crc_tables() {
+  CrcTables t{};
   for (std::uint32_t i = 0; i < 256; ++i) {
     std::uint32_t c = i;
     for (int k = 0; k < 8; ++k) {
       c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
     }
-    t[i] = c;
+    t[0][i] = c;
+  }
+  for (std::size_t k = 1; k < 8; ++k) {
+    for (std::uint32_t i = 0; i < 256; ++i) {
+      t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xFFu];
+    }
   }
   return t;
 }
 
-const std::array<std::uint32_t, 256> kCrcTable = make_crc_table();
+constexpr CrcTables kCrcTables = make_crc_tables();
 
 } // namespace
 
 std::uint32_t crc32(const void* data, std::size_t n, std::uint32_t seed) {
   const auto* p = static_cast<const unsigned char*>(data);
+  const auto& t = kCrcTables;
   std::uint32_t c = seed ^ 0xFFFFFFFFu;
-  for (std::size_t i = 0; i < n; ++i) {
-    c = kCrcTable[(c ^ p[i]) & 0xFFu] ^ (c >> 8);
+  // Eight bytes per step: the running CRC folds into the first word, and
+  // each byte's contribution is looked up in the table that shifts it past
+  // the bytes that follow it.
+  for (; n >= 8; p += 8, n -= 8) {
+    const std::uint32_t lo = read_u32le(p) ^ c;
+    const std::uint32_t hi = read_u32le(p + 4);
+    c = t[7][lo & 0xFFu] ^ t[6][(lo >> 8) & 0xFFu] ^
+        t[5][(lo >> 16) & 0xFFu] ^ t[4][lo >> 24] ^ t[3][hi & 0xFFu] ^
+        t[2][(hi >> 8) & 0xFFu] ^ t[1][(hi >> 16) & 0xFFu] ^ t[0][hi >> 24];
   }
+  for (; n > 0; ++p, --n) c = t[0][(c ^ *p) & 0xFFu] ^ (c >> 8);
   return c ^ 0xFFFFFFFFu;
 }
 
@@ -113,12 +131,7 @@ std::uint16_t WireReader::u16() {
   return std::uint16_t(p[0] | (std::uint16_t(p[1]) << 8));
 }
 
-std::uint32_t WireReader::u32() {
-  const auto* p = static_cast<const unsigned char*>(need(4));
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) v |= std::uint32_t(p[i]) << (8 * i);
-  return v;
-}
+std::uint32_t WireReader::u32() { return read_u32le(need(4)); }
 
 std::uint64_t WireReader::u64() {
   const auto* p = static_cast<const unsigned char*>(need(8));
@@ -212,14 +225,23 @@ void send_frame(const util::Fd& fd, const std::string& payload,
   util::write_all(fd, payload.data(), payload.size(), idle_timeout_ms);
 }
 
+void append_frame(std::string& out, FrameType type, std::string_view body) {
+  if (body.size() >= kMaxFrameBytes) {
+    throw WireError("wire: frame payload too large");
+  }
+  const auto len = std::uint32_t(body.size() + 1);
+  for (int i = 0; i < 4; ++i) out += char(len >> (8 * i));
+  out += char(type);
+  out.append(body);
+}
+
 std::optional<std::string> recv_frame(const util::Fd& fd,
                                       int idle_timeout_ms) {
   unsigned char head[4];
   if (!util::read_exact(fd, head, sizeof head, idle_timeout_ms)) {
     return std::nullopt;
   }
-  std::uint32_t len = 0;
-  for (int i = 0; i < 4; ++i) len |= std::uint32_t(head[i]) << (8 * i);
+  const std::uint32_t len = read_u32le(head);
   if (len > kMaxFrameBytes) throw WireError("wire: oversized frame");
   std::string payload(len, '\0');
   if (len > 0 && !util::read_exact(fd, payload.data(), len, idle_timeout_ms)) {

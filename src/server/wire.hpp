@@ -23,6 +23,7 @@
 #include <optional>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "sweep/param_space.hpp"
@@ -99,9 +100,17 @@ class WireError : public std::runtime_error {
 };
 
 /// CRC32 (IEEE 802.3, reflected 0xEDB88320) over a byte range — guards the
-/// persistent cache records. crc32("123456789") == 0xCBF43926.
+/// persistent cache records. crc32("123456789") == 0xCBF43926. Computed
+/// eight bytes per step (slicing-by-8); `seed` chains a CRC across calls.
 [[nodiscard]] std::uint32_t crc32(const void* data, std::size_t n,
                                   std::uint32_t seed = 0);
+
+/// The little-endian u32 at `p` (any alignment).
+[[nodiscard]] inline std::uint32_t read_u32le(const void* p) {
+  const auto* b = static_cast<const unsigned char*>(p);
+  return std::uint32_t(b[0]) | std::uint32_t(b[1]) << 8 |
+         std::uint32_t(b[2]) << 16 | std::uint32_t(b[3]) << 24;
+}
 
 /// Append-only little-endian encoder.
 class WireWriter {
@@ -124,11 +133,12 @@ class WireWriter {
   std::string buf_;
 };
 
-/// Cursor-based decoder over a byte buffer; every read throws WireError on
-/// truncation, and trailing garbage is detectable via remaining().
+/// Cursor-based decoder over a byte buffer (which must outlive it); every
+/// read throws WireError on truncation, and trailing garbage is detectable
+/// via remaining().
 class WireReader {
  public:
-  explicit WireReader(const std::string& buf) : buf_(buf) {}
+  explicit WireReader(std::string_view buf) : buf_(buf) {}
 
   [[nodiscard]] std::uint8_t u8();
   [[nodiscard]] std::uint16_t u16();
@@ -146,7 +156,7 @@ class WireReader {
  private:
   const void* need(std::size_t n);
 
-  const std::string& buf_;
+  std::string_view buf_;
   std::size_t pos_ = 0;
 };
 
@@ -156,6 +166,11 @@ class WireReader {
 /// the server evicts a stalled reader instead of pinning a handler thread.
 void send_frame(const util::Fd& fd, const std::string& payload,
                 int idle_timeout_ms = 0);
+
+/// Appends one whole frame (length prefix | u8 type | body) to `out`, so a
+/// sender can coalesce many small frames into one write. Throws WireError
+/// when the payload would exceed kMaxFrameBytes.
+void append_frame(std::string& out, FrameType type, std::string_view body);
 
 /// Receives one frame payload; nullopt on clean EOF at a frame boundary.
 /// Throws WireError on oversized frames, std::system_error on I/O errors.

@@ -14,6 +14,7 @@
 #include <unistd.h>
 
 #include "server/cache.hpp"
+#include "server/wire.hpp"
 #include "util/io_fault.hpp"
 
 namespace {
@@ -21,6 +22,7 @@ namespace {
 using mss::server::cache_key;
 using mss::server::ResultCache;
 using mss::server::Row;
+using mss::server::RowRef;
 using mss::sweep::Value;
 
 std::uint64_t bits_of(double d) {
@@ -74,15 +76,17 @@ TEST(CacheKey, DistinctComponentsNeverCollide) {
 
 TEST(ResultCache, InMemoryLookupAndFirstWriteWins) {
   ResultCache cache(""); // no persistence
-  EXPECT_EQ(cache.lookup("k"), nullptr);
-  const Row& first = cache.insert("k", {Value(std::int64_t(1)), Value(2.5)});
-  const Row& again = cache.insert("k", {Value(std::int64_t(999))}); // ignored
-  EXPECT_EQ(&again, &first); // the first-written row is returned
-  const auto got = cache.lookup("k");
-  ASSERT_EQ(got, &first);
-  ASSERT_EQ(got->size(), 2u);
-  EXPECT_EQ(std::get<std::int64_t>((*got)[0]), 1);
-  EXPECT_EQ(std::get<double>((*got)[1]), 2.5);
+  EXPECT_FALSE(cache.lookup("k"));
+  const RowRef first =
+      cache.insert("k", {Value(std::int64_t(1)), Value(2.5)});
+  const RowRef again = cache.insert("k", {Value(std::int64_t(999))}); // ignored
+  EXPECT_TRUE(again == first); // the first-written row is returned
+  EXPECT_EQ(first.key(), "k");
+  ASSERT_TRUE(cache.lookup("k") == first);
+  const Row got = first.decode();
+  ASSERT_EQ(got.size(), 2u);
+  EXPECT_EQ(std::get<std::int64_t>(got[0]), 1);
+  EXPECT_EQ(std::get<double>(got[1]), 2.5);
   EXPECT_EQ(cache.entries(), 1u);
 }
 
@@ -101,16 +105,17 @@ TEST(ResultCache, ReopenReplaysBitExactRows) {
   ResultCache cache(path);
   EXPECT_EQ(cache.replayed(), 2u);
   EXPECT_EQ(cache.discarded_bytes(), 0u);
-  const auto got = cache.lookup("row1");
-  ASSERT_NE(got, nullptr);
-  ASSERT_EQ(got->size(), tricky.size());
-  EXPECT_EQ(bits_of(std::get<double>((*got)[0])), bits_of(-0.0));
-  EXPECT_EQ(bits_of(std::get<double>((*got)[1])),
+  const auto ref = cache.lookup("row1");
+  ASSERT_TRUE(ref);
+  const Row got = ref.decode();
+  ASSERT_EQ(got.size(), tricky.size());
+  EXPECT_EQ(bits_of(std::get<double>(got[0])), bits_of(-0.0));
+  EXPECT_EQ(bits_of(std::get<double>(got[1])),
             bits_of(std::numeric_limits<double>::denorm_min()));
-  EXPECT_EQ(bits_of(std::get<double>((*got)[2])),
+  EXPECT_EQ(bits_of(std::get<double>(got[2])),
             bits_of(std::numeric_limits<double>::infinity()));
-  EXPECT_EQ(std::get<std::int64_t>((*got)[3]), -1);
-  EXPECT_EQ(std::get<std::string>((*got)[4]), std::string("s;=\x1f\\\0end", 8));
+  EXPECT_EQ(std::get<std::int64_t>(got[3]), -1);
+  EXPECT_EQ(std::get<std::string>(got[4]), std::string("s;=\x1f\\\0end", 8));
   std::remove(path.c_str());
 }
 
@@ -128,14 +133,14 @@ TEST(ResultCache, TornTailIsTruncatedAndAppendableAgain) {
     ResultCache cache(path);
     EXPECT_EQ(cache.replayed(), 2u);
     EXPECT_GT(cache.discarded_bytes(), 0u);
-    ASSERT_NE(cache.lookup("a"), nullptr);
-    ASSERT_NE(cache.lookup("b"), nullptr);
+    ASSERT_TRUE(cache.lookup("a"));
+    ASSERT_TRUE(cache.lookup("b"));
     cache.insert("c", {Value(3.0)}); // appends onto the clean boundary
   }
   ResultCache cache(path);
   EXPECT_EQ(cache.replayed(), 3u);
   EXPECT_EQ(cache.discarded_bytes(), 0u);
-  EXPECT_NE(cache.lookup("c"), nullptr);
+  EXPECT_TRUE(cache.lookup("c"));
   std::remove(path.c_str());
 }
 
@@ -161,14 +166,14 @@ TEST(ResultCache, RecordTornMidPayloadIsTruncated) {
     ResultCache cache(path);
     EXPECT_EQ(cache.replayed(), 1u);
     EXPECT_EQ(cache.discarded_bytes(), 10u);
-    EXPECT_NE(cache.lookup("a"), nullptr);
-    EXPECT_EQ(cache.lookup("b"), nullptr);
+    EXPECT_TRUE(cache.lookup("a"));
+    EXPECT_FALSE(cache.lookup("b"));
     cache.insert("b", {Value(2.0), Value(std::int64_t(20))}); // recompute
   }
   ResultCache cache(path);
   EXPECT_EQ(cache.replayed(), 2u);
   EXPECT_EQ(cache.discarded_bytes(), 0u);
-  EXPECT_NE(cache.lookup("b"), nullptr);
+  EXPECT_TRUE(cache.lookup("b"));
   std::remove(path.c_str());
 }
 
@@ -187,7 +192,7 @@ TEST(ResultCache, RecordTornMidHeaderIsTruncated) {
   ResultCache cache(path);
   EXPECT_EQ(cache.replayed(), 1u);
   EXPECT_EQ(cache.discarded_bytes(), 5u);
-  EXPECT_EQ(cache.lookup("b"), nullptr);
+  EXPECT_FALSE(cache.lookup("b"));
   std::remove(path.c_str());
 }
 
@@ -205,8 +210,142 @@ TEST(ResultCache, CrcCorruptionDropsTheRecord) {
   ResultCache cache(path);
   EXPECT_EQ(cache.replayed(), 1u);
   EXPECT_GT(cache.discarded_bytes(), 0u);
-  EXPECT_NE(cache.lookup("a"), nullptr);
-  EXPECT_EQ(cache.lookup("b"), nullptr);
+  EXPECT_TRUE(cache.lookup("a"));
+  EXPECT_FALSE(cache.lookup("b"));
+  std::remove(path.c_str());
+}
+
+// A crash while a fresh cache writes its header leaves a 1-7 byte prefix
+// of it. That is an empty cache, not a foreign file: replay rewrites the
+// header and the cache works as if the file had been absent.
+TEST(ResultCache, TornHeaderIsRewritten) {
+  const std::string path = temp_path();
+  { ResultCache cache(path); }
+  const std::string header = read_file(path);
+  ASSERT_EQ(header.size(), 8u);
+  for (std::size_t k = 1; k < header.size(); ++k) {
+    write_file(path, header.substr(0, k));
+    {
+      ResultCache cache(path);
+      EXPECT_EQ(cache.replayed(), 0u) << k;
+      EXPECT_EQ(cache.discarded_bytes(), 0u) << k;
+      EXPECT_EQ(cache.file_bytes(), 8u) << k;
+      EXPECT_EQ(read_file(path), header) << k;
+      cache.insert("a", {Value(std::int64_t(k))});
+    }
+    ResultCache cache(path);
+    EXPECT_EQ(cache.replayed(), 1u) << k;
+    const RowRef a = cache.lookup("a");
+    ASSERT_TRUE(a) << k;
+    EXPECT_EQ(std::get<std::int64_t>(a.decode().at(0)), std::int64_t(k));
+  }
+  // A short file that is not a header prefix is still someone else's.
+  for (const std::string& foreign :
+       {std::string("MSSX"), std::string("MSSC\x02"), std::string(1, '\0')}) {
+    write_file(path, foreign);
+    EXPECT_THROW(ResultCache cache(path), std::runtime_error) << foreign;
+    EXPECT_EQ(read_file(path), foreign);
+  }
+  std::remove(path.c_str());
+}
+
+// A crash can stop the file at any byte. Cut a 3-record file at every
+// offset: replay keeps exactly the whole records before the cut, discards
+// the rest, and the next append lands on a clean boundary.
+TEST(ResultCache, TruncationAtEveryOffsetKeepsTheWholeRecords) {
+  const std::string path = temp_path();
+  std::vector<std::size_t> ends; // end offset of the header and each record
+  {
+    ResultCache cache(path);
+    ends.push_back(cache.file_bytes());
+    cache.insert("a", {Value(1.0), Value(std::int64_t(-2))});
+    ends.push_back(cache.file_bytes());
+    cache.insert("bb", {Value(std::string("x\0y", 3))});
+    ends.push_back(cache.file_bytes());
+    cache.insert("ccc", {});
+    ends.push_back(cache.file_bytes());
+  }
+  const std::string intact = read_file(path);
+  ASSERT_EQ(intact.size(), ends.back());
+  for (std::size_t cut = 0; cut <= intact.size(); ++cut) {
+    write_file(path, intact.substr(0, cut));
+    std::size_t whole = 0; // records wholly before the cut
+    while (whole + 1 < ends.size() && ends[whole + 1] <= cut) ++whole;
+    const std::size_t kept = cut < ends[0] ? 0 : cut - ends[whole];
+    {
+      ResultCache cache(path);
+      EXPECT_EQ(cache.replayed(), whole) << "cut " << cut;
+      EXPECT_EQ(cache.discarded_bytes(), kept) << "cut " << cut;
+      EXPECT_EQ(cache.file_bytes(), std::max(cut - kept, ends[0]))
+          << "cut " << cut;
+      cache.insert("d", {Value(4.0)});
+    }
+    ResultCache cache(path);
+    EXPECT_EQ(cache.replayed(), whole + 1) << "cut " << cut;
+    EXPECT_EQ(cache.discarded_bytes(), 0u) << "cut " << cut;
+    const RowRef d = cache.lookup("d");
+    ASSERT_TRUE(d) << "cut " << cut;
+    EXPECT_EQ(bits_of(std::get<double>(d.decode().at(0))), bits_of(4.0));
+  }
+  std::remove(path.c_str());
+}
+
+/// One record framed exactly as the cache frames them — length, CRC of
+/// the payload, payload — whatever the payload holds.
+std::string framed_record(const std::string& payload) {
+  mss::server::WireWriter w;
+  w.u32(std::uint32_t(payload.size()));
+  w.u32(mss::server::crc32(payload.data(), payload.size()));
+  return w.take() + payload;
+}
+
+// A record whose CRC matches but whose payload is not `key | n_cells |
+// value*` is corruption all the same: replay stops and truncates there.
+TEST(ResultCache, MalformedPayloadWithValidCrcIsTruncated) {
+  const std::string path = temp_path();
+  {
+    ResultCache cache(path);
+    cache.insert("a", {Value(1.0)});
+  }
+  const std::string good = read_file(path);
+  const auto payload = [](std::uint32_t n_cells, const std::string& cells) {
+    mss::server::WireWriter w;
+    w.str("b");
+    w.u32(n_cells);
+    return w.take() + cells;
+  };
+  const std::string one_double = std::string("\x01", 1) + std::string(8, '\0');
+  const struct {
+    const char* what;
+    std::string payload;
+  } bad[] = {
+      {"bad value tag", payload(1, std::string("\x03", 1) + std::string(8, '\0'))},
+      {"n_cells past the end", payload(2, one_double)},
+      {"a trailing byte", payload(1, one_double + "z")},
+      {"key past the end", std::string("\xff\0\0\0b", 5)},
+      {"string cell past the end",
+       payload(1, std::string("\x02\x09\0\0\0abc", 8))},
+  };
+  // Each bad record is followed by a well-formed one, which replay drops
+  // too: it stops at the first bad record.
+  const std::string twin = framed_record(payload(1, one_double));
+  for (const auto& b : bad) {
+    const std::string record = framed_record(b.payload);
+    write_file(path, good + record + twin);
+    {
+      ResultCache cache(path);
+      EXPECT_EQ(cache.replayed(), 1u) << b.what;
+      EXPECT_EQ(cache.discarded_bytes(), record.size() + twin.size())
+          << b.what;
+      EXPECT_FALSE(cache.lookup("b")) << b.what;
+    }
+    EXPECT_EQ(read_file(path), good) << b.what;
+  }
+  // The well-formed record alone replays.
+  write_file(path, good + twin);
+  ResultCache cache(path);
+  EXPECT_EQ(cache.replayed(), 2u);
+  EXPECT_TRUE(cache.lookup("b"));
   std::remove(path.c_str());
 }
 
@@ -224,16 +363,18 @@ TEST(ResultCache, EmptyRowRoundTrips) {
     cache.insert("empty", {});
   }
   ResultCache cache(path);
-  const auto got = cache.lookup("empty");
-  ASSERT_NE(got, nullptr);
-  EXPECT_TRUE(got->empty());
+  const auto ref = cache.lookup("empty");
+  ASSERT_TRUE(ref);
+  const Row got = ref.decode();
+  EXPECT_TRUE(got.empty());
   std::remove(path.c_str());
 }
 
-// The cache is the only owner of served rows: jobs keep pointers into it
-// and fetches read them without a lock. Those pointers must survive
-// rehash (many further inserts), compaction and memory-only (over-cap)
-// inserts, with the row bit-identical throughout.
+// The cache is the only owner of served rows: jobs keep RowRef handles
+// into it and fetches read them without a lock. Those handles must survive
+// rehash and new arena blocks (many further inserts), compaction and
+// memory-only (over-cap) inserts, with the row's bytes unmoved and
+// bit-identical throughout.
 TEST(ResultCache, RowPointersStayValidForTheCacheLifetime) {
   const std::string path = temp_path();
   const Row tricky = {Value(-0.0),
@@ -241,30 +382,39 @@ TEST(ResultCache, RowPointersStayValidForTheCacheLifetime) {
                       Value(std::int64_t(-1)),
                       Value(std::string("p\x1f\0q", 4))};
   mss::server::CacheOptions options;
-  options.max_bytes = 1u << 20; // room for the small rows, not the big one
+  options.max_bytes = 4u << 20; // room for the small rows, not the big one
   ResultCache cache(path, options);
 
-  const Row& first = cache.insert("first", tricky);
-  EXPECT_EQ(cache.lookup("first"), &first);
-  EXPECT_EQ(&cache.insert("first", {Value(99.0)}), &first);
-  EXPECT_TRUE(rows_bit_equal(first, tricky));
+  const RowRef first = cache.insert("first", tricky);
+  const std::string_view cells = first.cells();
+  const std::string bytes(cells);
+  const auto unmoved = [&] {
+    return first.cells().data() == cells.data() && first.cells() == bytes &&
+           first.key() == "first" && rows_bit_equal(first.decode(), tricky);
+  };
+  EXPECT_TRUE(cache.lookup("first") == first);
+  EXPECT_TRUE(cache.insert("first", {Value(99.0)}) == first);
+  EXPECT_TRUE(unmoved());
 
-  for (int i = 0; i < 10'000; ++i) { // forces many rehashes
-    cache.insert(std::to_string(i), {Value(double(i))});
+  // ~2.5 MB of records: many rehashes, and more than one arena block.
+  const std::string filler(200, 'f');
+  for (int i = 0; i < 10'000; ++i) {
+    cache.insert(std::to_string(i), {Value(double(i)), Value(filler)});
   }
-  EXPECT_EQ(cache.lookup("first"), &first);
-  EXPECT_TRUE(rows_bit_equal(first, tricky));
+  EXPECT_TRUE(cache.lookup("first") == first);
+  EXPECT_TRUE(unmoved());
 
   const auto stats = cache.compact();
   EXPECT_EQ(stats.records_after, 10'001u);
-  EXPECT_EQ(cache.lookup("first"), &first);
-  EXPECT_TRUE(rows_bit_equal(first, tricky));
+  EXPECT_TRUE(cache.lookup("first") == first);
+  EXPECT_TRUE(unmoved());
 
-  const Row& big = cache.insert("big", {Value(std::string(2u << 20, 'x'))});
+  const RowRef big = cache.insert("big", {Value(std::string(5u << 20, 'x'))});
   EXPECT_EQ(cache.capped_appends(), 1u); // memory-only
-  EXPECT_EQ(cache.lookup("big"), &big);
-  EXPECT_EQ(cache.lookup("first"), &first);
-  EXPECT_TRUE(rows_bit_equal(first, tricky));
+  EXPECT_TRUE(cache.lookup("big") == big);
+  EXPECT_EQ(std::get<std::string>(big.decode().at(0)).size(), 5u << 20);
+  EXPECT_TRUE(cache.lookup("first") == first);
+  EXPECT_TRUE(unmoved());
   std::remove(path.c_str());
 }
 
@@ -357,13 +507,14 @@ TEST(ResultCache, CompactionShrinksDuplicateHeavyFileBitIdentically) {
   ResultCache reread(path);
   EXPECT_EQ(reread.replayed(), 3u);
   EXPECT_EQ(reread.discarded_bytes(), 0u);
-  const auto got = reread.lookup("a");
-  ASSERT_NE(got, nullptr);
-  ASSERT_EQ(got->size(), tricky.size());
-  EXPECT_EQ(bits_of(std::get<double>((*got)[0])), bits_of(-0.0));
-  EXPECT_EQ(bits_of(std::get<double>((*got)[1])),
+  const auto ref = reread.lookup("a");
+  ASSERT_TRUE(ref);
+  const Row got = ref.decode();
+  ASSERT_EQ(got.size(), tricky.size());
+  EXPECT_EQ(bits_of(std::get<double>(got[0])), bits_of(-0.0));
+  EXPECT_EQ(bits_of(std::get<double>(got[1])),
             bits_of(std::numeric_limits<double>::denorm_min()));
-  EXPECT_EQ(std::get<std::string>((*got)[3]), std::string("x\x1f;\0y", 5));
+  EXPECT_EQ(std::get<std::string>(got[3]), std::string("x\x1f;\0y", 5));
   std::remove(path.c_str());
 }
 
@@ -408,11 +559,11 @@ TEST(ResultCache, SizeCapSkipsAppendsButKeepsRowsInMemory) {
   EXPECT_EQ(cache.capped_appends(), 1u);
   EXPECT_TRUE(cache.persistent()); // capped, not broken
   EXPECT_EQ(cache.file_bytes(), two_rows);
-  ASSERT_NE(cache.lookup("c"), nullptr); // served from memory
+  ASSERT_TRUE(cache.lookup("c")); // served from memory
 
   ResultCache reread(path);
   EXPECT_EQ(reread.replayed(), 2u);
-  EXPECT_EQ(reread.lookup("c"), nullptr);
+  EXPECT_FALSE(reread.lookup("c"));
   std::remove(path.c_str());
 }
 
@@ -440,7 +591,7 @@ TEST(ResultCache, SizeCapCompactsDuplicatesToMakeRoom) {
 
   ResultCache reread(path);
   EXPECT_EQ(reread.replayed(), 4u);
-  EXPECT_NE(reread.lookup("d"), nullptr);
+  EXPECT_TRUE(reread.lookup("d"));
   std::remove(path.c_str());
 }
 
@@ -472,7 +623,7 @@ TEST(ResultCache, EnospcMidAppendRollsBackDegradesAndCompactRecovers) {
   }
   EXPECT_EQ(cache.append_failures(), 1u);
   EXPECT_FALSE(cache.persistent());
-  ASSERT_NE(cache.lookup("b"), nullptr); // memory-only, still served
+  ASSERT_TRUE(cache.lookup("b")); // memory-only, still served
   EXPECT_EQ(read_file(path).size(), clean);   // rolled back, no torn tail
 
   cache.insert("c", {Value(3.0)}); // degraded: memory-only, no disk touch
@@ -487,8 +638,8 @@ TEST(ResultCache, EnospcMidAppendRollsBackDegradesAndCompactRecovers) {
 
   ResultCache reread(path);
   EXPECT_EQ(reread.replayed(), 4u);
-  EXPECT_NE(reread.lookup("b"), nullptr);
-  EXPECT_NE(reread.lookup("d"), nullptr);
+  EXPECT_TRUE(reread.lookup("b"));
+  EXPECT_TRUE(reread.lookup("d"));
   std::remove(path.c_str());
 }
 
@@ -511,10 +662,11 @@ TEST(ResultCache, ShortWriteStormStillPersistsEveryRecord) {
   EXPECT_EQ(reread.replayed(), 20u);
   EXPECT_EQ(reread.discarded_bytes(), 0u);
   for (int i = 0; i < 20; ++i) {
-    const auto got = reread.lookup("k" + std::to_string(i));
-    ASSERT_NE(got, nullptr);
-    EXPECT_EQ(bits_of(std::get<double>((*got)[0])), bits_of(double(i)));
-    EXPECT_EQ(bits_of(std::get<double>((*got)[1])), bits_of(-0.0));
+    const auto ref = reread.lookup("k" + std::to_string(i));
+    ASSERT_TRUE(ref);
+    const Row got = ref.decode();
+    EXPECT_EQ(bits_of(std::get<double>(got[0])), bits_of(double(i)));
+    EXPECT_EQ(bits_of(std::get<double>(got[1])), bits_of(-0.0));
   }
   std::remove(path.c_str());
 }

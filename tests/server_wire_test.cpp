@@ -39,6 +39,43 @@ TEST(Crc32, SeedChains) {
   EXPECT_EQ(crc32(s + 4, 5, half), crc32(s, 9));
 }
 
+/// The plain byte-at-a-time CRC32 (reflected 0xEDB88320), bit by bit.
+std::uint32_t crc32_bytewise(const unsigned char* p, std::size_t n,
+                             std::uint32_t seed) {
+  std::uint32_t c = seed ^ 0xFFFFFFFFu;
+  for (std::size_t i = 0; i < n; ++i) {
+    c ^= p[i];
+    for (int k = 0; k < 8; ++k) c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+  }
+  return c ^ 0xFFFFFFFFu;
+}
+
+// crc32 folds eight bytes per step; it must equal the byte-wise CRC for
+// every length (whole steps plus every tail), every start alignment and
+// any chaining seed.
+TEST(Crc32, SlicedMatchesBytewise) {
+  std::vector<unsigned char> buf(1100 + 8);
+  std::uint64_t x = 0x9E3779B97F4A7C15ull;
+  for (auto& b : buf) {
+    x = x * 6364136223846793005ull + 1442695040888963407ull;
+    b = static_cast<unsigned char>(x >> 56);
+  }
+  for (std::size_t align = 0; align < 8; ++align) {
+    const unsigned char* p = buf.data() + align;
+    for (std::size_t n = 0; n <= 1100; ++n) {
+      const std::uint32_t want = crc32_bytewise(p, n, 0);
+      ASSERT_EQ(crc32(p, n), want) << "align " << align << " len " << n;
+      // Chained: the CRC of a prefix seeds the CRC of the rest.
+      const std::size_t k = (n * 7) / 11;
+      ASSERT_EQ(crc32(p + k, n - k, crc32(p, k)), want)
+          << "align " << align << " len " << n << " split " << k;
+      const std::uint32_t seed = std::uint32_t(x >> 7) ^ std::uint32_t(n);
+      ASSERT_EQ(crc32(p, n, seed), crc32_bytewise(p, n, seed))
+          << "align " << align << " len " << n << " seed " << seed;
+    }
+  }
+}
+
 TEST(Wire, ScalarRoundTrip) {
   WireWriter w;
   w.u8(0xAB);
@@ -188,6 +225,25 @@ TEST(Wire, FramesRoundTripOverASocketPair) {
 
   a.close(); // clean EOF at a frame boundary
   EXPECT_FALSE(recv_frame(b).has_value());
+}
+
+// append_frame coalesces frames into one buffer: written in one go, they
+// read back as the frames send_frame would have sent one by one.
+TEST(Wire, AppendedFramesReadBackOneByOne) {
+  int sv[2] = {-1, -1};
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, sv), 0);
+  mss::util::Fd a(sv[0]);
+  mss::util::Fd b(sv[1]);
+
+  std::string out;
+  append_frame(out, FrameType::Row, std::string("\x01\x00\x00\x00\x02", 5));
+  append_frame(out, FrameType::TableEnd, "");
+  EXPECT_EQ(out, std::string("\x06\x00\x00\x00\x0a\x01\x00\x00\x00\x02"
+                             "\x01\x00\x00\x00\x0b",
+                             15));
+  mss::util::write_all(a, out.data(), out.size());
+  EXPECT_EQ(recv_frame(b), std::string("\x0a\x01\x00\x00\x00\x02", 6));
+  EXPECT_EQ(recv_frame(b), std::string("\x0b", 1));
 }
 
 TEST(Wire, OversizedFrameLengthIsRejected) {

@@ -1,15 +1,22 @@
 // server::run_cached vs sweep::Runner: bit-identical rows for every thread
 // policy and chunk size, warm-cache reruns, memo duplicates (the executor
 // is the one memo implementation), cooperative cancellation and stripe
-// streaming.
+// streaming, and the served-row guard: every registered experiment's rows
+// over a small fixed space are pinned to its (id, version).
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
+#include <cstdint>
 #include <cstring>
 #include <string>
+#include <string_view>
 #include <vector>
 
+#include "magpie/scenario.hpp"
+#include "magpie/workload.hpp"
 #include "server/executor.hpp"
+#include "server/registry.hpp"
 #include "sweep/experiment.hpp"
 #include "sweep/servable.hpp"
 
@@ -321,6 +328,83 @@ TEST(RunCached, EmptySpaceCompletesImmediately) {
                        &stats),
             ExecOutcome::Done);
   EXPECT_EQ(stats.points, 0u);
+}
+
+// ---------------------------------------------------------------------------
+// Served-row guard
+// ---------------------------------------------------------------------------
+
+/// 64-bit FNV-1a, chained through `h`.
+std::uint64_t fnv1a(std::string_view bytes,
+                    std::uint64_t h = 0xcbf29ce484222325ull) {
+  for (const char c : bytes) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 0x100000001b3ull;
+  }
+  return h;
+}
+
+/// What a served experiment's rows over a fixed space hash to.
+struct ServedPin {
+  const char* id;
+  std::uint32_t version;
+  std::size_t rows;
+  std::uint64_t cells_fnv1a;
+};
+
+/// The small fixed space each registered experiment is pinned over.
+ParamSpace pin_space(const std::string& id) {
+  ParamSpace space;
+  if (id == "demo.mc_tail") {
+    space.cross(Axis::list("samples", std::vector<std::int64_t>{100, 300}))
+        .cross(Axis::linear("threshold", 0.5, 2.5, 3));
+  } else if (id == "nvsim.explore") {
+    space.zip({Axis::list("mats", std::vector<std::int64_t>{1, 2, 4, 4}),
+               Axis::list("rows", std::vector<std::int64_t>{512, 256, 128,
+                                                            256})});
+  } else if (id == "magpie.scenario") {
+    // One kernel on the four scenario platforms, not the 36-point default.
+    space = mss::magpie::scenario_space({mss::magpie::parsec_kernels()[0]});
+  }
+  return space;
+}
+
+// A served row is cached under (experiment id, version, seed, point), so a
+// change that moves any row of a registered experiment must bump that
+// experiment's version — or a restarted daemon serves the old binary's
+// rows next to the new one's. Each pin hashes the canonical cell encoding
+// (`RowRef::cells()`, the bytes the cache stores and fetches stream).
+TEST(ServedRows, PinnedToExperimentVersion) {
+  constexpr std::array<ServedPin, 3> kPins = {{
+      {"demo.mc_tail", 1, 6, 0xed9adcbeff9822b0ull},
+      {"nvsim.explore", 1, 4, 0xd5e17bb8b4a177bfull},
+      {"magpie.scenario", 1, 4, 0x35bf3eae7497405aull},
+  }};
+  const auto registry = mss::server::Registry::builtin();
+  ASSERT_EQ(registry.all().size(), kPins.size())
+      << "a servable was added or removed: pin it here";
+  for (const ServedPin& pin : kPins) {
+    const auto* exp = registry.find(pin.id);
+    ASSERT_NE(exp, nullptr) << pin.id;
+    const ParamSpace space = pin_space(pin.id);
+    Sink sink;
+    ASSERT_EQ(run_cached(*exp, space, ExecOptions{}, nullptr, nullptr,
+                         sink.fn()),
+              ExecOutcome::Done);
+    // Re-store each decoded row to read its canonical cell bytes.
+    ResultCache encoded("");
+    std::uint64_t h = fnv1a({});
+    for (std::size_t i = 0; i < sink.rows.size(); ++i) {
+      h = fnv1a(encoded.insert(std::to_string(i), sink.rows[i]).cells(), h);
+    }
+    EXPECT_TRUE(exp->version == pin.version && sink.rows.size() == pin.rows &&
+                h == pin.cells_fnv1a)
+        << pin.id << " v" << exp->version << " served " << sink.rows.size()
+        << " rows hashing to 0x" << std::hex << h << " (pinned v" << std::dec
+        << pin.version << ", " << pin.rows << " rows, 0x" << std::hex
+        << pin.cells_fnv1a << "): its served rows changed -- bump its "
+        << "version, then re-pin";
+  }
 }
 
 } // namespace

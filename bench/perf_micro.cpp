@@ -45,7 +45,6 @@
 #include "server/registry.hpp"
 #include "spice/elements.hpp"
 #include "spice/engine.hpp"
-#include "util/math.hpp"
 #include "vaet/estimator.hpp"
 
 namespace {
@@ -111,7 +110,7 @@ BENCHMARK(BM_SpiceRcTransient);
 /// RC ladder of `dim` nodes: a linear transient whose per-step cost is one
 /// back-substitution against the cached factorization. Per-step real_time
 /// must stay sub-quadratic in the dimension (ladder nnz(LU) is O(dim)).
-void spice_ladder_transient(benchmark::State& state, bool stamp_cache) {
+void BM_SpiceSparseTransient(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   mss::spice::Circuit ckt;
   int prev = ckt.node("n0");
@@ -127,9 +126,7 @@ void spice_ladder_transient(benchmark::State& state, bool stamp_cache) {
         "c" + std::to_string(k), cur, mss::spice::kGround, 0.1e-12));
     prev = cur;
   }
-  mss::spice::EngineOptions opt;
-  opt.stamp_cache = stamp_cache;
-  mss::spice::Engine eng(ckt, opt);
+  mss::spice::Engine eng(ckt);
   constexpr double kDt = 10e-12;
   constexpr double kStop = 2e-9; // 200 steps per run
   const std::string far_node = "n" + std::to_string(n - 1);
@@ -141,24 +138,10 @@ void spice_ladder_transient(benchmark::State& state, bool stamp_cache) {
   state.counters["dim"] = double(n + 1);
 }
 
-void BM_SpiceSparseTransient(benchmark::State& state) {
-  spice_ladder_transient(state, /*stamp_cache=*/true);
-}
 BENCHMARK(BM_SpiceSparseTransient)
     ->ArgName("dim")
     ->Arg(64)
     ->Arg(256)
-    ->Arg(1024)
-    ->Arg(4096);
-
-// The same sparse ladder with per-element stamp-slot caching disabled:
-// every restamp pays the (i, j) hash lookup. The gap to
-// BM_SpiceSparseTransient at equal dim is what the slot cache buys.
-void BM_SpiceSparseTransientUncached(benchmark::State& state) {
-  spice_ladder_transient(state, /*stamp_cache=*/false);
-}
-BENCHMARK(BM_SpiceSparseTransientUncached)
-    ->ArgName("dim")
     ->Arg(1024)
     ->Arg(4096);
 
@@ -628,15 +611,6 @@ BENCHMARK(BM_CacheReplay)
     ->Arg(100'000)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
-
-void BM_NormalIsfDeepTail(benchmark::State& state) {
-  double q = 1e-20;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(mss::util::normal_isf(q));
-    q = q < 1e-4 ? q * 1.618 : 1e-20;
-  }
-}
-BENCHMARK(BM_NormalIsfDeepTail);
 
 } // namespace
 

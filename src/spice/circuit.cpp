@@ -40,11 +40,6 @@ void Circuit::stamp_all(MnaSystem& st, const Solution& x,
   for (const auto& e : elements_) e->stamp(st, x, ctx);
 }
 
-void Circuit::stamp_all_ac(AcSystem& st, const Solution& op,
-                           double omega) const {
-  for (const auto& e : elements_) e->stamp_ac(st, op, omega);
-}
-
 bool Circuit::any_nonlinear() const {
   for (const auto& e : elements_) {
     if (e->nonlinear()) return true;

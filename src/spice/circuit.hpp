@@ -4,13 +4,12 @@
 // Elements register nodes by name through the Circuit and may claim branch
 // unknowns (voltage sources, inductor-like elements).
 //
-// Elements stamp into an `MnaSystem` (real) or `AcSystem` (complex), which
-// drop ground rows/columns and forward matrix coefficients straight into the
-// sparse LU (sparse.hpp) — a direct call, no virtual dispatch per entry.
+// Elements stamp into an `MnaSystem`, which drops ground rows/columns and
+// forwards matrix coefficients straight into the sparse LU (sparse.hpp) — a
+// direct call, no virtual dispatch per entry.
 #pragma once
 
 #include <array>
-#include <complex>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -44,12 +43,10 @@ struct StampContext {
 
 /// Per-element cache of resolved stamp slots for a fixed set of N (i, j)
 /// positions. An element declares one `mutable StampSlots<N>` member per
-/// stamping pattern and accumulates through `MnaSystemT::add_all`, which
+/// stamping pattern and accumulates through `MnaSystem::add_all`, which
 /// re-resolves the handles only when the (solver instance, stamp epoch)
 /// tag no longer matches — i.e. after the element was stamped into another
-/// solver or the solver was reset to a new dimension. Handles are
-/// scalar-agnostic, so the same member serves the real (transient) and
-/// complex (AC) stamping paths; the owner tag keeps them apart. Not
+/// solver (another engine) or the solver was reset to a new dimension. Not
 /// thread-safe per element: a circuit (and therefore its elements) belongs
 /// to one engine at a time.
 template <std::size_t N>
@@ -66,8 +63,7 @@ class GminSlotCache {
  public:
   /// Accumulates `gmin` on every node diagonal through cached slots,
   /// re-resolving when the solver instance/epoch/node count changed.
-  template <typename T>
-  void add_all(SparseSolverT<T>& solver, std::size_t n_nodes, T gmin) {
+  void add_all(SparseSolver& solver, std::size_t n_nodes, double gmin) {
     if (owner_ != &solver || epoch_ != solver.stamp_epoch() ||
         slots_.size() != n_nodes) {
       slots_.resize(n_nodes);
@@ -88,19 +84,18 @@ class GminSlotCache {
 
 /// The MNA system elements stamp into: matrix coefficients go to the linear
 /// solver, RHS terms to the analysis-owned right-hand-side vector.
-/// Node index kGround is silently dropped. Instantiated for double
-/// (DC/transient conductances) and std::complex<double> (AC admittances).
-template <typename T>
-class MnaSystemT {
+/// Node index kGround is silently dropped.
+class MnaSystem {
  public:
   /// `use_slot_cache` routes `add_all` through cached slot handles; false
-  /// forces the per-position `add_g` path (A/B validation of the cache).
-  MnaSystemT(SparseSolverT<T>& solver, std::vector<T>& rhs,
-             bool use_slot_cache = true)
+  /// forces the per-position `add_g` path, the uncached-stamping reference
+  /// the tests compare against (Engine always caches).
+  MnaSystem(SparseSolver& solver, std::vector<double>& rhs,
+            bool use_slot_cache = true)
       : solver_(solver), rhs_(rhs), cache_(use_slot_cache) {}
 
-  /// Adds g to A[i][j] (conductance / admittance).
-  void add_g(int i, int j, T g) {
+  /// Adds g to A[i][j] (conductance).
+  void add_g(int i, int j, double g) {
     if (i == kGround || j == kGround) return;
     solver_.add(static_cast<std::size_t>(i), static_cast<std::size_t>(j), g);
   }
@@ -114,7 +109,7 @@ class MnaSystemT {
   template <std::size_t N>
   void add_all(StampSlots<N>& cache,
                const std::array<std::pair<int, int>, N>& pos,
-               const std::array<T, N>& vals) {
+               const std::array<double, N>& vals) {
     if (!cache_) {
       for (std::size_t k = 0; k < N; ++k) {
         add_g(pos[k].first, pos[k].second, vals[k]);
@@ -140,20 +135,17 @@ class MnaSystemT {
   }
 
   /// Adds value to RHS[i] (current injected *into* node i).
-  void add_rhs(int i, T v) {
+  void add_rhs(int i, double v) {
     if (i == kGround) return;
     rhs_[static_cast<std::size_t>(i)] += v;
   }
   /// System dimension.
   [[nodiscard]] std::size_t dim() const { return rhs_.size(); }
  private:
-  SparseSolverT<T>& solver_;
-  std::vector<T>& rhs_;
+  SparseSolver& solver_;
+  std::vector<double>& rhs_;
   bool cache_;
 };
-
-using MnaSystem = MnaSystemT<double>;
-using AcSystem = MnaSystemT<std::complex<double>>;
 
 /// Read access to the present Newton iterate / last accepted solution.
 class Solution {
@@ -195,12 +187,6 @@ class Element {
   /// Adds the element's contribution for the current iterate `x`.
   virtual void stamp(MnaSystem& st, const Solution& x,
                      const StampContext& ctx) const = 0;
-
-  /// Adds the element's *small-signal* contribution, linearised at the DC
-  /// operating point `op`, for angular frequency `omega`. The default is a
-  /// no-op (element invisible to AC: ideal current sources, open elements).
-  virtual void stamp_ac(AcSystem& /*st*/, const Solution& /*op*/,
-                        double /*omega*/) const {}
 
   /// Accepts the converged step (update internal state: capacitor history,
   /// MTJ switching phase).
@@ -264,12 +250,9 @@ class Circuit {
   std::size_t assign_unknowns();
 
   /// Stamps every element for the given iterate/context — the one assembly
-  /// path all real-valued analyses share.
+  /// path both analyses share.
   void stamp_all(MnaSystem& st, const Solution& x,
                  const StampContext& ctx) const;
-
-  /// Stamps every element's small-signal contribution at `omega`.
-  void stamp_all_ac(AcSystem& st, const Solution& op, double omega) const;
 
   /// True when any element's stamps depend on the iterate (forces Newton).
   [[nodiscard]] bool any_nonlinear() const;

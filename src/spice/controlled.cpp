@@ -105,35 +105,4 @@ void Inductor::commit(const Solution& x, const StampContext& ctx) {
   }
 }
 
-void Vcvs::stamp_ac(AcSystem& st, const Solution&, double) const {
-  const int br = static_cast<int>(branch_);
-  using C = std::complex<double>;
-  st.add_all(slots_,
-             {{{p_, br}, {n_, br}, {br, p_}, {br, n_}, {br, cp_}, {br, cn_}}},
-             {C(1.0), C(-1.0), C(1.0), C(-1.0), C(-gain_), C(gain_)});
-}
-
-void Vccs::stamp_ac(AcSystem& st, const Solution&, double) const {
-  using C = std::complex<double>;
-  st.add_all(slots_, {{{p_, cp_}, {p_, cn_}, {n_, cp_}, {n_, cn_}}},
-             {C(gm_), C(-gm_), C(-gm_), C(gm_)});
-}
-
-void Diode::stamp_ac(AcSystem& st, const Solution& op, double) const {
-  const double v = op.v(a_) - op.v(c_);
-  const double vl = std::min(v / vt_n_, 80.0);
-  const std::complex<double> g(
-      std::max(1e-12, i_s_ * std::exp(vl) / vt_n_), 0.0);
-  st.add_all(slots_, {{{a_, a_}, {c_, c_}, {a_, c_}, {c_, a_}}},
-             {g, g, -g, -g});
-}
-
-void Inductor::stamp_ac(AcSystem& st, const Solution&, double omega) const {
-  const int br = static_cast<int>(branch_);
-  using C = std::complex<double>;
-  // Branch row: v(a) - v(b) - j*omega*L * i = 0.
-  st.add_all(slots_, {{{a_, br}, {b_, br}, {br, a_}, {br, b_}, {br, br}}},
-             {C(1.0), C(-1.0), C(1.0), C(-1.0), C(0.0, -omega * l_)});
-}
-
 } // namespace mss::spice

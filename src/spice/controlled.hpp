@@ -18,8 +18,6 @@ class Vcvs final : public Element {
              const StampContext& ctx) const override;
   /// Branch-current unknown index.
   [[nodiscard]] std::size_t branch_index() const { return branch_; }
-  void stamp_ac(AcSystem& st, const Solution& op,
-                double omega) const override;
 
  private:
   int p_, n_, cp_, cn_;
@@ -35,8 +33,6 @@ class Vccs final : public Element {
   Vccs(std::string name, int p, int n, int cp, int cn, double gm);
   void stamp(MnaSystem& st, const Solution& x,
              const StampContext& ctx) const override;
-  void stamp_ac(AcSystem& st, const Solution& op,
-                double omega) const override;
 
  private:
   int p_, n_, cp_, cn_;
@@ -57,8 +53,6 @@ class Diode final : public Element {
              const StampContext& ctx) const override;
   /// Diode current at a junction voltage.
   [[nodiscard]] double current(double v) const;
-  void stamp_ac(AcSystem& st, const Solution& op,
-                double omega) const override;
 
  private:
   int a_, c_;
@@ -77,8 +71,6 @@ class Inductor final : public Element {
   void set_branch_base(std::size_t base) override { branch_ = base; }
   void stamp(MnaSystem& st, const Solution& x,
              const StampContext& ctx) const override;
-  void stamp_ac(AcSystem& st, const Solution& op,
-                double omega) const override;
   void commit(const Solution& x, const StampContext& ctx) override;
   void save_state() override;
   void restore_state() override;

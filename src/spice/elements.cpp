@@ -25,11 +25,6 @@ void Resistor::stamp(MnaSystem& st, const Solution&, const StampContext&) const 
   st.add_all(slots_, quad_pos(a_, b_), {g, g, -g, -g});
 }
 
-void Resistor::stamp_ac(AcSystem& st, const Solution&, double) const {
-  const std::complex<double> g(1.0 / r_, 0.0);
-  st.add_all(slots_, quad_pos(a_, b_), {g, g, -g, -g});
-}
-
 Capacitor::Capacitor(std::string name, int a, int b, double farads,
                      double v_initial)
     : Element(std::move(name)), a_(a), b_(b), c_(farads), v0_(v_initial),
@@ -79,12 +74,6 @@ void Capacitor::commit(const Solution& x, const StampContext& ctx) {
   v_prev_ = v_now;
 }
 
-void Capacitor::stamp_ac(AcSystem& st, const Solution&,
-                         double omega) const {
-  const std::complex<double> y(0.0, omega * c_);
-  st.add_all(slots_, quad_pos(a_, b_), {y, y, -y, -y});
-}
-
 VoltageSource::VoltageSource(std::string name, int plus, int minus,
                              std::unique_ptr<Waveform> wave)
     : Element(std::move(name)), plus_(plus), minus_(minus),
@@ -101,16 +90,6 @@ void VoltageSource::stamp(MnaSystem& st, const Solution&,
              {{{plus_, br}, {minus_, br}, {br, plus_}, {br, minus_}}},
              {1.0, -1.0, 1.0, -1.0});
   st.add_rhs(br, wave_->value(ctx.t));
-}
-
-void VoltageSource::stamp_ac(AcSystem& st, const Solution&,
-                             double) const {
-  const int br = static_cast<int>(branch_);
-  st.add_all(slots_,
-             {{{plus_, br}, {minus_, br}, {br, plus_}, {br, minus_}}},
-             {std::complex<double>(1.0), std::complex<double>(-1.0),
-              std::complex<double>(1.0), std::complex<double>(-1.0)});
-  st.add_rhs(br, std::complex<double>(ac_mag_, 0.0));
 }
 
 void VoltageSource::append_breakpoints(double t_stop,
@@ -152,12 +131,6 @@ void Switch::stamp(MnaSystem& st, const Solution& x,
                    const StampContext&) const {
   const double vc = x.v(cp_) - x.v(cn_);
   const double g = vc > vth_ ? 1.0 / r_on_ : 1.0 / r_off_;
-  st.add_all(slots_, quad_pos(a_, b_), {g, g, -g, -g});
-}
-
-void Switch::stamp_ac(AcSystem& st, const Solution& op, double) const {
-  const double vc = op.v(cp_) - op.v(cn_);
-  const std::complex<double> g(vc > vth_ ? 1.0 / r_on_ : 1.0 / r_off_, 0.0);
   st.add_all(slots_, quad_pos(a_, b_), {g, g, -g, -g});
 }
 

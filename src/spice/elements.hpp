@@ -16,8 +16,6 @@ class Resistor final : public Element {
   Resistor(std::string name, int a, int b, double ohms);
   void stamp(MnaSystem& st, const Solution& x,
              const StampContext& ctx) const override;
-  void stamp_ac(AcSystem& st, const Solution& op,
-                double omega) const override;
   /// Resistance value [Ohm].
   [[nodiscard]] double ohms() const { return r_; }
 
@@ -34,8 +32,6 @@ class Capacitor final : public Element {
             double v_initial = 0.0);
   void stamp(MnaSystem& st, const Solution& x,
              const StampContext& ctx) const override;
-  void stamp_ac(AcSystem& st, const Solution& op,
-                double omega) const override;
   void commit(const Solution& x, const StampContext& ctx) override;
   void save_state() override;
   void restore_state() override;
@@ -65,11 +61,6 @@ class VoltageSource final : public Element {
   [[nodiscard]] std::size_t branch_index() const { return branch_; }
   /// Source value at time t.
   [[nodiscard]] double value(double t) const { return wave_->value(t); }
-  /// Marks this source as the AC stimulus with the given magnitude
-  /// (SPICE's "AC 1" specification). Zero (default) makes it an AC short.
-  void set_ac(double magnitude) { ac_mag_ = magnitude; }
-  void stamp_ac(AcSystem& st, const Solution& op,
-                double omega) const override;
   void append_breakpoints(double t_stop,
                           std::vector<double>& out) const override;
 
@@ -77,7 +68,6 @@ class VoltageSource final : public Element {
   int plus_, minus_;
   std::unique_ptr<Waveform> wave_;
   std::size_t branch_ = 0;
-  double ac_mag_ = 0.0;
   mutable StampSlots<4> slots_;
 };
 
@@ -109,8 +99,6 @@ class Switch final : public Element {
   [[nodiscard]] bool nonlinear() const override { return true; }
   void stamp(MnaSystem& st, const Solution& x,
              const StampContext& ctx) const override;
-  void stamp_ac(AcSystem& st, const Solution& op,
-                double omega) const override;
 
  private:
   int a_, b_, cp_, cn_;

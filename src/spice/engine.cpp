@@ -74,10 +74,7 @@ bool TransientResult::has_source(const std::string& vsource) const {
 }
 
 Engine::Engine(Circuit& circuit, EngineOptions options)
-    : ckt_(circuit), opt_(options) {
-  solver_.set_ordering(opt_.ordering);
-  solver_.set_partial_refactor(opt_.partial_refactor);
-}
+    : ckt_(circuit), opt_(options) {}
 
 bool Engine::solve(std::vector<double>& x, const StampContext& ctx,
                    std::size_t dim) {
@@ -90,17 +87,11 @@ bool Engine::solve(std::vector<double>& x, const StampContext& ctx,
   for (int it = 0; it < iters; ++it) {
     solver_.begin(dim);
     rhs_.assign(dim, 0.0);
-    MnaSystem sys(solver_, rhs_, opt_.stamp_cache);
+    MnaSystem sys(solver_, rhs_);
     ckt_.stamp_all(sys, Solution(x), ctx);
     // gmin to ground on every node row keeps floating nodes solvable; the
     // diagonal slots are cached like any element's stamp positions.
-    if (opt_.stamp_cache) {
-      gmin_slots_.add_all(solver_, n_nodes, opt_.gmin);
-    } else {
-      for (std::size_t k = 0; k < n_nodes; ++k) {
-        sys.add_g(static_cast<int>(k), static_cast<int>(k), opt_.gmin);
-      }
-    }
+    gmin_slots_.add_all(solver_, n_nodes, opt_.gmin);
 
     // The solver's dirty-stamp cache handles both regimes: a linear circuit
     // restamps identical values on every step (only sources and companion
@@ -257,14 +248,6 @@ TransientResult Engine::transient_adaptive(double t_stop, double dt_initial,
   std::size_t next_bp = 0;
   const double t_end_eps = 1e-9 * t_stop;
 
-  // Predictor-estimator history: the state and step size of the last
-  // accepted step, enough to extrapolate a linear predictor. The first
-  // step has no history and falls back to step doubling.
-  const bool use_pred = adaptive.estimator == LteEstimator::Predictor;
-  std::vector<double> x_prev;
-  double dt_prev = 0.0;
-  bool have_prev = false;
-
   while (t < t_stop - t_end_eps) {
     while (next_bp < bps.size() && bps[next_bp] <= t + bp_eps) ++next_bp;
     const double t_target = next_bp < bps.size() ? bps[next_bp] : t_stop;
@@ -287,84 +270,41 @@ TransientResult Engine::transient_adaptive(double t_stop, double dt_initial,
     ctx.kind = AnalysisKind::Transient;
     ctx.method = adaptive.method;
 
-    // Predictor estimator: a single Newton solve of the full step, judged
-    // against the explicit linear extrapolation from the previous accepted
-    // step. Milne device for the BE/extrapolation pair: with exact
-    // history, corr - exact = (dt^2/2) x'' and pred - exact =
-    // -(dt(dt + dt_prev)/2) x'', so corr - pred = (dt(2dt + dt_prev)/2)
-    // x'' and the weight dt/(2dt + dt_prev) recovers the corrector LTE.
-    const bool pred_step = use_pred && have_prev;
-    bool ok = true;
+    // Trial 1: one full step.
+    x_full = x;
+    ctx.t = t + dt_eff;
+    ctx.dt = dt_eff;
+    ctx.first_step = !has_history;
+    bool ok = solve(x_full, ctx, dim);
+
+    // Trial 2: two half steps (committing the midpoint so the second half
+    // sees its history).
+    x_half = x;
+    ctx.t = t + 0.5 * dt_eff;
+    ctx.dt = 0.5 * dt_eff;
+    ctx.first_step = !has_history;
+    ok = solve(x_half, ctx, dim) && ok;
+    commit_all(x_half, ctx);
+    has_history = true;
+    ctx.t = t + dt_eff;
+    ctx.first_step = false;
+    ok = solve(x_half, ctx, dim) && ok;
+
     double err = 0.0;
-    if (pred_step) {
-      x_half = x; // the accepted-solution buffer either way
-      ctx.t = t + dt_eff;
-      ctx.dt = dt_eff;
-      ctx.first_step = !has_history;
-      ok = solve(x_half, ctx, dim);
-      if (ok) {
-        const double r = dt_eff / dt_prev;
-        const double w = dt_eff / (2.0 * dt_eff + dt_prev);
-        for (std::size_t k = 0; k < dim; ++k) {
-          const double x_pred = x_saved[k] + r * (x_saved[k] - x_prev[k]);
-          const double scale =
-              adaptive.ltol_abs +
-              adaptive.ltol_rel *
-                  std::max(std::abs(x_half[k]), std::abs(x_saved[k]));
-          err = std::max(err, w * std::abs(x_half[k] - x_pred) / scale);
-        }
-      }
-    } else {
-      // Trial 1: one full step.
-      x_full = x;
-      ctx.t = t + dt_eff;
-      ctx.dt = dt_eff;
-      ctx.first_step = !has_history;
-      ok = solve(x_full, ctx, dim) && ok;
-
-      // Trial 2: two half steps (committing the midpoint so the second
-      // half sees its history).
-      x_half = x;
-      ctx.t = t + 0.5 * dt_eff;
-      ctx.dt = 0.5 * dt_eff;
-      ctx.first_step = !has_history;
-      ok = solve(x_half, ctx, dim) && ok;
-      commit_all(x_half, ctx);
-      has_history = true;
-      ctx.t = t + dt_eff;
-      ctx.first_step = false;
-      ok = solve(x_half, ctx, dim) && ok;
-
-      if (ok) {
-        for (std::size_t k = 0; k < dim; ++k) {
-          const double scale =
-              adaptive.ltol_abs +
-              adaptive.ltol_rel *
-                  std::max(std::abs(x_half[k]), std::abs(x_saved[k]));
-          err = std::max(err, std::abs(x_full[k] - x_half[k]) / scale);
-        }
+    if (ok) {
+      for (std::size_t k = 0; k < dim; ++k) {
+        const double scale =
+            adaptive.ltol_abs +
+            adaptive.ltol_rel *
+                std::max(std::abs(x_half[k]), std::abs(x_saved[k]));
+        err = std::max(err, std::abs(x_full[k] - x_half[k]) / scale);
       }
     }
 
     const bool at_floor = dt_eff <= dt_min * (1.0 + 1e-9);
-    // Landing on a source breakpoint puts a derivative corner at the new
-    // time point: the linear extrapolation across it is meaningless, so
-    // the predictor history is dropped and the next step falls back to
-    // step doubling (which never extrapolates).
-    const bool at_corner =
-        next_bp < bps.size() && t + dt_eff >= bps[next_bp] - bp_eps;
     if (ok && (err <= 1.0 || at_floor)) {
-      // Accept; commit the full step (predictor) or second half (doubling).
-      ctx.t = t + dt_eff;
-      ctx.dt = pred_step ? dt_eff : 0.5 * dt_eff;
-      ctx.first_step = pred_step ? !has_history : false;
+      // Accept; commit the second half step.
       commit_all(x_half, ctx);
-      has_history = true;
-      if (use_pred) {
-        x_prev = x_saved;
-        dt_prev = dt_eff;
-        have_prev = !at_corner;
-      }
       x = x_half;
       t += dt_eff;
       res.times_.push_back(t);
@@ -382,16 +322,7 @@ TransientResult Engine::transient_adaptive(double t_stop, double dt_initial,
       // Newton failed at the smallest allowed step: record the failure and
       // push through, exactly like the fixed-step loop does.
       res.converged_ = false;
-      ctx.t = t + dt_eff;
-      ctx.dt = pred_step ? dt_eff : 0.5 * dt_eff;
-      ctx.first_step = false;
       commit_all(x_half, ctx);
-      has_history = true;
-      if (use_pred) {
-        x_prev = x_saved;
-        dt_prev = dt_eff;
-        have_prev = !at_corner;
-      }
       x = x_half;
       t += dt_eff;
       res.times_.push_back(t);

@@ -4,7 +4,9 @@
 // step-doubling controller that lands exactly on source-waveform
 // breakpoints. Every solve runs on the one sparse LU (sparse.hpp), from
 // cell-level netlists of tens of unknowns to array-level ones of
-// thousands. Assembly is one serial stamping pass per Newton iteration.
+// thousands. Assembly is one serial stamping pass per Newton iteration,
+// through the elements' cached stamp slots; partial refactorization is
+// always on.
 #pragma once
 
 #include <string>
@@ -23,27 +25,6 @@ struct EngineOptions {
   double gmin = 1e-12;     ///< node-to-ground shunt conductance
   double damping = 0.6;    ///< max voltage change per Newton step [V]
   Integrator method = Integrator::Trapezoidal;
-  Ordering ordering = Ordering::Auto; ///< sparse column-ordering policy
-  /// Per-element stamp-slot caching: elements restamp by cached slot
-  /// handle instead of (i, j) lookup. Bit-identical either way; off only
-  /// for A/B validation.
-  bool stamp_cache = true;
-  /// Sparse partial refactorization (restart at the first changed pivot
-  /// position). Bit-identical to full refactors; off only for A/B
-  /// validation.
-  bool partial_refactor = true;
-};
-
-/// How Engine::transient_adaptive estimates the local truncation error.
-enum class LteEstimator {
-  /// One full step against two half steps (the half result is kept).
-  /// Three Newton solves per accepted step; the reference estimator.
-  StepDoubling,
-  /// Compare the corrector against the explicit linear predictor
-  /// extrapolated from the previous accepted step. One Newton solve per
-  /// accepted step (~2x cheaper than step doubling); the very first step
-  /// falls back to step doubling because no history exists yet.
-  Predictor,
 };
 
 /// Controller knobs of the adaptive transient (Engine::transient_adaptive).
@@ -61,8 +42,6 @@ struct AdaptiveOptions {
   /// tolerance and pins the controller at dt_min — pick it only for
   /// mildly stiff circuits where its second order pays off.
   Integrator method = Integrator::BackwardEuler;
-  /// Error estimator; step doubling is the A/B reference.
-  LteEstimator estimator = LteEstimator::StepDoubling;
 };
 
 /// DC solve outcome.

@@ -130,37 +130,4 @@ void Mosfet::stamp(MnaSystem& st, const Solution& x,
   st.add_rhs(ns, sign * ieq);
 }
 
-void Mosfet::stamp_ac(AcSystem& st, const Solution& op, double) const {
-  // Small-signal conductances at the DC operating point; same frame
-  // normalisation as the large-signal stamp.
-  double vd = op.v(d_);
-  double vg = op.v(g_);
-  double vs = op.v(s_);
-  if (m_.type == MosType::Pmos) {
-    vd = -vd;
-    vg = -vg;
-    vs = -vs;
-  }
-  int nd = d_, ns = s_;
-  bool swapped = false;
-  if (vd < vs) {
-    std::swap(vd, vs);
-    std::swap(nd, ns);
-    swapped = true;
-  }
-  double id, gm, gds;
-  eval(vg - vs, vd - vs, id, gm, gds);
-  (void)id;
-  using C = std::complex<double>;
-  const double g_dd = swapped ? gm + gds + kGmin : gds + kGmin;
-  const double g_dg = swapped ? -gm : gm;
-  const double g_ds = swapped ? -(gds + kGmin) : -(gm + gds + kGmin);
-  const double g_ss = swapped ? gds + kGmin : gm + gds + kGmin;
-  const double g_sg = swapped ? gm : -gm;
-  const double g_sd = swapped ? -(gm + gds + kGmin) : -(gds + kGmin);
-  st.add_all(slots_,
-             {{{d_, d_}, {d_, g_}, {d_, s_}, {s_, d_}, {s_, g_}, {s_, s_}}},
-             {C(g_dd), C(g_dg), C(g_ds), C(g_sd), C(g_sg), C(g_ss)});
-}
-
 } // namespace mss::spice

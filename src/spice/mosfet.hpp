@@ -36,8 +36,6 @@ class Mosfet final : public Element {
   [[nodiscard]] bool nonlinear() const override { return true; }
   void stamp(MnaSystem& st, const Solution& x,
              const StampContext& ctx) const override;
-  void stamp_ac(AcSystem& st, const Solution& op,
-                double omega) const override;
 
   /// Drain current for the given terminal voltages (exposed for tests).
   [[nodiscard]] double ids(double vgs, double vds) const;

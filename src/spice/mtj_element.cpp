@@ -87,14 +87,4 @@ void MtjDevice::commit(const Solution& x, const StampContext& ctx) {
   }
 }
 
-void MtjDevice::stamp_ac(AcSystem& st, const Solution& op, double) const {
-  // Small-signal conductance at the operating point (state held fixed).
-  const double v0 = op.v(a_) - op.v(b_);
-  const double dv = 1e-3;
-  const std::complex<double> g(
-      (current(v0 + dv) - current(v0 - dv)) / (2.0 * dv), 0.0);
-  st.add_all(slots_, {{{a_, a_}, {b_, b_}, {a_, b_}, {b_, a_}}},
-             {g, g, -g, -g});
-}
-
 } // namespace mss::spice

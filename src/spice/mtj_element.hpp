@@ -33,8 +33,6 @@ class MtjDevice final : public Element {
   [[nodiscard]] bool nonlinear() const override { return true; }
   void stamp(MnaSystem& st, const Solution& x,
              const StampContext& ctx) const override;
-  void stamp_ac(AcSystem& st, const Solution& op,
-                double omega) const override;
   void commit(const Solution& x, const StampContext& ctx) override;
   void save_state() override;
   void restore_state() override;

@@ -6,7 +6,6 @@
 #include <limits>
 #include <numeric>
 #include <stdexcept>
-#include <utility>
 
 namespace mss::spice {
 
@@ -22,8 +21,7 @@ std::uint64_t next_stamp_epoch() {
 namespace {
 
 /// Symmetrised, deduplicated adjacency (diagonal excluded) of a CSC
-/// pattern, in compact CSR form — the graph all three ordering routines
-/// walk. adj[ptr[v] .. ptr[v] + deg[v]) are the sorted neighbours of v.
+/// pattern, in compact CSR form — the graph RCM walks. adj[ptr[v] .. ptr[v] + deg[v]) are the sorted neighbours of v.
 struct SymAdjacency {
   std::vector<std::uint32_t> ptr;
   std::vector<std::uint32_t> adj;
@@ -73,16 +71,6 @@ struct SymAdjacency {
   return out;
 }
 
-// Internal variants take a prebuilt adjacency so Ordering::Auto can run
-// RCM, AMD, and both fill predictions off one graph construction.
-[[nodiscard]] std::vector<std::uint32_t> rcm_from_adjacency(
-    std::size_t dim, const SymAdjacency& g);
-[[nodiscard]] std::vector<std::uint32_t> amd_from_adjacency(
-    std::size_t dim, const SymAdjacency& g);
-[[nodiscard]] std::size_t fill_from_adjacency(
-    std::size_t dim, const SymAdjacency& g,
-    const std::vector<std::uint32_t>& order);
-
 } // namespace
 
 // ---------------------------------------------------------------------------
@@ -92,13 +80,7 @@ struct SymAdjacency {
 std::vector<std::uint32_t> rcm_order(std::size_t dim,
                                      const std::vector<std::uint32_t>& col_ptr,
                                      const std::vector<std::uint32_t>& row_ind) {
-  return rcm_from_adjacency(dim, symmetrized_adjacency(dim, col_ptr, row_ind));
-}
-
-namespace {
-
-std::vector<std::uint32_t> rcm_from_adjacency(std::size_t dim,
-                                              const SymAdjacency& g) {
+  const SymAdjacency g = symmetrized_adjacency(dim, col_ptr, row_ind);
   const auto n = static_cast<std::uint32_t>(dim);
 
   std::vector<std::uint8_t> visited(dim, 0);
@@ -157,173 +139,8 @@ std::vector<std::uint32_t> rcm_from_adjacency(std::size_t dim,
   return order;
 }
 
-} // namespace
-
 // ---------------------------------------------------------------------------
-// Approximate-minimum-degree ordering
-// ---------------------------------------------------------------------------
-
-std::vector<std::uint32_t> amd_order(std::size_t dim,
-                                     const std::vector<std::uint32_t>& col_ptr,
-                                     const std::vector<std::uint32_t>& row_ind) {
-  return amd_from_adjacency(dim, symmetrized_adjacency(dim, col_ptr, row_ind));
-}
-
-namespace {
-
-std::vector<std::uint32_t> amd_from_adjacency(std::size_t dim,
-                                              const SymAdjacency& g) {
-  const auto n = static_cast<std::uint32_t>(dim);
-
-  // Quotient-graph state. Eliminating v turns it into an *element* whose
-  // pivot list covers v's live neighbourhood; variables keep a list of
-  // plain variable neighbours (avars) and adjacent elements (aelems).
-  std::vector<std::vector<std::uint32_t>> avars(dim), aelems(dim);
-  std::vector<std::vector<std::uint32_t>> elem_vars; // by element id
-  std::vector<std::uint8_t> absorbed;                // by element id
-  for (std::uint32_t v = 0; v < n; ++v) {
-    avars[v].assign(g.adj.begin() + g.ptr[v],
-                    g.adj.begin() + g.ptr[v] + g.deg[v]);
-  }
-
-  std::vector<std::uint32_t> adeg(dim);
-  for (std::size_t v = 0; v < dim; ++v) adeg[v] = g.deg[v];
-
-  // Lazy min-heap of (degree, vertex); stale entries are skipped on pop.
-  using Entry = std::pair<std::uint32_t, std::uint32_t>;
-  std::vector<Entry> heap;
-  heap.reserve(dim);
-  const auto cmp = std::greater<Entry>();
-  for (std::uint32_t v = 0; v < n; ++v) heap.emplace_back(adeg[v], v);
-  std::make_heap(heap.begin(), heap.end(), cmp);
-
-  std::vector<std::uint8_t> eliminated(dim, 0);
-  std::vector<std::uint32_t> stamp(dim, 0);
-  std::uint32_t stamp_ctr = 0;
-  std::vector<std::uint32_t> order;
-  order.reserve(dim);
-  std::vector<std::uint32_t> lv; // pivot list of the element being formed
-
-  while (order.size() < dim) {
-    std::pop_heap(heap.begin(), heap.end(), cmp);
-    const auto [d, v] = heap.back();
-    heap.pop_back();
-    if (eliminated[v] || d != adeg[v]) continue; // stale entry
-
-    // Element list Lv = live neighbourhood of v: plain variable
-    // neighbours plus the members of every adjacent element.
-    ++stamp_ctr;
-    stamp[v] = stamp_ctr;
-    lv.clear();
-    for (const std::uint32_t u : avars[v]) {
-      if (!eliminated[u] && stamp[u] != stamp_ctr) {
-        stamp[u] = stamp_ctr;
-        lv.push_back(u);
-      }
-    }
-    for (const std::uint32_t e : aelems[v]) {
-      for (const std::uint32_t u : elem_vars[e]) {
-        if (!eliminated[u] && u != v && stamp[u] != stamp_ctr) {
-          stamp[u] = stamp_ctr;
-          lv.push_back(u);
-        }
-      }
-    }
-    // Absorb the elements v was attached to — their cliques are subsumed
-    // by the new element.
-    for (const std::uint32_t e : aelems[v]) {
-      absorbed[e] = 1;
-      elem_vars[e].clear();
-      elem_vars[e].shrink_to_fit();
-    }
-    const auto eid = static_cast<std::uint32_t>(elem_vars.size());
-    elem_vars.push_back(lv);
-    absorbed.push_back(0);
-    eliminated[v] = 1;
-    order.push_back(v);
-
-    // Update each member of the new element: prune variable neighbours now
-    // covered by the element (v itself and every other Lv member), drop
-    // absorbed elements, attach the new one, and recompute the
-    // approximate degree |avars| + sum of adjacent element sizes (minus
-    // self per element) — the classic AMD overcount bound.
-    for (const std::uint32_t u : lv) {
-      auto& av = avars[u];
-      av.erase(std::remove_if(av.begin(), av.end(),
-                              [&](std::uint32_t w) {
-                                return eliminated[w] || stamp[w] == stamp_ctr;
-                              }),
-               av.end());
-      auto& ae = aelems[u];
-      ae.erase(std::remove_if(ae.begin(), ae.end(),
-                              [&](std::uint32_t e) { return absorbed[e] != 0; }),
-               ae.end());
-      ae.push_back(eid);
-      std::size_t deg_u = av.size();
-      for (const std::uint32_t e : ae) deg_u += elem_vars[e].size() - 1;
-      adeg[u] = static_cast<std::uint32_t>(
-          std::min<std::size_t>(deg_u, dim == 0 ? 0 : dim - 1));
-      heap.emplace_back(adeg[u], u);
-      std::push_heap(heap.begin(), heap.end(), cmp);
-    }
-  }
-  return order;
-}
-
-} // namespace
-
-// ---------------------------------------------------------------------------
-// Symbolic fill prediction
-// ---------------------------------------------------------------------------
-
-std::size_t symbolic_fill(std::size_t dim,
-                          const std::vector<std::uint32_t>& col_ptr,
-                          const std::vector<std::uint32_t>& row_ind,
-                          const std::vector<std::uint32_t>& order) {
-  if (order.size() != dim) {
-    throw std::invalid_argument("symbolic_fill: order size mismatch");
-  }
-  return fill_from_adjacency(dim, symmetrized_adjacency(dim, col_ptr, row_ind),
-                             order);
-}
-
-namespace {
-
-std::size_t fill_from_adjacency(std::size_t dim, const SymAdjacency& g,
-                                const std::vector<std::uint32_t>& order) {
-  std::vector<std::uint32_t> pos(dim);
-  for (std::uint32_t k = 0; k < dim; ++k) pos[order[k]] = k;
-
-  // George-Liu row-structure walk: row k of L holds the nodes on the
-  // elimination-tree paths from each below-diagonal neighbour up towards
-  // k; the tree is built on the fly (parent set at first discovery).
-  std::vector<std::int32_t> parent(dim, -1);
-  std::vector<std::int32_t> mark(dim, -1);
-  std::size_t nnz_l = dim; // diagonal
-  for (std::uint32_t k = 0; k < dim; ++k) {
-    const std::uint32_t v = order[k];
-    mark[k] = static_cast<std::int32_t>(k);
-    for (std::uint32_t p = g.ptr[v]; p < g.ptr[v] + g.deg[v]; ++p) {
-      std::uint32_t j = pos[g.adj[p]];
-      if (j >= k) continue;
-      while (mark[j] != static_cast<std::int32_t>(k)) {
-        mark[j] = static_cast<std::int32_t>(k);
-        ++nnz_l;
-        if (parent[j] < 0) {
-          parent[j] = static_cast<std::int32_t>(k);
-          break;
-        }
-        j = static_cast<std::uint32_t>(parent[j]);
-      }
-    }
-  }
-  return nnz_l;
-}
-
-} // namespace
-
-// ---------------------------------------------------------------------------
-// SparseSolverT
+// SparseSolver
 // ---------------------------------------------------------------------------
 
 namespace {
@@ -339,15 +156,7 @@ constexpr double kPivotTol = 0.1;
 
 } // namespace
 
-template <typename T>
-void SparseSolverT<T>::set_ordering(Ordering ordering) {
-  if (ordering == ordering_) return;
-  ordering_ = ordering;
-  pattern_dirty_ = true; // re-run the symbolic phase under the new policy
-}
-
-template <typename T>
-void SparseSolverT<T>::begin(std::size_t dim) {
+void SparseSolver::begin(std::size_t dim) {
   if (dim != dim_) {
     dim_ = dim;
     slot_of_.clear();
@@ -358,30 +167,27 @@ void SparseSolverT<T>::begin(std::size_t dim) {
     factor_valid_ = false;
     epoch_ = detail::next_stamp_epoch(); // outstanding handles are void
   }
-  std::fill(vals_.begin(), vals_.end(), T{});
+  std::fill(vals_.begin(), vals_.end(), 0.0);
 }
 
-template <typename T>
-std::uint32_t SparseSolverT<T>::slot(std::size_t i, std::size_t j) {
+std::uint32_t SparseSolver::slot(std::size_t i, std::size_t j) {
   const auto [it, inserted] = slot_of_.try_emplace(
       position_key(i, j), static_cast<std::uint32_t>(slot_row_.size()));
   if (inserted) {
     slot_row_.push_back(static_cast<std::uint32_t>(i));
     slot_col_.push_back(static_cast<std::uint32_t>(j));
-    vals_.push_back(T{});
+    vals_.push_back(0.0);
     pattern_dirty_ = true;
   }
   return it->second;
 }
 
-template <typename T>
-T SparseSolverT<T>::value(std::size_t i, std::size_t j) const {
+double SparseSolver::value(std::size_t i, std::size_t j) const {
   const auto it = slot_of_.find(position_key(i, j));
-  return it == slot_of_.end() ? T{} : vals_[it->second];
+  return it == slot_of_.end() ? 0.0 : vals_[it->second];
 }
 
-template <typename T>
-void SparseSolverT<T>::rebuild_symbolic() {
+void SparseSolver::rebuild_symbolic() {
   const std::size_t nnz = slot_row_.size();
   // Sort slots by (col, row) to obtain the CSC layout and the slot -> CSC
   // scatter map used by every later gather.
@@ -402,63 +208,29 @@ void SparseSolverT<T>::rebuild_symbolic() {
     csc_of_slot_[s] = static_cast<std::uint32_t>(k);
   }
 
-  switch (ordering_) {
-    case Ordering::Natural:
-      q_.resize(dim_);
-      std::iota(q_.begin(), q_.end(), 0u);
-      ordering_used_ = "natural";
-      break;
-    case Ordering::Rcm:
-      q_ = rcm_order(dim_, col_ptr_, row_ind_);
-      ordering_used_ = "rcm";
-      break;
-    case Ordering::Amd:
-      q_ = amd_order(dim_, col_ptr_, row_ind_);
-      ordering_used_ = "amd";
-      break;
-    case Ordering::Auto: {
-      // Profile heuristic vs fill heuristic: predict nnz(L) for both and
-      // keep the winner. One-time cost per pattern, O(nnz(L)) each, off a
-      // single shared adjacency construction.
-      const SymAdjacency g = symmetrized_adjacency(dim_, col_ptr_, row_ind_);
-      auto rcm = rcm_from_adjacency(dim_, g);
-      auto amd = amd_from_adjacency(dim_, g);
-      const std::size_t fill_rcm = fill_from_adjacency(dim_, g, rcm);
-      const std::size_t fill_amd = fill_from_adjacency(dim_, g, amd);
-      if (fill_amd < fill_rcm) {
-        q_ = std::move(amd);
-        ordering_used_ = "amd";
-      } else {
-        q_ = std::move(rcm);
-        ordering_used_ = "rcm";
-      }
-      break;
-    }
-  }
+  q_ = rcm_order(dim_, col_ptr_, row_ind_);
   qpos_.resize(dim_);
   for (std::uint32_t k = 0; k < dim_; ++k) qpos_[q_[k]] = k;
 
-  csc_vals_.assign(nnz, T{});
-  cached_vals_.assign(nnz, T{});
-  work_.assign(dim_, T{});
+  csc_vals_.assign(nnz, 0.0);
+  cached_vals_.assign(nnz, 0.0);
+  work_.assign(dim_, 0.0);
   mark_.assign(dim_, 0);
   pinv_.assign(dim_, -1);
   prow_.assign(dim_, 0);
-  diag_.assign(dim_, T{});
-  sol_.assign(dim_, T{});
+  diag_.assign(dim_, 0.0);
+  sol_.assign(dim_, 0.0);
   heap_.clear();
   unassigned_.clear();
   pattern_dirty_ = false;
   factor_valid_ = false;
 }
 
-template <typename T>
-std::size_t SparseSolverT<T>::factor_nnz() const {
+std::size_t SparseSolver::factor_nnz() const {
   return l_rows_.size() + u_rows_.size() + dim_; // + unit/diag entries
 }
 
-template <typename T>
-bool SparseSolverT<T>::factor(std::size_t start) {
+bool SparseSolver::factor(std::size_t start) {
   const std::size_t n = dim_;
   if (start == 0) {
     l_ptr_.assign(1, 0);
@@ -517,13 +289,13 @@ bool SparseSolverT<T>::factor(std::size_t start) {
       std::pop_heap(heap_.begin(), heap_.end(), heap_cmp);
       const std::uint32_t t = heap_.back();
       heap_.pop_back();
-      const T ut = work_[prow_[t]];
-      if (ut == T{}) continue; // exact numeric zero: no U entry, no update
+      const double ut = work_[prow_[t]];
+      if (ut == 0.0) continue; // exact numeric zero: no U entry, no update
       u_scratch_rows_.push_back(t);
       u_scratch_vals_.push_back(ut);
       for (std::uint32_t p = l_ptr_[t]; p < l_ptr_[t + 1]; ++p) {
         const std::uint32_t r = l_rows_[p];
-        const T delta = l_vals_[p] * ut;
+        const double delta = l_vals_[p] * ut;
         if (!mark_[r]) {
           mark_[r] = 1;
           touched_.push_back(r);
@@ -562,7 +334,7 @@ bool SparseSolverT<T>::factor(std::size_t start) {
         const double dmag = std::abs(work_[col]);
         if (dmag > 0.0 && dmag >= kPivotTol * best) pr = col;
       }
-      const T piv = work_[pr];
+      const double piv = work_[pr];
       pinv_[pr] = static_cast<std::int32_t>(k);
       prow_[k] = pr;
       diag_[k] = piv;
@@ -575,8 +347,8 @@ bool SparseSolverT<T>::factor(std::size_t start) {
 
       for (const std::uint32_t r : unassigned_) {
         if (r == pr) continue;
-        const T lv = work_[r] / piv;
-        if (lv == T{}) continue;
+        const double lv = work_[r] / piv;
+        if (lv == 0.0) continue;
         l_rows_.push_back(r);
         l_vals_.push_back(lv);
       }
@@ -586,14 +358,13 @@ bool SparseSolverT<T>::factor(std::size_t start) {
 
     for (const std::uint32_t r : touched_) {
       mark_[r] = 0;
-      work_[r] = T{};
+      work_[r] = 0.0;
     }
   }
   return !singular;
 }
 
-template <typename T>
-bool SparseSolverT<T>::replay_column(std::size_t k) {
+bool SparseSolver::replay_column(std::size_t k) {
   const std::uint32_t col = q_[k];
   const auto kb = static_cast<std::int32_t>(k);
   const auto heap_cmp = std::greater<std::uint32_t>();
@@ -607,7 +378,7 @@ bool SparseSolverT<T>::replay_column(std::size_t k) {
   const auto finish = [this](bool ok) {
     for (const std::uint32_t r : touched_) {
       mark_[r] = 0;
-      work_[r] = T{};
+      work_[r] = 0.0;
     }
     return ok;
   };
@@ -632,13 +403,13 @@ bool SparseSolverT<T>::replay_column(std::size_t k) {
     std::pop_heap(heap_.begin(), heap_.end(), heap_cmp);
     const std::uint32_t t = heap_.back();
     heap_.pop_back();
-    const T ut = work_[prow_[t]];
-    if (ut == T{}) continue; // exact numeric zero: no U entry, no update
+    const double ut = work_[prow_[t]];
+    if (ut == 0.0) continue; // exact numeric zero: no U entry, no update
     u_scratch_rows_.push_back(t);
     u_scratch_vals_.push_back(ut);
     for (std::uint32_t p = l_ptr_[t]; p < l_ptr_[t + 1]; ++p) {
       const std::uint32_t r = l_rows_[p];
-      const T delta = l_vals_[p] * ut;
+      const double delta = l_vals_[p] * ut;
       if (!mark_[r]) {
         mark_[r] = 1;
         touched_.push_back(r);
@@ -685,14 +456,14 @@ bool SparseSolverT<T>::replay_column(std::size_t k) {
 
   // L likewise: candidates in insertion order, exact zeros dropped, must
   // reproduce the stored row sequence.
-  const T piv = work_[pr];
+  const double piv = work_[pr];
   const std::uint32_t lb = l_ptr_[k];
   const std::uint32_t le = l_ptr_[k + 1];
   std::uint32_t li = 0;
   for (const std::uint32_t r : unassigned_) {
     if (r == pr) continue;
-    const T lv = work_[r] / piv;
-    if (lv == T{}) continue;
+    const double lv = work_[r] / piv;
+    if (lv == 0.0) continue;
     if (li >= le - lb || l_rows_[lb + li] != r) return finish(false);
     l_scratch_vals_.push_back(lv);
     ++li;
@@ -707,8 +478,7 @@ bool SparseSolverT<T>::replay_column(std::size_t k) {
   return finish(true);
 }
 
-template <typename T>
-bool SparseSolverT<T>::refactor_scattered(std::size_t first_dirty,
+bool SparseSolver::refactor_scattered(std::size_t first_dirty,
                                           bool& engaged) {
   engaged = false;
   const std::size_t n = dim_;
@@ -751,10 +521,9 @@ bool SparseSolverT<T>::refactor_scattered(std::size_t first_dirty,
   return true;
 }
 
-template <typename T>
-bool SparseSolverT<T>::solve(const std::vector<T>& b, std::vector<T>& x) {
+bool SparseSolver::solve(const std::vector<double>& b, std::vector<double>& x) {
   if (b.size() != dim_) {
-    throw std::invalid_argument("SparseSolverT: rhs dimension mismatch");
+    throw std::invalid_argument("SparseSolver: rhs dimension mismatch");
   }
   if (pattern_dirty_) rebuild_symbolic();
 
@@ -805,17 +574,17 @@ bool SparseSolverT<T>::solve(const std::vector<T>& b, std::vector<T>& x) {
   // Forward solve through unit-diagonal L: columns in pivot order only ever
   // update rows with later pivot order.
   for (std::size_t t = 0; t < n; ++t) {
-    const T ct = x[prow_[t]];
-    if (ct == T{}) continue;
+    const double ct = x[prow_[t]];
+    if (ct == 0.0) continue;
     for (std::uint32_t p = l_ptr_[t]; p < l_ptr_[t + 1]; ++p) {
       x[l_rows_[p]] -= l_vals_[p] * ct;
     }
   }
   // Column-sweep back substitution through U.
   for (std::size_t k = n; k-- > 0;) {
-    const T w = x[prow_[k]] / diag_[k];
+    const double w = x[prow_[k]] / diag_[k];
     sol_[k] = w;
-    if (w == T{}) continue;
+    if (w == 0.0) continue;
     for (std::uint32_t p = u_ptr_[k]; p < u_ptr_[k + 1]; ++p) {
       x[prow_[u_rows_[p]]] -= u_vals_[p] * w;
     }
@@ -824,8 +593,5 @@ bool SparseSolverT<T>::solve(const std::vector<T>& b, std::vector<T>& x) {
   for (std::size_t k = 0; k < n; ++k) x[q_[k]] = sol_[k];
   return true;
 }
-
-template class SparseSolverT<double>;
-template class SparseSolverT<std::complex<double>>;
 
 } // namespace mss::spice

@@ -1,11 +1,9 @@
 // The linear solver of the MNA engine: triplet assembly ->
-// compressed-sparse-column pattern, a fill-reducing column ordering
-// (reverse-Cuthill-McKee or approximate minimum degree, selected by
-// predicted fill under Ordering::Auto), and a left-looking
-// (Gilbert-Peierls-style) sparse LU with threshold partial pivoting. Every
-// analysis (DC Newton, transient stepping, AC sweep) stamps straight into
-// it, from the cell-level netlists of tens of unknowns to the array
-// netlists of thousands.
+// compressed-sparse-column pattern, a reverse-Cuthill-McKee column
+// ordering, and a left-looking (Gilbert-Peierls-style) sparse LU with
+// threshold partial pivoting. Both analyses (DC Newton, transient
+// stepping) stamp straight into it, from the cell-level netlists of tens
+// of unknowns to the array netlists of thousands.
 //
 // Protocol per solve: `begin(dim)` clears the accumulated values (symbolic
 // state and factorization caches survive), elements accumulate
@@ -29,13 +27,11 @@
 // (instance pointer, epoch) pair cached by an element can never alias a
 // different solver that happens to reuse the address.
 //
-// Ordering. RCM minimises the profile (right for banded ladder/line
-// netlists); AMD greedily minimises fill (right for meshy array cores with
-// periphery cross-coupling). `Ordering::Auto` computes both, predicts
-// nnz(L) for each with an elimination-tree symbolic pass, and keeps the
-// winner — the choice is made once per pattern rebuild.
+// Ordering. RCM minimises the profile, which keeps the fill of the banded
+// ladder/line and array netlists low; it is computed once per pattern
+// rebuild.
 //
-// Factorization. For each column (in the chosen order) the not-yet-factored
+// Factorization. For each column (in RCM order) the not-yet-factored
 // column of A is scattered into a dense work vector, updates from earlier
 // pivot columns are applied in ascending pivot order via a min-heap
 // worklist (entries only ever introduce later pivots, so the heap pops
@@ -60,7 +56,6 @@
 // structure, again bit-identical to a full refactor.
 #pragma once
 
-#include <complex>
 #include <cstddef>
 #include <cstdint>
 #include <unordered_map>
@@ -68,18 +63,12 @@
 
 namespace mss::spice {
 
-/// Fill-reducing column ordering. `Auto` computes both RCM and AMD and
-/// keeps whichever predicts less factor fill for the assembled pattern
-/// (RCM's profile heuristic wins on banded ladders, AMD on meshy periphery
-/// netlists).
-enum class Ordering { Auto, Natural, Rcm, Amd };
-
 /// Slot-handle sentinel used by callers for ground-dropped positions.
 inline constexpr std::uint32_t kNoSlot = 0xffffffffu;
 
 namespace detail {
 /// Allocates a fresh stamp epoch — one process-wide monotonic counter
-/// shared by the real and complex solver instantiations (thread-safe).
+/// shared by every solver instance (thread-safe).
 [[nodiscard]] std::uint64_t next_stamp_epoch();
 } // namespace detail
 
@@ -91,35 +80,12 @@ namespace detail {
     std::size_t dim, const std::vector<std::uint32_t>& col_ptr,
     const std::vector<std::uint32_t>& row_ind);
 
-/// Approximate-minimum-degree ordering of a sparse pattern given in CSC
-/// form (symmetrised internally). Classic quotient-graph elimination:
-/// eliminating a vertex forms an element clique over its neighbours,
-/// absorbed elements are merged, and vertex degrees are approximated as
-/// |variable neighbours| + sum of adjacent element sizes. Ties break
-/// towards the smaller index, so the ordering is deterministic. Exposed
-/// for tests.
-[[nodiscard]] std::vector<std::uint32_t> amd_order(
-    std::size_t dim, const std::vector<std::uint32_t>& col_ptr,
-    const std::vector<std::uint32_t>& row_ind);
-
-/// Predicted nnz(L) (diagonal included) of a Cholesky-style elimination of
-/// the symmetrised pattern under `order` — the fill count Ordering::Auto
-/// compares. Elimination-tree row-structure walk, O(nnz(L)). Exposed for
-/// tests.
-[[nodiscard]] std::size_t symbolic_fill(
-    std::size_t dim, const std::vector<std::uint32_t>& col_ptr,
-    const std::vector<std::uint32_t>& row_ind,
-    const std::vector<std::uint32_t>& order);
-
-/// The linear solver. Instantiated for double (DC/transient) and
-/// std::complex<double> (AC).
-template <typename T>
-class SparseSolverT final {
+/// The linear solver.
+class SparseSolver final {
  public:
-  /// Column-ordering policy; takes effect at the next symbolic rebuild.
-  void set_ordering(Ordering ordering);
   /// Enables/disables the partial-refactorization fast path (on by
-  /// default; the off state exists for A/B equivalence validation).
+  /// default; the off state is the full-refactor reference the tests
+  /// compare against).
   void set_partial_refactor(bool enabled) { partial_ = enabled; }
 
   /// Starts a stamping pass for an n x n system. Changing `dim` resets the
@@ -128,7 +94,7 @@ class SparseSolverT final {
   void begin(std::size_t dim);
 
   /// Accumulates A[i][j] += v. Valid between `begin` and `solve`.
-  void add(std::size_t i, std::size_t j, T v) { vals_[slot(i, j)] += v; }
+  void add(std::size_t i, std::size_t j, double v) { vals_[slot(i, j)] += v; }
 
   /// Resolves the accumulation slot of position (i, j), inserting the
   /// position into the pattern if never seen. The handle stays valid — and
@@ -138,7 +104,7 @@ class SparseSolverT final {
 
   /// Accumulates A[slot] += v, skipping the position lookup. `slot` must
   /// come from `this->slot()` under the current stamp epoch.
-  void add_slot(std::uint32_t slot, T v) { vals_[slot] += v; }
+  void add_slot(std::uint32_t slot, double v) { vals_[slot] += v; }
 
   /// Epoch of the slot address space: changes whenever previously returned
   /// handles become invalid (dimension reset). Monotonic and unique across
@@ -148,7 +114,7 @@ class SparseSolverT final {
   /// Solves A x = b for the stamped A. `x` is resized by the call. Returns
   /// false when the matrix is numerically singular (the factorization cache
   /// is invalidated so the next solve retries from scratch).
-  [[nodiscard]] bool solve(const std::vector<T>& b, std::vector<T>& x);
+  [[nodiscard]] bool solve(const std::vector<double>& b, std::vector<double>& x);
 
   /// Dimension of the last `begin`.
   [[nodiscard]] std::size_t dim() const { return dim_; }
@@ -167,15 +133,12 @@ class SparseSolverT final {
   /// Accumulated A[i][j] of the current stamping pass (0 for a position
   /// outside the pattern) — read access for tests that rebuild the
   /// assembled matrix.
-  [[nodiscard]] T value(std::size_t i, std::size_t j) const;
+  [[nodiscard]] double value(std::size_t i, std::size_t j) const;
 
   /// Structural nonzeros of the assembled pattern.
   [[nodiscard]] std::size_t nnz() const { return slot_row_.size(); }
   /// nnz(L) + nnz(U) of the last factorization (diagonals included).
   [[nodiscard]] std::size_t factor_nnz() const;
-  /// Ordering the current symbolic structure uses ("rcm" / "amd" /
-  /// "natural"; "none" before the first rebuild).
-  [[nodiscard]] const char* ordering_used() const { return ordering_used_; }
   /// Pivot position the last numeric factorization started from (0 = full
   /// refactor; > 0 = partial, the L/U prefix below it was reused).
   [[nodiscard]] std::size_t last_factor_start() const {
@@ -192,18 +155,16 @@ class SparseSolverT final {
  private:
   std::size_t dim_ = 0;
   std::uint64_t epoch_ = detail::next_stamp_epoch();
-  Ordering ordering_ = Ordering::Auto;
   bool partial_ = true;
   std::size_t factor_count_ = 0;
   std::size_t factor_cols_total_ = 0;
   std::size_t scattered_cols_total_ = 0;
   std::size_t last_factor_start_ = 0;
-  const char* ordering_used_ = "none";
 
   // --- assembly: union pattern keyed by (i, j) ---
   std::unordered_map<std::uint64_t, std::uint32_t> slot_of_;
   std::vector<std::uint32_t> slot_row_, slot_col_;
-  std::vector<T> vals_; ///< accumulation, indexed by slot
+  std::vector<double> vals_; ///< accumulation, indexed by slot
   bool pattern_dirty_ = true;
 
   // --- symbolic state (rebuilt when the pattern grows) ---
@@ -213,30 +174,30 @@ class SparseSolverT final {
   std::vector<std::uint32_t> qpos_; ///< column -> pivot position
 
   // --- numeric values + dirty-value factorization cache ---
-  std::vector<T> csc_vals_;    ///< gathered values in CSC order
-  std::vector<T> cached_vals_; ///< values the current factorization is of
+  std::vector<double> csc_vals_;    ///< gathered values in CSC order
+  std::vector<double> cached_vals_; ///< values the current factorization is of
   bool factor_valid_ = false;
 
   // --- factors: L (unit diagonal implicit) and U, column-wise ---
   std::vector<std::uint32_t> l_ptr_, l_rows_; ///< L rows are original rows
-  std::vector<T> l_vals_;
+  std::vector<double> l_vals_;
   std::vector<std::uint32_t> u_ptr_, u_rows_; ///< U rows are pivot orders
-  std::vector<T> u_vals_;
-  std::vector<T> diag_;                  ///< U diagonal, by pivot order
+  std::vector<double> u_vals_;
+  std::vector<double> diag_;                  ///< U diagonal, by pivot order
   std::vector<std::int32_t> pinv_;       ///< original row -> pivot order
   std::vector<std::uint32_t> prow_;      ///< pivot order -> original row
 
   // --- scratch (persistent, allocation-free in steady state) ---
-  std::vector<T> work_;                  ///< dense column accumulator
+  std::vector<double> work_;                  ///< dense column accumulator
   std::vector<std::uint8_t> mark_;       ///< row-touched flags
   std::vector<std::uint32_t> heap_;      ///< pending pivot updates
   std::vector<std::uint32_t> unassigned_; ///< pivot candidates of the column
   std::vector<std::uint32_t> touched_;   ///< rows to unmark after a column
   std::vector<std::uint32_t> u_scratch_rows_;
-  std::vector<T> u_scratch_vals_;
-  std::vector<T> l_scratch_vals_;        ///< replayed L values before commit
+  std::vector<double> u_scratch_vals_;
+  std::vector<double> l_scratch_vals_;        ///< replayed L values before commit
   std::vector<std::uint8_t> dirty_pos_;  ///< pivot position -> stamps changed
-  std::vector<T> sol_;                   ///< solution by pivot order
+  std::vector<double> sol_;                   ///< solution by pivot order
 
   void rebuild_symbolic();
   /// Numeric factorization from pivot position `start` (0 = full). Reuses
@@ -259,11 +220,5 @@ class SparseSolverT final {
   /// to change a pivot choice or an exact-zero drop.
   [[nodiscard]] bool replay_column(std::size_t k);
 };
-
-extern template class SparseSolverT<double>;
-extern template class SparseSolverT<std::complex<double>>;
-
-using SparseSolver = SparseSolverT<double>;
-using AcSparseSolver = SparseSolverT<std::complex<double>>;
 
 } // namespace mss::spice

@@ -7,52 +7,23 @@
 
 namespace mss::util {
 
-double normal_cdf(double x) {
-  return 0.5 * math::erfc(-x / std::sqrt(2.0));
+namespace {
+
+/// log of the binomial coefficient C(n, k), k <= n.
+double log_binomial(unsigned n, unsigned k) {
+  return math::lgamma(double(n) + 1.0) - math::lgamma(double(k) + 1.0) -
+         math::lgamma(double(n - k) + 1.0);
 }
+
+} // namespace
 
 double normal_sf(double x) { return 0.5 * math::erfc(x / std::sqrt(2.0)); }
-
-double normal_quantile(double p) {
-  if (!(p > 0.0) || !(p < 1.0)) {
-    throw std::invalid_argument("normal_quantile: p must be in (0,1)");
-  }
-  return math::inv_normal(p);
-}
-
-double normal_isf(double q) {
-  if (!(q > 0.0) || !(q < 1.0)) {
-    throw std::invalid_argument("normal_isf: q must be in (0,1)");
-  }
-  if (q >= 0.5) return normal_quantile(1.0 - q);
-  // Solve Q(x) = q. Start from the probit on the lower tail and refine with
-  // Newton in the log domain (stable because log Q is nearly quadratic).
-  double x = -math::inv_normal(q); // Q(x)=q  <=>  Phi(-x)=q
-  for (int i = 0; i < 40; ++i) {
-    const double sf = normal_sf(x);
-    if (sf <= 0.0) break;
-    const double log_ratio = std::log(sf) - std::log(q);
-    const double pdf = std::exp(-0.5 * x * x) / std::sqrt(2.0 * M_PI);
-    if (pdf <= 0.0) break;
-    // d(log Q)/dx = -pdf/Q
-    const double step = log_ratio * sf / pdf;
-    x += step;
-    if (std::abs(step) < 1e-13 * std::max(1.0, std::abs(x))) break;
-  }
-  return x;
-}
 
 double log1mexp(double x) {
   if (x > 0.0) throw std::invalid_argument("log1mexp: x must be <= 0");
   // Split at log(2) per Maechler (2012).
   if (x > -M_LN2) return std::log(-std::expm1(x));
   return std::log1p(-std::exp(x));
-}
-
-double log_binomial(unsigned n, unsigned k) {
-  if (k > n) throw std::invalid_argument("log_binomial: k > n");
-  return math::lgamma(double(n) + 1.0) - math::lgamma(double(k) + 1.0) -
-         math::lgamma(double(n - k) + 1.0);
 }
 
 double log_binomial_sf(unsigned n, unsigned t, double log_p) {
@@ -115,27 +86,6 @@ double bisect_expand(const std::function<double(double)>& f, double lo,
     fhi = f(hi);
   }
   return bisect(f, lo, hi, xtol);
-}
-
-double interp_linear(std::span<const double> xs, std::span<const double> ys,
-                     double x) {
-  if (xs.size() != ys.size() || xs.empty()) {
-    throw std::invalid_argument("interp_linear: bad table");
-  }
-  if (x <= xs.front()) return ys.front();
-  if (x >= xs.back()) return ys.back();
-  // Binary search for the segment.
-  std::size_t lo = 0;
-  std::size_t hi = xs.size() - 1;
-  while (hi - lo > 1) {
-    const std::size_t mid = (lo + hi) / 2;
-    if (xs[mid] <= x)
-      lo = mid;
-    else
-      hi = mid;
-  }
-  const double t = (x - xs[lo]) / (xs[hi] - xs[lo]);
-  return ys[lo] + t * (ys[hi] - ys[lo]);
 }
 
 GaussHermite::GaussHermite(int n) {

@@ -1,37 +1,20 @@
-// Small numerical toolbox: Gaussian CDF/quantile (double precision over the
-// full tail, needed for error rates down to 1e-20), root finding, 1-D
-// interpolation and log-domain binomial tails.
+// Small numerical toolbox: the Gaussian upper tail (double precision down
+// to ~1e-300, needed for error rates down to 1e-20), root finding,
+// log-domain binomial tails and Gauss-Hermite quadrature.
 #pragma once
 
 #include <cstddef>
 #include <functional>
-#include <span>
 #include <vector>
 
 namespace mss::util {
-
-/// Standard normal cumulative distribution function Phi(x).
-/// Accurate in both tails (uses erfc), usable down to ~1e-300.
-[[nodiscard]] double normal_cdf(double x);
 
 /// Upper-tail probability Q(x) = 1 - Phi(x), accurate for large x
 /// (Q(10) ~ 7.6e-24 is representable; naive 1-Phi would round to 0 at x>8).
 [[nodiscard]] double normal_sf(double x);
 
-/// Inverse standard normal CDF (quantile function); Acklam's rational
-/// approximation refined by one Halley step. |error| < 1e-12 for
-/// p in [1e-300, 1-1e-16].
-[[nodiscard]] double normal_quantile(double p);
-
-/// Inverse of the upper-tail probability: x such that normal_sf(x) == q.
-/// Works for q down to ~1e-300 (i.e. the deep tail the WER analysis needs).
-[[nodiscard]] double normal_isf(double q);
-
 /// log(1 - exp(x)) for x <= 0, numerically stable near both ends.
 [[nodiscard]] double log1mexp(double x);
-
-/// log of the binomial coefficient C(n, k).
-[[nodiscard]] double log_binomial(unsigned n, unsigned k);
 
 /// Upper tail of the binomial distribution in the log domain:
 /// log P(X > t) where X ~ Binomial(n, p) and log_p = log(p).
@@ -53,11 +36,6 @@ namespace mss::util {
 [[nodiscard]] double bisect_expand(const std::function<double(double)>& f,
                                    double lo, double hi, double xtol = 1e-12,
                                    int max_expand = 60);
-
-/// Piecewise-linear interpolation of y(x) over sorted xs.
-/// Clamps outside the domain.
-[[nodiscard]] double interp_linear(std::span<const double> xs,
-                                   std::span<const double> ys, double x);
 
 /// Gauss-Hermite quadrature nodes/weights for integrating
 /// E[g(Z)] = (1/sqrt(pi)) * sum w_i g(sqrt(2) x_i) with Z ~ N(0,1).

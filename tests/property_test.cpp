@@ -7,6 +7,7 @@
 #include "core/pdk.hpp"
 #include "core/sensor_model.hpp"
 #include "magpie/cache.hpp"
+#include "math/special.hpp"
 #include "physics/thermal.hpp"
 #include "util/math.hpp"
 #include "vaet/ecc.hpp"
@@ -123,18 +124,20 @@ INSTANTIATE_TEST_SUITE_P(
                       std::make_pair(std::size_t{128} << 10, std::size_t{512} << 10)));
 
 // ---------------------------------------------------------------------------
-// normal_isf / normal_sf round trip across many magnitudes.
+// normal_sf(-inv_normal(q)) == q across many magnitudes, down to the
+// 1e-300 deep tail the WER analysis reaches.
 class NormalTailP : public ::testing::TestWithParam<double> {};
 
-TEST_P(NormalTailP, IsfSfRoundTrip) {
+TEST_P(NormalTailP, SfInvertsProbit) {
   const double q = GetParam();
-  const double x = mss::util::normal_isf(q);
+  const double x = -mss::math::inv_normal(q);
   EXPECT_NEAR(std::log(mss::util::normal_sf(x)), std::log(q), 1e-5);
 }
 
 INSTANTIATE_TEST_SUITE_P(TailTargets, NormalTailP,
                          ::testing::Values(1e-2, 1e-5, 1e-8, 1e-12, 1e-16,
-                                           1e-24, 1e-40, 1e-80));
+                                           1e-24, 1e-40, 1e-80, 1e-160,
+                                           1e-300));
 
 // ---------------------------------------------------------------------------
 // PDK device sampling preserves physical validity across nodes and seeds.

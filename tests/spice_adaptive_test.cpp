@@ -5,7 +5,8 @@
 //    stepping matches the fixed-step reference waveform within tolerance
 //    while taking >= 2x fewer steps;
 //  * partial-refactorization Newton solves match full-refactor solves
-//    bit for bit while factoring strictly fewer columns.
+//    bit for bit while factoring strictly fewer columns (driven through
+//    the solver's full-refactor reference arm, tests/dense_lu.hpp).
 #include <cmath>
 #include <gtest/gtest.h>
 
@@ -18,6 +19,7 @@
 #include "core/pdk.hpp"
 #include "spice/elements.hpp"
 #include "spice/engine.hpp"
+#include "dense_lu.hpp"
 
 namespace ms = mss::spice;
 namespace mc = mss::cells;
@@ -171,30 +173,36 @@ TEST(PartialRefactor, NewtonTransientBitIdenticalAndCheaper) {
   mc::ArrayNetlistOptions opt;
   opt.rows = opt.cols = 16;
   const double pulse = 3e-9;
-  const double t_stop = 0.5e-9 + pulse + 1.0e-9;
+  const auto steps = static_cast<std::size_t>(
+      std::llround((0.5e-9 + pulse + 1.0e-9) / opt.sim_dt));
 
   auto partial_net = mc::build_array_write_netlist(
       pdk, opt, mss::core::WriteDirection::ToAntiparallel, pulse);
   auto full_net = mc::build_array_write_netlist(
       pdk, opt, mss::core::WriteDirection::ToAntiparallel, pulse);
 
-  ms::EngineOptions fopt;
-  fopt.partial_refactor = false;
-  ms::Engine partial_eng(partial_net.circuit);
-  ms::Engine full_eng(full_net.circuit, fopt);
-
-  const auto ptr_res = partial_eng.transient(t_stop, opt.sim_dt);
-  const auto ful_res = full_eng.transient(t_stop, opt.sim_dt);
-  ASSERT_TRUE(ptr_res.converged());
-  ASSERT_TRUE(ful_res.converged());
+  // The Engine's Newton transient, once on the default solver and once on
+  // the full-refactor reference arm (dense check off: dim is in the
+  // hundreds).
+  const ms::oracle::SequenceArms arms{.dense_check = false};
+  ms::SparseSolver partial, full;
+  full.set_partial_refactor(false);
+  const auto ptr_states =
+      ms::oracle::newton_sequence(partial_net.circuit, partial, steps,
+                                  opt.sim_dt, arms);
+  ASSERT_FALSE(HasFatalFailure());
+  const auto ful_states =
+      ms::oracle::newton_sequence(full_net.circuit, full, steps, opt.sim_dt,
+                                  arms);
+  ASSERT_FALSE(HasFatalFailure());
 
   // Bit-for-bit identical waveforms...
-  ASSERT_EQ(ptr_res.size(), ful_res.size());
-  for (std::size_t n = 0; n < partial_net.circuit.node_count(); ++n) {
-    const auto& name = partial_net.circuit.node_name(n);
-    for (std::size_t k = 0; k < ptr_res.size(); ++k) {
-      ASSERT_EQ(ptr_res.v(name, k), ful_res.v(name, k))
-          << "node " << name << " step " << k;
+  ASSERT_EQ(ptr_states.size(), steps + 1);
+  ASSERT_EQ(ful_states.size(), steps + 1);
+  for (std::size_t k = 0; k <= steps; ++k) {
+    for (std::size_t n = 0; n < ptr_states[k].size(); ++n) {
+      ASSERT_EQ(ptr_states[k][n], ful_states[k][n])
+          << "unknown " << n << " step " << k;
     }
   }
   // ...and identical MTJ trajectories...
@@ -208,83 +216,6 @@ TEST(PartialRefactor, NewtonTransientBitIdenticalAndCheaper) {
   }
   // ...with the same number of (re)factorizations but strictly fewer
   // recomputed columns — the partial path actually kicked in.
-  EXPECT_EQ(partial_eng.factor_count(), full_eng.factor_count());
-  EXPECT_LT(partial_eng.factor_cols_total(), full_eng.factor_cols_total());
-}
-
-// ---------------------------------------------------------------------------
-// Predictor LTE estimator: step-doubling accuracy at ~1/3 the solves
-// ---------------------------------------------------------------------------
-
-TEST(PredictorLte, TracksRcChargeCurveCheaperThanStepDoubling) {
-  auto fixed_ckt = rc_circuit();
-  auto pred_ckt = rc_circuit();
-  auto dbl_ckt = rc_circuit();
-  ms::Engine fixed_eng(fixed_ckt);
-  ms::Engine pred_eng(pred_ckt);
-  ms::Engine dbl_eng(dbl_ckt);
-
-  const double t_stop = 5e-9;
-  const auto fixed = fixed_eng.transient(t_stop, 5e-12);
-  ms::AdaptiveOptions aopt;
-  aopt.ltol_rel = 1e-4;
-  ms::AdaptiveOptions popt = aopt;
-  popt.estimator = ms::LteEstimator::Predictor;
-  const auto pred = pred_eng.transient_adaptive(t_stop, 5e-12, popt);
-  const auto dbl = dbl_eng.transient_adaptive(t_stop, 5e-12, aopt);
-  ASSERT_TRUE(fixed.converged());
-  ASSERT_TRUE(pred.converged());
-  ASSERT_TRUE(dbl.converged());
-  for (std::size_t k = 0; k < fixed.size(); ++k) {
-    EXPECT_NEAR(pred.v_at("out", fixed.times()[k]), fixed.v("out", k), 5e-3)
-        << "t=" << fixed.times()[k];
-  }
-  EXPECT_LE(2 * pred.accepted_steps(), fixed.accepted_steps());
-  // On a smooth waveform the single-solve trial beats the three-solve
-  // step-doubling trial outright.
-  EXPECT_LT(pred_eng.factor_cols_total(), dbl_eng.factor_cols_total())
-      << "pred " << pred_eng.factor_cols_total() << " vs dbl "
-      << dbl_eng.factor_cols_total();
-}
-
-TEST(PredictorLte, FewerFactoredColumnsPerStepOnNewtonTransient) {
-  const mss::core::Pdk pdk;
-  mc::ArrayNetlistOptions opt;
-  opt.rows = opt.cols = 16;
-  const double pulse = 5e-9; // long enough to switch the target cell
-  const double t_stop = 0.5e-9 + pulse + 1.0e-9;
-
-  auto dbl_net = mc::build_array_write_netlist(
-      pdk, opt, mss::core::WriteDirection::ToAntiparallel, pulse);
-  auto pred_net = mc::build_array_write_netlist(
-      pdk, opt, mss::core::WriteDirection::ToAntiparallel, pulse);
-
-  ms::Engine dbl_eng(dbl_net.circuit);
-  ms::Engine pred_eng(pred_net.circuit);
-
-  ms::AdaptiveOptions dopt;
-  ms::AdaptiveOptions popt;
-  popt.estimator = ms::LteEstimator::Predictor;
-  const auto dbl = dbl_eng.transient_adaptive(t_stop, opt.sim_dt, dopt);
-  const auto pred = pred_eng.transient_adaptive(t_stop, opt.sim_dt, popt);
-  ASSERT_TRUE(dbl.converged());
-  ASSERT_TRUE(pred.converged());
-
-  // Same write outcome...
-  EXPECT_EQ(dbl_net.target_mtj->state(), pred_net.target_mtj->state());
-  ASSERT_FALSE(dbl_net.target_mtj->flip_times().empty());
-  ASSERT_FALSE(pred_net.target_mtj->flip_times().empty());
-  EXPECT_NEAR(pred_net.target_mtj->flip_times().front(),
-              dbl_net.target_mtj->flip_times().front(), 0.3e-9);
-  // ...at a lower per-step cost: one Newton solve per trial instead of
-  // three. (Total work is problem-dependent: step doubling commits the
-  // half-step solution while controlling the full-step error, so it
-  // effectively runs at a looser tolerance and may take fewer, larger
-  // steps through the MTJ switching event.)
-  const double pred_cols_per_step =
-      double(pred_eng.factor_cols_total()) / double(pred.accepted_steps());
-  const double dbl_cols_per_step =
-      double(dbl_eng.factor_cols_total()) / double(dbl.accepted_steps());
-  EXPECT_LT(pred_cols_per_step, dbl_cols_per_step)
-      << "pred " << pred_cols_per_step << " vs dbl " << dbl_cols_per_step;
+  EXPECT_EQ(partial.factor_count(), full.factor_count());
+  EXPECT_LT(partial.factor_cols_total(), full.factor_cols_total());
 }

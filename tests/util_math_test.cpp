@@ -6,46 +6,21 @@
 
 namespace mu = mss::util;
 
-TEST(NormalCdf, KnownValues) {
-  EXPECT_NEAR(mu::normal_cdf(0.0), 0.5, 1e-12);
-  EXPECT_NEAR(mu::normal_cdf(1.0), 0.8413447460685429, 1e-10);
-  EXPECT_NEAR(mu::normal_cdf(-1.0), 1.0 - 0.8413447460685429, 1e-10);
-  EXPECT_NEAR(mu::normal_cdf(2.0), 0.9772498680518208, 1e-10);
+namespace {
+
+/// log C(n, k) — the reference the binomial-tail tests sum with.
+double log_choose(unsigned n, unsigned k) {
+  return std::lgamma(n + 1.0) - std::lgamma(k + 1.0) -
+         std::lgamma(n - k + 1.0);
 }
+
+} // namespace
 
 TEST(NormalSf, DeepTailDoesNotUnderflowEarly) {
   // Q(10) ~ 7.62e-24; naive 1 - Phi(x) would return 0 past x ~ 8.2.
   EXPECT_NEAR(mu::normal_sf(10.0) / 7.619853e-24, 1.0, 1e-4);
   EXPECT_GT(mu::normal_sf(30.0), 0.0);
   EXPECT_LT(mu::normal_sf(30.0), 1e-190);
-}
-
-TEST(NormalQuantile, RoundTripsThroughCdf) {
-  for (double p : {1e-12, 1e-6, 0.01, 0.3, 0.5, 0.7, 0.99, 1.0 - 1e-9}) {
-    const double x = mu::normal_quantile(p);
-    EXPECT_NEAR(mu::normal_cdf(x), p, 1e-9 * std::max(1.0, 1.0 / p))
-        << "p=" << p;
-  }
-}
-
-TEST(NormalQuantile, RejectsOutOfDomain) {
-  EXPECT_THROW((void)mu::normal_quantile(0.0), std::invalid_argument);
-  EXPECT_THROW((void)mu::normal_quantile(1.0), std::invalid_argument);
-  EXPECT_THROW((void)mu::normal_quantile(-0.5), std::invalid_argument);
-}
-
-TEST(NormalIsf, RoundTripsInDeepTail) {
-  for (double q : {1e-3, 1e-6, 1e-12, 1e-18, 1e-30, 1e-60}) {
-    const double x = mu::normal_isf(q);
-    const double back = mu::normal_sf(x);
-    EXPECT_NEAR(std::log(back), std::log(q), 1e-6) << "q=" << q;
-  }
-}
-
-TEST(NormalIsf, CentralValues) {
-  EXPECT_NEAR(mu::normal_isf(0.5), 0.0, 1e-9);
-  EXPECT_NEAR(mu::normal_isf(0.975), -1.959963984540054, 1e-6);
-  EXPECT_NEAR(mu::normal_isf(0.025), 1.959963984540054, 1e-6);
 }
 
 TEST(Log1mExp, MatchesReferenceAcrossBranches) {
@@ -62,20 +37,13 @@ TEST(Log1mExp, MatchesReferenceAcrossBranches) {
   EXPECT_THROW((void)mu::log1mexp(0.5), std::invalid_argument);
 }
 
-TEST(LogBinomial, SmallCases) {
-  EXPECT_NEAR(mu::log_binomial(5, 2), std::log(10.0), 1e-12);
-  EXPECT_NEAR(mu::log_binomial(10, 0), 0.0, 1e-12);
-  EXPECT_NEAR(mu::log_binomial(10, 10), 0.0, 1e-12);
-  EXPECT_THROW((void)mu::log_binomial(3, 4), std::invalid_argument);
-}
-
 TEST(LogBinomialSf, MatchesDirectSummation) {
   // n = 20, p = 0.1, t = 2: P(X > 2) computed directly.
   const unsigned n = 20;
   const double p = 0.1;
   double direct = 0.0;
   for (unsigned k = 3; k <= n; ++k) {
-    direct += std::exp(mu::log_binomial(n, k)) * std::pow(p, k) *
+    direct += std::exp(log_choose(n, k)) * std::pow(p, k) *
               std::pow(1.0 - p, n - k);
   }
   EXPECT_NEAR(mu::log_binomial_sf(n, 2, std::log(p)), std::log(direct), 1e-9);
@@ -85,7 +53,7 @@ TEST(LogBinomialSf, TinyPDominatedByFirstTerm) {
   // For p -> 0: P(X > t) ~ C(n, t+1) p^(t+1).
   const unsigned n = 512;
   const double log_p = std::log(1e-12);
-  const double expect = mu::log_binomial(n, 3) + 3.0 * log_p;
+  const double expect = log_choose(n, 3) + 3.0 * log_p;
   EXPECT_NEAR(mu::log_binomial_sf(n, 2, log_p), expect, 1e-6);
 }
 
@@ -109,15 +77,6 @@ TEST(BisectExpand, GrowsUpperBound) {
   const double r = mu::bisect_expand(
       [](double x) { return std::log(x) - 6.0; }, 0.5, 1.0);
   EXPECT_NEAR(r, std::exp(6.0), 1e-5 * std::exp(6.0));
-}
-
-TEST(InterpLinear, InterpolatesAndClamps) {
-  const std::vector<double> xs{0.0, 1.0, 2.0};
-  const std::vector<double> ys{0.0, 10.0, 40.0};
-  EXPECT_NEAR(mu::interp_linear(xs, ys, 0.5), 5.0, 1e-12);
-  EXPECT_NEAR(mu::interp_linear(xs, ys, 1.5), 25.0, 1e-12);
-  EXPECT_NEAR(mu::interp_linear(xs, ys, -1.0), 0.0, 1e-12);
-  EXPECT_NEAR(mu::interp_linear(xs, ys, 3.0), 40.0, 1e-12);
 }
 
 TEST(GaussHermite, IntegratesGaussianMoments) {

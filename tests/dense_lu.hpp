@@ -1,7 +1,7 @@
 // Dense LU reference for the sparse solver tests: a Doolittle LU with
 // partial pivoting over flat row-major storage, plus the oracle helpers
 // that rebuild a stamped SparseSolver matrix densely and check a sparse
-// solve against it, and the Newton-sequence driver through which the
+// solve against it, and the Newton-sequence runner through which the
 // tests reach the solver's and the stamping interface's reference arms
 // (full refactorization, uncached stamping). Test-only: the library has
 // one linear solver, the sparse LU, and Engine always runs its fast arms.

@@ -11,8 +11,8 @@
 // refactorizations are checked against the oracle.
 //
 // Engine level (RandomizedEquivalence), in DC and transient: Engine's
-// result, the oracle Newton driver stamping through the elements' slot
-// caches, and the same driver stamping per position (the uncached
+// result, the oracle Newton runner stamping through the elements' slot
+// caches, and the same runner stamping per position (the uncached
 // reference) are EXACTLY equal, bit for bit — the cache only skips
 // position lookups, never changes an accumulation order.
 //
@@ -431,8 +431,8 @@ TEST(SparseOracle, NewtonSequenceMatchesDenseLu) {
 
 namespace {
 
-/// The oracle driver over a fresh copy of netlist `seed`, dense check off,
-/// stamping through the slot caches or per position.
+/// The oracle Newton runner over a fresh copy of netlist `seed`, dense
+/// check off, stamping through the slot caches or per position.
 [[nodiscard]] std::vector<std::vector<double>> driven_states(
     std::uint32_t seed, std::size_t steps, double dt, bool slot_cache) {
   auto ckt = random_netlist(seed);

@@ -171,25 +171,6 @@ BENCHMARK(BM_SpiceArrayWrite)->ArgName("rows")->Arg(16)->Arg(32)->Arg(64)
     ->MinTime(2.0)
     ->Unit(benchmark::kMillisecond);
 
-// The array write under LTE-controlled adaptive stepping: same waveform
-// within tolerance at a fraction of the steps (the golden regression test
-// asserts >= 2x fewer; in practice ~5-10x on the 6.5 ns write window).
-void BM_SpiceArrayWriteAdaptive(benchmark::State& state) {
-  const auto rows = static_cast<std::size_t>(state.range(0));
-  const mss::core::Pdk pdk;
-  mss::cells::ArrayNetlistOptions o;
-  o.rows = rows;
-  o.cols = rows;
-  o.adaptive_step = true;
-  for (auto _ : state) {
-    const auto wr = mss::cells::characterize_array_write(
-        pdk, o, mss::core::WriteDirection::ToAntiparallel, 5e-9);
-    benchmark::DoNotOptimize(wr.t_switch);
-  }
-}
-BENCHMARK(BM_SpiceArrayWriteAdaptive)->ArgName("rows")->Arg(64)
-    ->Unit(benchmark::kMillisecond);
-
 /// The cell-level netlists of the fig. 6 test chip (tens of unknowns each):
 /// one iteration runs bit-cell write and read, the latch sense amplifier,
 /// the write driver, both NVFF data values and the current source.

@@ -52,11 +52,6 @@ struct ArrayNetlistOptions {
   double c_cell_gate = 0.05e-15;    ///< [F]
   core::MtjState unselected_state = core::MtjState::Antiparallel;
   double sim_dt = 20e-12;           ///< transient step [s]
-  /// Adaptive transient stepping: LTE-controlled step doubling/halving
-  /// seeded at `sim_dt`, landing exactly on the drive-pulse corners. Off
-  /// by default (fixed-step reference behaviour).
-  bool adaptive_step = false;
-  double adaptive_ltol = 1e-3;      ///< relative LTE tolerance per step
 };
 
 /// A built array netlist: the circuit plus handles into it. Movable; the

@@ -53,20 +53,6 @@ std::map<std::string, double> run_mdl_pipeline(
   return spice::mdl::parse_measure_file(file);
 }
 
-namespace {
-
-/// Fixed or LTE-adaptive transient per the array options — the one place
-/// both characterisation drivers pick their stepping mode.
-[[nodiscard]] spice::TransientResult run_array_transient(
-    spice::Engine& engine, const ArrayNetlistOptions& opt, double t_stop) {
-  if (!opt.adaptive_step) return engine.transient(t_stop, opt.sim_dt);
-  spice::AdaptiveOptions aopt;
-  aopt.ltol_rel = opt.adaptive_ltol;
-  return engine.transient_adaptive(t_stop, opt.sim_dt, aopt);
-}
-
-} // namespace
-
 ArrayWriteResult characterize_array_write(const core::Pdk& pdk,
                                           const ArrayNetlistOptions& opt,
                                           core::WriteDirection dir,
@@ -76,7 +62,7 @@ ArrayWriteResult characterize_array_write(const core::Pdk& pdk,
   auto net = build_array_write_netlist(pdk, opt, dir, pulse_width);
 
   spice::Engine engine(net.circuit);
-  const auto tr = run_array_transient(engine, opt, t_stop);
+  const auto tr = engine.transient(t_stop, opt.sim_dt);
 
   const bool to_p = dir == core::WriteDirection::ToParallel;
   ArrayWriteResult out;
@@ -111,7 +97,7 @@ ArrayReadResult characterize_array_read(const core::Pdk& pdk,
        {core::MtjState::Parallel, core::MtjState::Antiparallel}) {
     auto net = build_array_read_netlist(pdk, opt, st, t_read);
     spice::Engine engine(net.circuit);
-    const auto tr = run_array_transient(engine, opt, t_start + t_read + 0.3e-9);
+    const auto tr = engine.transient(t_start + t_read + 0.3e-9, opt.sim_dt);
 
     // MDL pipeline: settled bitline-source current during the pulse.
     const double t_lo = t_start + 0.6 * t_read;

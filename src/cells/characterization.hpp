@@ -60,7 +60,7 @@ struct ArrayWriteResult {
   double i_peak = 0.0;     ///< peak target-cell stack current [A]
   double i_settled = 0.0;  ///< stack current just before the flip [A]
   std::size_t dim = 0;     ///< MNA unknowns of the array system
-  std::size_t steps = 0;   ///< accepted transient steps (adaptive << fixed)
+  std::size_t steps = 0;   ///< accepted transient steps
   // The one linear solver; the field stays because the end-to-end
   // benchmark digests it.
   std::string backend = "sparse";

@@ -29,13 +29,11 @@ inline constexpr int kGround = -1;
 /// DC (capacitors open) vs transient (companion models).
 enum class AnalysisKind { Dc, Transient };
 
-/// Integration method for dynamic elements.
-enum class Integrator { BackwardEuler, Trapezoidal };
-
-/// Per-iteration context handed to Element::stamp.
+/// Per-iteration context handed to Element::stamp. Dynamic elements
+/// integrate with backward Euler on the first transient step and
+/// trapezoidal on every later one.
 struct StampContext {
   AnalysisKind kind = AnalysisKind::Dc;
-  Integrator method = Integrator::Trapezoidal;
   double t = 0.0;     ///< time at the *end* of the current step
   double dt = 0.0;    ///< current step size (0 in DC)
   bool first_step = false; ///< transient: first step after DC (use BE)
@@ -191,17 +189,6 @@ class Element {
   /// Accepts the converged step (update internal state: capacitor history,
   /// MTJ switching phase).
   virtual void commit(const Solution& /*x*/, const StampContext& /*ctx*/) {}
-
-  /// Snapshots the committed internal state so an adaptive trial step can
-  /// be rolled back; `restore_state` reverts to the last save. Default
-  /// no-ops for stateless elements.
-  virtual void save_state() {}
-  virtual void restore_state() {}
-
-  /// Appends the element's hard time points in (0, t_stop) — waveform
-  /// corners the adaptive stepper must land on exactly. Default: none.
-  virtual void append_breakpoints(double /*t_stop*/,
-                                  std::vector<double>& /*out*/) const {}
 
   /// Resets internal state before a new analysis.
   virtual void reset() {}

@@ -67,16 +67,6 @@ void Inductor::reset() {
   v_prev_ = 0.0;
 }
 
-void Inductor::save_state() {
-  saved_i_prev_ = i_prev_;
-  saved_v_prev_ = v_prev_;
-}
-
-void Inductor::restore_state() {
-  i_prev_ = saved_i_prev_;
-  v_prev_ = saved_v_prev_;
-}
-
 void Inductor::stamp(MnaSystem& st, const Solution&,
                      const StampContext& ctx) const {
   const int br = static_cast<int>(branch_);
@@ -87,7 +77,7 @@ void Inductor::stamp(MnaSystem& st, const Solution&,
   // trapezoidal: v_n = (2L/dt)(i_n - i_{n-1}) - v_{n-1}.
   // The (br, br) position is stamped (with 0) in DC too so the sparse
   // pattern stays stable between the operating point and the transient.
-  const bool trap = ctx.method == Integrator::Trapezoidal && !ctx.first_step;
+  const bool trap = !ctx.first_step;
   const double req = dc ? 0.0 : (trap ? 2.0 : 1.0) * l_ / ctx.dt;
   st.add_all(slots_, {{{a_, br}, {b_, br}, {br, a_}, {br, b_}, {br, br}}},
              {1.0, -1.0, 1.0, -1.0, -req});

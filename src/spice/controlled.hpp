@@ -72,8 +72,6 @@ class Inductor final : public Element {
   void stamp(MnaSystem& st, const Solution& x,
              const StampContext& ctx) const override;
   void commit(const Solution& x, const StampContext& ctx) override;
-  void save_state() override;
-  void restore_state() override;
   void reset() override;
 
  private:
@@ -83,8 +81,6 @@ class Inductor final : public Element {
   std::size_t branch_ = 0;
   double i_prev_ = 0.0;
   double v_prev_ = 0.0;
-  double saved_i_prev_ = 0.0;
-  double saved_v_prev_ = 0.0;
   mutable StampSlots<5> slots_;
 };
 

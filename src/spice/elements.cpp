@@ -37,21 +37,10 @@ void Capacitor::reset() {
   i_prev_ = 0.0;
 }
 
-void Capacitor::save_state() {
-  saved_v_prev_ = v_prev_;
-  saved_i_prev_ = i_prev_;
-}
-
-void Capacitor::restore_state() {
-  v_prev_ = saved_v_prev_;
-  i_prev_ = saved_i_prev_;
-}
-
 void Capacitor::stamp(MnaSystem& st, const Solution&,
                       const StampContext& ctx) const {
   if (ctx.kind == AnalysisKind::Dc || ctx.dt <= 0.0) return; // open in DC
-  const bool trap =
-      ctx.method == Integrator::Trapezoidal && !ctx.first_step;
+  const bool trap = !ctx.first_step;
   const double geq = trap ? 2.0 * c_ / ctx.dt : c_ / ctx.dt;
   const double ieq = trap ? geq * v_prev_ + i_prev_ : geq * v_prev_;
   st.add_all(slots_, quad_pos(a_, b_), {geq, geq, -geq, -geq});
@@ -65,8 +54,7 @@ void Capacitor::commit(const Solution& x, const StampContext& ctx) {
     i_prev_ = 0.0;
     return;
   }
-  const bool trap =
-      ctx.method == Integrator::Trapezoidal && !ctx.first_step;
+  const bool trap = !ctx.first_step;
   const double geq = trap ? 2.0 * c_ / ctx.dt : c_ / ctx.dt;
   const double v_now = x.v(a_) - x.v(b_);
   const double ieq = trap ? geq * v_prev_ + i_prev_ : geq * v_prev_;
@@ -92,11 +80,6 @@ void VoltageSource::stamp(MnaSystem& st, const Solution&,
   st.add_rhs(br, wave_->value(ctx.t));
 }
 
-void VoltageSource::append_breakpoints(double t_stop,
-                                       std::vector<double>& out) const {
-  wave_->breakpoints(t_stop, out);
-}
-
 CurrentSource::CurrentSource(std::string name, int plus, int minus,
                              std::unique_ptr<Waveform> wave)
     : Element(std::move(name)), plus_(plus), minus_(minus),
@@ -111,11 +94,6 @@ void CurrentSource::stamp(MnaSystem& st, const Solution&,
   // is injected into node -.
   st.add_rhs(plus_, -i);
   st.add_rhs(minus_, i);
-}
-
-void CurrentSource::append_breakpoints(double t_stop,
-                                       std::vector<double>& out) const {
-  wave_->breakpoints(t_stop, out);
 }
 
 Switch::Switch(std::string name, int a, int b, int ctrl_p, int ctrl_n,

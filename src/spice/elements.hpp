@@ -33,8 +33,6 @@ class Capacitor final : public Element {
   void stamp(MnaSystem& st, const Solution& x,
              const StampContext& ctx) const override;
   void commit(const Solution& x, const StampContext& ctx) override;
-  void save_state() override;
-  void restore_state() override;
   void reset() override;
 
  private:
@@ -43,8 +41,6 @@ class Capacitor final : public Element {
   double v0_;
   double v_prev_ = 0.0;
   double i_prev_ = 0.0;
-  double saved_v_prev_ = 0.0;
-  double saved_i_prev_ = 0.0;
   mutable StampSlots<4> slots_;
 };
 
@@ -61,8 +57,6 @@ class VoltageSource final : public Element {
   [[nodiscard]] std::size_t branch_index() const { return branch_; }
   /// Source value at time t.
   [[nodiscard]] double value(double t) const { return wave_->value(t); }
-  void append_breakpoints(double t_stop,
-                          std::vector<double>& out) const override;
 
  private:
   int plus_, minus_;
@@ -80,8 +74,6 @@ class CurrentSource final : public Element {
                 std::unique_ptr<Waveform> wave);
   void stamp(MnaSystem& st, const Solution& x,
              const StampContext& ctx) const override;
-  void append_breakpoints(double t_stop,
-                          std::vector<double>& out) const override;
 
  private:
   int plus_, minus_;

@@ -19,20 +19,6 @@ void MtjDevice::reset() {
   current_trace_.clear();
 }
 
-void MtjDevice::save_state() {
-  saved_state_ = state_;
-  saved_phase_ = phase_;
-  saved_flips_ = flip_times_.size();
-  saved_trace_ = current_trace_.size();
-}
-
-void MtjDevice::restore_state() {
-  state_ = saved_state_;
-  phase_ = saved_phase_;
-  flip_times_.resize(saved_flips_);
-  current_trace_.resize(saved_trace_);
-}
-
 double MtjDevice::current(double v_ab) const {
   return v_ab / model_.resistance(state_, std::abs(v_ab));
 }

@@ -34,8 +34,6 @@ class MtjDevice final : public Element {
   void stamp(MnaSystem& st, const Solution& x,
              const StampContext& ctx) const override;
   void commit(const Solution& x, const StampContext& ctx) override;
-  void save_state() override;
-  void restore_state() override;
   void reset() override;
 
   /// Present magnetic state.
@@ -64,13 +62,6 @@ class MtjDevice final : public Element {
   std::vector<double> flip_times_;
   std::vector<std::pair<double, double>> current_trace_;
   mutable StampSlots<4> slots_;
-
-  // Snapshot for adaptive trial-step rollback (vectors are append-only
-  // between commits, so saved sizes suffice).
-  core::MtjState saved_state_ = core::MtjState::Parallel;
-  double saved_phase_ = 0.0;
-  std::size_t saved_flips_ = 0;
-  std::size_t saved_trace_ = 0;
 
   /// Device current for a terminal voltage difference.
   [[nodiscard]] double current(double v_ab) const;

@@ -226,10 +226,6 @@ void SparseSolver::rebuild_symbolic() {
   factor_valid_ = false;
 }
 
-std::size_t SparseSolver::factor_nnz() const {
-  return l_rows_.size() + u_rows_.size() + dim_; // + unit/diag entries
-}
-
 bool SparseSolver::factor(std::size_t start) {
   const std::size_t n = dim_;
   if (start == 0) {

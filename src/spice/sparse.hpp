@@ -135,10 +135,6 @@ class SparseSolver final {
   /// assembled matrix.
   [[nodiscard]] double value(std::size_t i, std::size_t j) const;
 
-  /// Structural nonzeros of the assembled pattern.
-  [[nodiscard]] std::size_t nnz() const { return slot_row_.size(); }
-  /// nnz(L) + nnz(U) of the last factorization (diagonals included).
-  [[nodiscard]] std::size_t factor_nnz() const;
   /// Pivot position the last numeric factorization started from (0 = full
   /// refactor; > 0 = partial, the L/U prefix below it was reused).
   [[nodiscard]] std::size_t last_factor_start() const {

@@ -26,19 +26,6 @@ double PulseWave::value(double t) const {
   return v1_;
 }
 
-void PulseWave::breakpoints(double t_stop, std::vector<double>& out) const {
-  const auto push = [&](double t) {
-    if (t > 0.0 && t < t_stop) out.push_back(t);
-  };
-  for (double t0 = delay_;; t0 += period_) {
-    push(t0);
-    push(t0 + rise_);
-    push(t0 + rise_ + width_);
-    push(t0 + rise_ + width_ + fall_);
-    if (period_ <= 0.0 || t0 + period_ >= t_stop) break;
-  }
-}
-
 PwlWave::PwlWave(std::vector<std::pair<double, double>> points)
     : points_(std::move(points)) {
   if (points_.empty()) throw std::invalid_argument("PwlWave: empty");
@@ -63,13 +50,6 @@ double PwlWave::value(double t) const {
   const auto [t0, v0] = points_[lo];
   const auto [t1, v1] = points_[hi];
   return v0 + (v1 - v0) * (t - t0) / (t1 - t0);
-}
-
-void PwlWave::breakpoints(double t_stop, std::vector<double>& out) const {
-  for (const auto& [t, v] : points_) {
-    (void)v;
-    if (t > 0.0 && t < t_stop) out.push_back(t);
-  }
 }
 
 SineWave::SineWave(double offset, double amplitude, double freq_hz,

@@ -15,11 +15,6 @@ class Waveform {
   virtual ~Waveform() = default;
   /// Value at time t [s].
   [[nodiscard]] virtual double value(double t) const = 0;
-  /// Appends the waveform's slope discontinuities in (0, t_stop) — the
-  /// time points an adaptive transient must land on exactly so no source
-  /// corner is stepped over. Default: none (DC, sine).
-  virtual void breakpoints(double /*t_stop*/,
-                           std::vector<double>& /*out*/) const {}
 };
 
 /// Constant value.
@@ -38,7 +33,6 @@ class PulseWave final : public Waveform {
   PulseWave(double v1, double v2, double delay, double rise, double fall,
             double width, double period = 0.0);
   [[nodiscard]] double value(double t) const override;
-  void breakpoints(double t_stop, std::vector<double>& out) const override;
 
  private:
   double v1_, v2_, delay_, rise_, fall_, width_, period_;
@@ -49,7 +43,6 @@ class PwlWave final : public Waveform {
  public:
   explicit PwlWave(std::vector<std::pair<double, double>> points);
   [[nodiscard]] double value(double t) const override;
-  void breakpoints(double t_stop, std::vector<double>& out) const override;
 
  private:
   std::vector<std::pair<double, double>> points_;

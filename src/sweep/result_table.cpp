@@ -10,10 +10,6 @@ namespace mss::sweep {
 
 namespace {
 
-bool is_numeric(const Value& v) {
-  return !std::holds_alternative<std::string>(v);
-}
-
 std::string format_real(double d, const char* fmt) {
   char buf[40];
   std::snprintf(buf, sizeof buf, fmt, d);
@@ -135,33 +131,6 @@ const Value& ResultTable::at(std::size_t row, const std::string& col) const {
 
 double ResultTable::number(std::size_t row, const std::string& col) const {
   return as_number(at(row, col));
-}
-
-void ResultTable::sort_by(const std::string& col, bool ascending) {
-  const std::size_t c = col_index(col);
-  const bool numeric = std::all_of(
-      rows_.begin(), rows_.end(),
-      [c](const std::vector<Value>& r) { return is_numeric(r[c]); });
-  std::stable_sort(rows_.begin(), rows_.end(),
-                   [&](const std::vector<Value>& a,
-                       const std::vector<Value>& b) {
-                     const bool lt =
-                         numeric ? as_number(a[c]) < as_number(b[c])
-                                 : to_string(a[c]) < to_string(b[c]);
-                     const bool gt =
-                         numeric ? as_number(b[c]) < as_number(a[c])
-                                 : to_string(b[c]) < to_string(a[c]);
-                     return ascending ? lt : gt;
-                   });
-}
-
-ResultTable ResultTable::filter(
-    const std::function<bool(const ResultTable&, std::size_t)>& keep) const {
-  ResultTable out(columns_);
-  for (std::size_t r = 0; r < rows_.size(); ++r) {
-    if (keep(*this, r)) out.rows_.push_back(rows_[r]);
-  }
-  return out;
 }
 
 std::string ResultTable::str(int precision) const {

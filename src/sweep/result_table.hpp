@@ -1,12 +1,11 @@
-// Structured sweep output: named columns of typed cells with sort/filter
-// and text / CSV / JSON emission. The library's one table type: every
+// Structured sweep output: named columns of typed cells with text / CSV /
+// JSON emission. The library's one table type: every
 // paper-figure driver, example and client emits through it — one table
 // object serves the console view, the re-plottable CSV, and the
 // machine-readable JSON.
 #pragma once
 
 #include <cstddef>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -35,14 +34,6 @@ class ResultTable {
                                 const std::string& col) const;
   /// Numeric cell view (int/real); throws on strings.
   [[nodiscard]] double number(std::size_t row, const std::string& col) const;
-
-  /// Stable-sorts rows by a column: numerically when every cell of the
-  /// column is numeric, lexicographically on the text form otherwise.
-  void sort_by(const std::string& col, bool ascending = true);
-
-  /// Rows for which `keep(*this, row)` holds, in order.
-  [[nodiscard]] ResultTable filter(
-      const std::function<bool(const ResultTable&, std::size_t)>& keep) const;
 
   /// Right-aligned console rendering under a dashed header rule (reals
   /// formatted "%.*g" with `precision`).

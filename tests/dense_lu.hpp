@@ -210,7 +210,6 @@ inline std::vector<std::vector<double>> newton_sequence(
   for (std::size_t k = 0; k < steps; ++k) {
     if (::testing::Test::HasFatalFailure()) break;
     ctx.kind = AnalysisKind::Transient;
-    ctx.method = Integrator::Trapezoidal;
     ctx.t = double(k + 1) * dt;
     ctx.dt = dt;
     ctx.first_step = (k == 0);

@@ -19,6 +19,11 @@
 // 108 generated netlists per analysis mode (>= the 100 the acceptance
 // criterion asks for): 90 small ones (8-64 nodes, nonlinear devices on odd
 // seeds) and 18 array-scale linear ones (96-512 nodes).
+//
+// Partial refactorization (PartialRefactor): a 16x16 array write whose
+// target MTJ switches runs through the same runner on the default solver
+// and on the full-refactor reference arm; the two must match bit for bit
+// while the partial arm factors strictly fewer columns.
 #include <cmath>
 #include <gtest/gtest.h>
 
@@ -30,6 +35,7 @@
 #include <utility>
 #include <vector>
 
+#include "cells/array_netlist.hpp"
 #include "core/pdk.hpp"
 #include "spice/controlled.hpp"
 #include "spice/elements.hpp"
@@ -483,4 +489,67 @@ TEST(RandomizedEquivalence, Transient) {
       }
     }
   }
+}
+
+// ---------------------------------------------------------------------------
+// Partial refactorization: engine-level bit identity on a Newton transient
+// ---------------------------------------------------------------------------
+
+TEST(PartialRefactor, NewtonTransientBitIdenticalAndCheaper) {
+  namespace mc = mss::cells;
+  const mss::core::Pdk pdk;
+  mc::ArrayNetlistOptions opt;
+  opt.rows = opt.cols = 16;
+  // 5 ns switches the default-PDK target cell (~3.4 ns after the pulse
+  // starts), so the switching event's Newton iterations are covered.
+  const double pulse = 5e-9;
+  const auto steps = static_cast<std::size_t>(
+      std::llround((0.5e-9 + pulse + 1.0e-9) / opt.sim_dt));
+
+  auto partial_net = mc::build_array_write_netlist(
+      pdk, opt, mss::core::WriteDirection::ToAntiparallel, pulse);
+  auto full_net = mc::build_array_write_netlist(
+      pdk, opt, mss::core::WriteDirection::ToAntiparallel, pulse);
+
+  // The Engine's Newton transient, once on the default solver and once on
+  // the full-refactor reference arm (dense check off: dim is in the
+  // hundreds).
+  const ms::oracle::SequenceArms arms{.dense_check = false};
+  ms::SparseSolver partial, full;
+  full.set_partial_refactor(false);
+  const auto ptr_states =
+      ms::oracle::newton_sequence(partial_net.circuit, partial, steps,
+                                  opt.sim_dt, arms);
+  ASSERT_FALSE(HasFatalFailure());
+  const auto ful_states =
+      ms::oracle::newton_sequence(full_net.circuit, full, steps, opt.sim_dt,
+                                  arms);
+  ASSERT_FALSE(HasFatalFailure());
+
+  // Both arms see the target switch.
+  ASSERT_FALSE(partial_net.target_mtj->flip_times().empty());
+  ASSERT_FALSE(full_net.target_mtj->flip_times().empty());
+
+  // Bit-for-bit identical waveforms...
+  ASSERT_EQ(ptr_states.size(), steps + 1);
+  ASSERT_EQ(ful_states.size(), steps + 1);
+  for (std::size_t k = 0; k <= steps; ++k) {
+    for (std::size_t n = 0; n < ptr_states[k].size(); ++n) {
+      ASSERT_EQ(ptr_states[k][n], ful_states[k][n])
+          << "unknown " << n << " step " << k;
+    }
+  }
+  // ...and identical MTJ trajectories...
+  EXPECT_EQ(partial_net.target_mtj->state(), full_net.target_mtj->state());
+  ASSERT_EQ(partial_net.target_mtj->flip_times().size(),
+            full_net.target_mtj->flip_times().size());
+  for (std::size_t k = 0; k < partial_net.target_mtj->flip_times().size();
+       ++k) {
+    EXPECT_EQ(partial_net.target_mtj->flip_times()[k],
+              full_net.target_mtj->flip_times()[k]);
+  }
+  // ...with the same number of (re)factorizations but strictly fewer
+  // recomputed columns — the partial path actually kicked in.
+  EXPECT_EQ(partial.factor_count(), full.factor_count());
+  EXPECT_LT(partial.factor_cols_total(), full.factor_cols_total());
 }

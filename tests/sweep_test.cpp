@@ -250,22 +250,20 @@ TEST(Runner, TableAssemblesRowsInSpaceOrder) {
       });
   ASSERT_EQ(t.rows(), 3u);
   EXPECT_EQ(std::get<std::int64_t>(t.at(0, "n_squared")), 9);
-  t.sort_by("n");
-  EXPECT_EQ(std::get<std::int64_t>(t.at(0, "n")), 1);
-  EXPECT_EQ(std::get<std::int64_t>(t.at(2, "n_squared")), 9);
+  EXPECT_EQ(std::get<std::int64_t>(t.at(1, "n")), 1);
+  EXPECT_EQ(std::get<std::int64_t>(t.at(2, "n_squared")), 4);
 }
 
-TEST(ResultTable, SortFilterAndAccessors) {
+TEST(ResultTable, AccessorsAndShapeChecks) {
   sw::ResultTable t({"name", "v"});
   t.add_row({std::string("b"), 2.0});
   t.add_row({std::string("a"), 3.0});
-  t.add_row({std::string("c"), 1.0});
-  t.sort_by("v", /*ascending=*/false);
-  EXPECT_EQ(std::get<std::string>(t.at(0, "name")), "a");
-  const auto big = t.filter([](const sw::ResultTable& tb, std::size_t r) {
-    return tb.number(r, "v") >= 2.0;
-  });
-  EXPECT_EQ(big.rows(), 2u);
+  EXPECT_EQ(t.rows(), 2u);
+  EXPECT_EQ(t.cols(), 2u);
+  EXPECT_EQ(t.col_index("v"), 1u);
+  EXPECT_EQ(std::get<std::string>(t.at(1, "name")), "a");
+  EXPECT_EQ(t.number(0, "v"), 2.0);
+  EXPECT_THROW((void)t.number(0, "name"), std::invalid_argument);
   EXPECT_THROW((void)t.col_index("missing"), std::out_of_range);
   EXPECT_THROW(t.add_row({std::string("short")}), std::invalid_argument);
 }

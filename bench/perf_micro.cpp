@@ -161,10 +161,9 @@ void BM_SpiceArrayWrite(benchmark::State& state) {
   }
 }
 // Every size runs the flat sparse backend. MinTime is raised above the
-// 0.5 s default because rows:256 / rows:64 feed the intra-snapshot
+// 0.5 s default because rows:1024 / rows:64 feed the intra-snapshot
 // --max-ratio CI gate: more iterations per measurement dilute scheduler
-// bursts that would otherwise skew a near-the-bound ratio on a loaded
-// runner.
+// bursts that would otherwise skew the ratio on a loaded runner.
 BENCHMARK(BM_SpiceArrayWrite)->ArgName("rows")->Arg(16)->Arg(32)->Arg(64)
     ->Arg(256)
     ->Arg(1024)

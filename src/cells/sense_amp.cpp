@@ -110,24 +110,4 @@ SenseAmpResult SenseAmp::resolve(double v_plus, double v_minus) const {
   return out;
 }
 
-double SenseAmp::min_resolvable_imbalance(double t_budget,
-                                          double v_common) const {
-  double lo = 0.5e-3;
-  double hi = 0.3;
-  auto ok = [&](double dv) {
-    const auto r = resolve(v_common + dv / 2.0, v_common - dv / 2.0);
-    return r.resolved && r.decision_correct && r.t_resolve <= t_budget;
-  };
-  if (!ok(hi)) return -1.0;
-  if (ok(lo)) return lo;
-  for (int it = 0; it < 18; ++it) {
-    const double mid = std::sqrt(lo * hi);
-    if (ok(mid))
-      hi = mid;
-    else
-      lo = mid;
-  }
-  return hi;
-}
-
 } // namespace mss::cells

@@ -44,12 +44,6 @@ class SenseAmp {
   /// Resolves inputs v_plus vs v_minus (volts at the input-pair gates).
   [[nodiscard]] SenseAmpResult resolve(double v_plus, double v_minus) const;
 
-  /// Smallest input imbalance (in volts) the SA resolves correctly within
-  /// `t_budget`, found by bisection over the imbalance. Returns the
-  /// imbalance, or a negative value when even a large imbalance fails.
-  [[nodiscard]] double min_resolvable_imbalance(double t_budget,
-                                                double v_common = 0.6) const;
-
   /// The PDK in use.
   [[nodiscard]] const core::Pdk& pdk() const { return pdk_; }
 

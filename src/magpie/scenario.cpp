@@ -199,14 +199,6 @@ std::vector<ScenarioRun> run_scenario_sweep(
   return runner.run(scenario_space(kernels), exp);
 }
 
-std::vector<ScenarioRun> run_kernel_all_scenarios(const KernelParams& kernel,
-                                                  const core::Pdk& pdk,
-                                                  std::uint64_t seed) {
-  SweepOptions options;
-  options.seed = seed;
-  return run_scenario_sweep({kernel}, pdk, options);
-}
-
 sweep::ResultTable normalized_table(const std::vector<ScenarioRun>& runs) {
   sweep::ResultTable t(
       {"kernel", "scenario", "time_ratio", "energy_ratio", "edp_ratio"});

@@ -91,11 +91,6 @@ struct SweepOptions {
     const std::vector<KernelParams>& kernels, const core::Pdk& pdk,
     const SweepOptions& options = {});
 
-/// Runs one kernel across all four scenarios (a one-kernel sweep).
-[[nodiscard]] std::vector<ScenarioRun> run_kernel_all_scenarios(
-    const KernelParams& kernel, const core::Pdk& pdk,
-    std::uint64_t seed = 0xC0FFEE);
-
 /// Fig. 12 row: per-kernel metrics of one STT scenario normalised to the
 /// Full-SRAM reference.
 struct NormalizedMetrics {

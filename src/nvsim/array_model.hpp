@@ -38,9 +38,6 @@ struct ArrayOrg {
   std::size_t rows = 1024;
   std::size_t cols = 1024;
   std::size_t word_bits = 512; ///< bits accessed per read/write
-  /// Memory type per the paper's "capacity, data width, and type of memory
-  /// (e.g. Cache, RAM, CAM)".
-  enum class Type { Ram, Cache, Cam } type = Type::Ram;
 
   /// Column multiplexing degree implied by cols / word_bits (>= 1).
   [[nodiscard]] std::size_t col_mux() const {

@@ -21,25 +21,12 @@ double neel_brown_tau(const SwitchingParams& p, double i_over_ic0) {
   return p.tau0 * std::exp(p.delta * (1.0 - i_over_ic0));
 }
 
-double activated_switch_probability(const SwitchingParams& p,
-                                    double i_over_ic0, double t_pulse) {
-  const double tau = neel_brown_tau(p, i_over_ic0);
-  return -std::expm1(-t_pulse / tau);
-}
-
 double precessional_tau(const SwitchingParams& p, double i_over_ic0) {
   if (i_over_ic0 <= 1.0) {
     throw std::invalid_argument("precessional_tau: requires I > Ic0");
   }
   return (1.0 + p.alpha * p.alpha) /
          (p.alpha * kGamma * kMu0 * p.hk_eff * (i_over_ic0 - 1.0));
-}
-
-double precessional_switch_probability(const SwitchingParams& p,
-                                       double i_over_ic0, double t_pulse) {
-  const double tau_d = precessional_tau(p, i_over_ic0);
-  const double a = M_PI * M_PI * p.delta / 4.0;
-  return std::exp(-a * std::exp(-2.0 * t_pulse / tau_d));
 }
 
 double log_write_error_rate(const SwitchingParams& p, double i_over_ic0,

@@ -30,21 +30,9 @@ struct SwitchingParams {
 [[nodiscard]] double neel_brown_tau(const SwitchingParams& p,
                                     double i_over_ic0);
 
-/// Probability that a sub-critical current pulse of width t_pulse switches
-/// the layer (thermally activated regime).
-[[nodiscard]] double activated_switch_probability(const SwitchingParams& p,
-                                                  double i_over_ic0,
-                                                  double t_pulse);
-
 /// Characteristic precessional time constant tau_d(I) for I > Ic0 [s].
 [[nodiscard]] double precessional_tau(const SwitchingParams& p,
                                       double i_over_ic0);
-
-/// Switching probability after a pulse of width t_pulse at supercritical
-/// current (Sun / ballistic regime with thermal initial angles).
-[[nodiscard]] double precessional_switch_probability(const SwitchingParams& p,
-                                                     double i_over_ic0,
-                                                     double t_pulse);
 
 /// Write error rate WER(t) = 1 - P_switch(t), valid in both regimes
 /// (selects the regime from i_over_ic0). Returns values clamped to

@@ -2,7 +2,7 @@
 //
 // Unknown vector layout: x = [v(1..N-1 nodes, ground excluded), i(branches)].
 // Elements register nodes by name through the Circuit and may claim branch
-// unknowns (voltage sources, inductor-like elements).
+// unknowns (voltage sources).
 //
 // Elements stamp into an `MnaSystem`, which drops ground rows/columns and
 // forwards matrix coefficients straight into the sparse LU (sparse.hpp) — a

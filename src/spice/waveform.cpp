@@ -52,15 +52,4 @@ double PwlWave::value(double t) const {
   return v0 + (v1 - v0) * (t - t0) / (t1 - t0);
 }
 
-SineWave::SineWave(double offset, double amplitude, double freq_hz,
-                   double delay, double phase_rad)
-    : offset_(offset), amplitude_(amplitude), freq_(freq_hz), delay_(delay),
-      phase_(phase_rad) {}
-
-double SineWave::value(double t) const {
-  if (t < delay_) return offset_ + amplitude_ * std::sin(phase_);
-  return offset_ +
-         amplitude_ * std::sin(2.0 * M_PI * freq_ * (t - delay_) + phase_);
-}
-
 } // namespace mss::spice

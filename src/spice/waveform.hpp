@@ -1,5 +1,5 @@
-// Time-domain stimulus descriptions for independent sources: DC, PULSE,
-// PWL and SIN — the subset of SPICE stimuli the paper's cell
+// Time-domain stimulus descriptions for independent sources: DC, PULSE
+// and PWL — the subset of SPICE stimuli the paper's cell
 // characterisation flow needs.
 #pragma once
 
@@ -46,17 +46,6 @@ class PwlWave final : public Waveform {
 
  private:
   std::vector<std::pair<double, double>> points_;
-};
-
-/// SIN(offset amplitude freq [delay [phase_rad]]).
-class SineWave final : public Waveform {
- public:
-  SineWave(double offset, double amplitude, double freq_hz, double delay = 0.0,
-           double phase_rad = 0.0);
-  [[nodiscard]] double value(double t) const override;
-
- private:
-  double offset_, amplitude_, freq_, delay_, phase_;
 };
 
 } // namespace mss::spice

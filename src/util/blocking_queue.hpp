@@ -48,15 +48,6 @@ class PriorityBlockingQueue {
     return item;
   }
 
-  /// Non-blocking variant.
-  [[nodiscard]] std::optional<T> try_pop() {
-    std::lock_guard<std::mutex> lk(m_);
-    if (heap_.empty()) return std::nullopt;
-    T item = std::move(const_cast<Entry&>(heap_.top()).item);
-    heap_.pop();
-    return item;
-  }
-
   [[nodiscard]] std::size_t size() const {
     std::lock_guard<std::mutex> lk(m_);
     return heap_.size();

@@ -112,20 +112,17 @@ double Rng::exponential(double mean) {
 
 namespace {
 
-// Jump polynomials from the reference Xoshiro256** implementation
+// Jump polynomial from the reference Xoshiro256** implementation
 // (Blackman & Vigna, prng.di.unimi.it).
 constexpr std::uint64_t kJump[4] = {
     0x180ec6d33cfd0abaull, 0xd5a61266f0c9392cull, 0xa9582618e03fc9aaull,
     0x39abdc4529b1661cull};
-constexpr std::uint64_t kLongJump[4] = {
-    0x76e15d3efefdcbbfull, 0xc5004e441c522fb3ull, 0x77710069854ee241ull,
-    0x39109bb02acbe635ull};
 
 } // namespace
 
-void Rng::apply_jump(const std::uint64_t (&poly)[4]) {
+void Rng::jump() {
   std::array<std::uint64_t, 4> acc{};
-  for (const std::uint64_t word : poly) {
+  for (const std::uint64_t word : kJump) {
     for (int b = 0; b < 64; ++b) {
       if (word & (1ull << b)) {
         acc[0] ^= s_[0];
@@ -138,10 +135,6 @@ void Rng::apply_jump(const std::uint64_t (&poly)[4]) {
   }
   s_ = acc;
 }
-
-void Rng::jump() { apply_jump(kJump); }
-
-void Rng::long_jump() { apply_jump(kLongJump); }
 
 std::vector<Rng> Rng::jump_substreams(std::size_t n) {
   std::vector<Rng> streams;

@@ -129,11 +129,6 @@ class Rng {
   /// parallel worker.
   void jump();
 
-  /// Advances the state by 2^192 steps (long-jump polynomial): strides for
-  /// distributing work across processes, each of which then uses `jump()`
-  /// for its own workers.
-  void long_jump();
-
   /// Derives `n` independent deterministic substreams for parallel work:
   /// advances this stream once (so consecutive calls see fresh randomness),
   /// forks a base stream from the drawn label, and strides it with `jump()`
@@ -176,8 +171,6 @@ class Rng {
   /// redraws via `normal()`, which consumes exactly the same stream
   /// sequence as the classic retry loop.
   double normal_slow(std::size_t idx, std::uint64_t sign, double x);
-
-  void apply_jump(const std::uint64_t (&poly)[4]);
 
   std::array<std::uint64_t, 4> s_{};
 };

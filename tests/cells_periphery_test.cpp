@@ -40,9 +40,11 @@ TEST(SenseAmp, EnergyPerOperationIsFemtojoules) {
 
 TEST(SenseAmp, MinResolvableImbalanceIsSmall) {
   const mc::SenseAmp sa{mss::core::Pdk::mss45()};
-  const double dv = sa.min_resolvable_imbalance(1.5e-9);
-  ASSERT_GT(dv, 0.0);
-  EXPECT_LT(dv, 0.1); // resolves 100 mV or less within 1.5 ns
+  // Resolves a 100 mV imbalance correctly within 1.5 ns.
+  const auto r = sa.resolve(0.65, 0.55);
+  ASSERT_TRUE(r.resolved);
+  EXPECT_TRUE(r.decision_correct);
+  EXPECT_LE(r.t_resolve, 1.5e-9);
 }
 
 TEST(WriteDriver, DelaysScaleWithLoad) {

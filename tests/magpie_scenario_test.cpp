@@ -76,7 +76,7 @@ TEST(Scenario, SttScenariosSaveEnergy) {
   // scenarios" (for the STT-L2 configurations).
   auto k = mm::kernel_by_name("bodytrack");
   k.instructions = 60'000;
-  const auto runs = mm::run_kernel_all_scenarios(k, pdk45());
+  const auto runs = mm::run_scenario_sweep({k}, pdk45());
   ASSERT_EQ(runs.size(), 4u);
   const auto& ref = runs[0];
   for (std::size_t i = 1; i < runs.size(); ++i) {
@@ -94,7 +94,7 @@ TEST(Scenario, LittleL2SttReducesExecTimeForCacheHungryKernel) {
   // LITTLE cluster reduces the execution time".
   auto k = mm::kernel_by_name("bodytrack");
   k.instructions = 60'000;
-  const auto runs = mm::run_kernel_all_scenarios(k, pdk45());
+  const auto runs = mm::run_scenario_sweep({k}, pdk45());
   const auto little = mm::normalize(runs[0], runs[1]);
   EXPECT_LT(little.exec_time_ratio, 1.0);
   // And the EDP improves.
@@ -104,7 +104,7 @@ TEST(Scenario, LittleL2SttReducesExecTimeForCacheHungryKernel) {
 TEST(Scenario, BigL2SttDoesNotSpeedUp) {
   auto k = mm::kernel_by_name("fluidanimate"); // write-heavy
   k.instructions = 60'000;
-  const auto runs = mm::run_kernel_all_scenarios(k, pdk45());
+  const auto runs = mm::run_scenario_sweep({k}, pdk45());
   const auto big = mm::normalize(runs[0], runs[2]);
   EXPECT_GE(big.exec_time_ratio, 0.999);
 }
@@ -133,8 +133,8 @@ TEST(Scenario, SweepIsKernelMajorAndBitIdenticalForAnyThreadCount) {
   EXPECT_EQ(a[3].scenario, mm::Scenario::FullL2Stt);
   EXPECT_EQ(a[4].activity.kernel, "x264");
 
-  // The one-kernel wrapper is a slice of the same sweep.
-  const auto solo = mm::run_kernel_all_scenarios(kernels[0], pdk45());
+  // A one-kernel sweep is a slice of the two-kernel sweep.
+  const auto solo = mm::run_scenario_sweep({kernels[0]}, pdk45());
   ASSERT_EQ(solo.size(), 4u);
   EXPECT_EQ(solo[1].activity.exec_time, a[1].activity.exec_time);
   EXPECT_EQ(solo[1].energy.total(), a[1].energy.total());
@@ -149,7 +149,7 @@ TEST(Scenario, SweepIsKernelMajorAndBitIdenticalForAnyThreadCount) {
 TEST(Scenario, NormalizedTableHasSttRowsOnly) {
   auto k = mm::kernel_by_name("bodytrack");
   k.instructions = 20'000;
-  const auto runs = mm::run_kernel_all_scenarios(k, pdk45());
+  const auto runs = mm::run_scenario_sweep({k}, pdk45());
   const auto t = mm::normalized_table(runs);
   ASSERT_EQ(t.rows(), 3u); // three STT scenarios vs the reference
   for (std::size_t r = 0; r < t.rows(); ++r) {

@@ -32,8 +32,9 @@ TEST(NeelBrown, TauDecreasesWithCurrent) {
 
 TEST(NeelBrown, SwitchProbabilityIncreasesWithTime) {
   const auto p = sp();
-  const double p1 = mp::activated_switch_probability(p, 0.8, 1e-6);
-  const double p2 = mp::activated_switch_probability(p, 0.8, 1e-3);
+  // P_switch = 1 - WER.
+  const double p1 = 1.0 - mp::write_error_rate(p, 0.8, 1e-6);
+  const double p2 = 1.0 - mp::write_error_rate(p, 0.8, 1e-3);
   EXPECT_LT(p1, p2);
   EXPECT_GE(p1, 0.0);
   EXPECT_LE(p2, 1.0);
@@ -47,8 +48,9 @@ TEST(Precessional, TauShrinksWithOverdrive) {
 
 TEST(Precessional, SwitchProbabilitySaturatesToOne) {
   const auto p = sp();
-  EXPECT_LT(mp::precessional_switch_probability(p, 2.0, 1e-12), 1e-6);
-  EXPECT_GT(mp::precessional_switch_probability(p, 2.0, 50e-9), 1.0 - 1e-12);
+  // P_switch = 1 - WER.
+  EXPECT_LT(1.0 - mp::write_error_rate(p, 2.0, 1e-12), 1e-6);
+  EXPECT_GT(1.0 - mp::write_error_rate(p, 2.0, 50e-9), 1.0 - 1e-12);
 }
 
 TEST(Wer, DecreasesMonotonicallyWithPulseWidth) {

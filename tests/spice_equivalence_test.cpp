@@ -1,6 +1,6 @@
-// Randomized solver-equivalence suite: generated netlists (R/C/L, pulse +
-// DC + sine sources, controlled sources, switches, diodes, MOSFETs, MTJs;
-// 8-512 nodes) checked at two levels.
+// Randomized solver-equivalence suite: generated netlists (R/C, pulse, PWL
+// and DC sources, switches, MOSFETs, MTJs; 8-512 backbone nodes) checked at
+// two levels.
 //
 // Solver level (SparseOracle): every netlist is stamped into the sparse LU
 // at x = 0 and at its DC operating point (DC and transient contexts), and
@@ -37,7 +37,6 @@
 
 #include "cells/array_netlist.hpp"
 #include "core/pdk.hpp"
-#include "spice/controlled.hpp"
 #include "spice/elements.hpp"
 #include "spice/engine.hpp"
 #include "spice/mosfet.hpp"
@@ -71,8 +70,8 @@ struct NetlistSpec {
 }
 
 /// Attaches a bit-cell-flavoured nonlinear cluster (MTJ + access MOSFET +
-/// diode clamp + enable switch) at a backbone node — the structured shape
-/// that keeps Newton robust.
+/// diode-connected MOSFET clamp + enable switch) at a backbone node — the
+/// structured shape that keeps Newton robust.
 void attach_cell(ms::Circuit& ckt, int node, int gate_node,
                  const mss::core::Pdk& pdk, std::mt19937& gen, int tag) {
   std::uniform_real_distribution<double> ur(500.0, 3e3);
@@ -88,7 +87,9 @@ void attach_cell(ms::Circuit& ckt, int node, int gate_node,
   ckt.add(std::make_unique<ms::Resistor>("rcell" + ts, n2, ms::kGround,
                                          ur(gen)));
   if ((gen() & 1u) != 0) {
-    ckt.add(std::make_unique<ms::Diode>("dcell" + ts, n2, ms::kGround));
+    ckt.add(std::make_unique<ms::Mosfet>("mclamp" + ts, n2, n2, ms::kGround,
+                                         ms::MosModel::nmos(), 360e-9,
+                                         45e-9));
   }
   if ((gen() & 1u) != 0) {
     ckt.add(std::make_unique<ms::Switch>("scell" + ts, n1, ms::kGround,
@@ -98,8 +99,9 @@ void attach_cell(ms::Circuit& ckt, int node, int gate_node,
 }
 
 /// Deterministic random netlist: resistive backbone chain driven by a
-/// pulse source, per-node ground capacitors, random cross links, an
-/// inductor, controlled sources, and (for nonlinear specs) bit-cell
+/// pulse source, per-node ground capacitors, random cross links, extra
+/// voltage sources (branch rows) feeding backbone nodes through series
+/// resistors, a PWL current source, and (for nonlinear specs) bit-cell
 /// clusters hanging off the backbone. Topology is a pure function of the
 /// seed, so independently built instances are identical.
 [[nodiscard]] ms::Circuit random_netlist(std::uint32_t seed) {
@@ -137,20 +139,26 @@ void attach_cell(ms::Circuit& ckt, int node, int gate_node,
     ckt.add(std::make_unique<ms::Resistor>("rx" + std::to_string(x), nodes[a],
                                            nodes[b], ur(gen)));
   }
-  ckt.add(std::make_unique<ms::Inductor>("l0", nodes[spec.n_nodes / 2],
-                                         ms::kGround, 10e-9));
+  // A DC source feeds the midpoint through a series resistor.
+  const int mid = ckt.node("vmid");
+  ckt.add(std::make_unique<ms::VoltageSource>(
+      "vmid", mid, ms::kGround, std::make_unique<ms::DcWave>(0.4)));
+  ckt.add(std::make_unique<ms::Resistor>("rmid", mid,
+                                         nodes[spec.n_nodes / 2], ur(gen)));
   if (spec.n_nodes >= 12) {
     ckt.add(std::make_unique<ms::CurrentSource>(
         "iaux", nodes[spec.n_nodes / 3], ms::kGround,
-        std::make_unique<ms::SineWave>(0.0, 50e-6, 1e9)));
-    ckt.add(std::make_unique<ms::Vccs>("gaux", nodes[2 * spec.n_nodes / 3],
-                                       ms::kGround, nodes[1], ms::kGround,
-                                       1e-5));
+        std::make_unique<ms::PwlWave>(std::vector<std::pair<double, double>>{
+            {0.0, 0.0}, {0.15e-9, 50e-6}, {0.35e-9, -50e-6}})));
   }
   if (spec.n_nodes >= 16 && (gen() & 1u) != 0) {
-    ckt.add(std::make_unique<ms::Vcvs>("eaux", nodes[spec.n_nodes - 2],
-                                       ms::kGround, nodes[spec.n_nodes / 4],
-                                       ms::kGround, 0.5));
+    const int aux = ckt.node("vaux");
+    ckt.add(std::make_unique<ms::VoltageSource>(
+        "vaux", aux, ms::kGround,
+        std::make_unique<ms::PulseWave>(0.0, 0.5, 0.1e-9, 40e-12, 40e-12,
+                                        1e-9)));
+    ckt.add(std::make_unique<ms::Resistor>("raux", aux,
+                                           nodes[spec.n_nodes - 2], ur(gen)));
   }
   if (spec.nonlinear) {
     const std::size_t n_cells = 1 + gen() % 3;

@@ -1,7 +1,7 @@
 // Sparse MNA solver validation: solver-level unit tests, RCM ordering,
 // the dirty-stamp factorization cache, and the dense-LU oracle
-// (tests/dense_lu.hpp) over RLC + nonlinear (MOSFET/diode/switch/MTJ)
-// netlists stamped in DC and transient.
+// (tests/dense_lu.hpp) over RC + nonlinear (MOSFET/switch/MTJ) netlists
+// stamped in DC and transient.
 #include <cmath>
 #include <gtest/gtest.h>
 
@@ -9,7 +9,6 @@
 #include <random>
 
 #include "core/pdk.hpp"
-#include "spice/controlled.hpp"
 #include "spice/elements.hpp"
 #include "spice/engine.hpp"
 #include "spice/mosfet.hpp"
@@ -21,9 +20,9 @@ namespace ms = mss::spice;
 
 namespace {
 
-/// Random RLC ladder with cross-coupling resistors and a pulse source —
+/// Random RC ladder with cross-coupling resistors and a pulse source —
 /// linear, always solvable, topology a pure function of the seed.
-ms::Circuit random_rlc(std::uint32_t seed, std::size_t n_nodes) {
+ms::Circuit random_rc(std::uint32_t seed, std::size_t n_nodes) {
   std::mt19937 gen(seed);
   std::uniform_real_distribution<double> ur(100.0, 10e3);
   std::uniform_real_distribution<double> uc(0.1e-12, 2e-12);
@@ -44,7 +43,8 @@ ms::Circuit random_rlc(std::uint32_t seed, std::size_t n_nodes) {
                                             nodes[k + 1], ms::kGround,
                                             uc(gen)));
   }
-  // A few random cross links + one inductor for a branch unknown.
+  // A few random cross links + a DC source behind a series resistor for a
+  // second branch unknown.
   for (int x = 0; x < 4; ++x) {
     const std::size_t a = gen() % n_nodes;
     const std::size_t b = gen() % n_nodes;
@@ -52,13 +52,16 @@ ms::Circuit random_rlc(std::uint32_t seed, std::size_t n_nodes) {
     ckt.add(std::make_unique<ms::Resistor>("rx" + std::to_string(x), nodes[a],
                                            nodes[b], ur(gen)));
   }
-  ckt.add(std::make_unique<ms::Inductor>("l0", nodes[n_nodes / 2],
-                                         ms::kGround, 10e-9));
+  const int mid = ckt.node("vmid");
+  ckt.add(std::make_unique<ms::VoltageSource>(
+      "vmid", mid, ms::kGround, std::make_unique<ms::DcWave>(0.4)));
+  ckt.add(std::make_unique<ms::Resistor>("rmid", mid, nodes[n_nodes / 2],
+                                         ur(gen)));
   return ckt;
 }
 
-/// Bit-cell-flavoured nonlinear netlist: MTJ + access MOSFET + diode clamp
-/// + enable switch behind an RC-loaded driver.
+/// Bit-cell-flavoured nonlinear netlist: MTJ + access MOSFET +
+/// diode-connected MOSFET clamp + enable switch behind an RC-loaded driver.
 ms::Circuit nonlinear_cell(std::uint32_t seed) {
   std::mt19937 gen(seed);
   std::uniform_real_distribution<double> ur(500.0, 3e3);
@@ -82,7 +85,8 @@ ms::Circuit nonlinear_cell(std::uint32_t seed) {
   ckt.add(std::make_unique<ms::Mosfet>("macc", n1, wl, n2,
                                        ms::MosModel::nmos(), 720e-9, 45e-9));
   ckt.add(std::make_unique<ms::Resistor>("rs", n2, ms::kGround, ur(gen)));
-  ckt.add(std::make_unique<ms::Diode>("dclamp", n2, ms::kGround));
+  ckt.add(std::make_unique<ms::Mosfet>("mclamp", n2, n2, ms::kGround,
+                                       ms::MosModel::nmos(), 360e-9, 45e-9));
   ckt.add(std::make_unique<ms::Switch>("sen", n1, ms::kGround, wl,
                                        ms::kGround, 0.55, 10e3, 1e9));
   ckt.add(std::make_unique<ms::Capacitor>("cbl", bl, ms::kGround, 40e-15));
@@ -210,10 +214,10 @@ TEST(SparseSolver, RcmOrderIsPermutation) {
 // Dense-LU oracle over stamped netlists
 // ---------------------------------------------------------------------------
 
-TEST(SparseOracle, RandomRlcStampsMatchDenseLu) {
+TEST(SparseOracle, RandomRcStampsMatchDenseLu) {
   for (std::uint32_t seed : {1u, 2u, 3u, 4u, 5u, 11u, 12u, 13u, 41u, 42u}) {
     SCOPED_TRACE("seed " + std::to_string(seed));
-    auto ckt = random_rlc(seed, 12 + seed % 10);
+    auto ckt = random_rc(seed, 12 + seed % 10);
     const auto dc = ms::Engine(ckt).dc();
     ASSERT_TRUE(dc.converged);
     ms::oracle::expect_stamps_match_dense(ckt, dc.x);
@@ -250,7 +254,7 @@ TEST(SparseEquivalence, LinearTransientFactorsThrice) {
   // fixed-step transient factors for the DC operating point, the first
   // backward-Euler step, and the steady trapezoidal pattern — then
   // back-substitutes only.
-  auto ckt = random_rlc(7, 20);
+  auto ckt = random_rc(7, 20);
   ms::Engine eng(ckt);
   const auto tr = eng.transient(5e-9, 10e-12);
   ASSERT_TRUE(tr.converged());

@@ -47,16 +47,3 @@ TEST(Waveform, PwlRejectsNonMonotonicTime) {
                std::invalid_argument);
   EXPECT_THROW(ms::PwlWave({}), std::invalid_argument);
 }
-
-TEST(Waveform, SineBasics) {
-  const ms::SineWave w(0.5, 0.2, 1e9);
-  EXPECT_NEAR(w.value(0.0), 0.5, 1e-12);
-  EXPECT_NEAR(w.value(0.25e-9), 0.7, 1e-9);  // quarter period: +A
-  EXPECT_NEAR(w.value(0.75e-9), 0.3, 1e-9);  // three quarters: -A
-}
-
-TEST(Waveform, SineDelayHoldsInitialValue) {
-  const ms::SineWave w(0.0, 1.0, 1e9, 5e-9, 0.0);
-  EXPECT_EQ(w.value(1e-9), 0.0);
-  EXPECT_NEAR(w.value(5e-9 + 0.25e-9), 1.0, 1e-9);
-}

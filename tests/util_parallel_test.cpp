@@ -159,17 +159,6 @@ TEST(RngJump, DeterministicAndDivergent) {
   EXPECT_EQ(collisions, 0);
 }
 
-TEST(RngJump, LongJumpDiffersFromJump) {
-  mu::Rng a(5), b(5);
-  a.jump();
-  b.long_jump();
-  int same = 0;
-  for (int i = 0; i < 64; ++i) {
-    if (a.next_u64() == b.next_u64()) ++same;
-  }
-  EXPECT_LT(same, 2);
-}
-
 TEST(RngJump, SubstreamsAreUncorrelated) {
   // Pearson cross-correlation between uniforms of consecutive jump
   // substreams — the worker streams of the Monte-Carlo kernels.

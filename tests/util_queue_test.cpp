@@ -29,11 +29,12 @@ TEST(PriorityBlockingQueue, FifoWithinOnePriority) {
   PriorityBlockingQueue<int> q;
   for (int i = 0; i < 100; ++i) q.push(i, 7);
   for (int i = 0; i < 100; ++i) {
-    const auto got = q.try_pop();
+    const auto got = q.pop();
     ASSERT_TRUE(got.has_value());
     EXPECT_EQ(*got, i);
   }
-  EXPECT_FALSE(q.try_pop().has_value());
+  q.close();
+  EXPECT_FALSE(q.pop().has_value());
 }
 
 TEST(PriorityBlockingQueue, PopBlocksUntilPush) {

@@ -17,7 +17,6 @@ import unittest
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(REPO, "src")
 ROOT_DIRS = ("bench", "tools", "examples", os.path.join("perfbench", "src"))
-INCLUDE_DIRS = (SRC, os.path.join(REPO, "bench"))
 INCLUDE_RE = re.compile(r'^\s*#\s*include\s+"([^"]+)"', re.MULTILINE)
 EXTS = (".cpp", ".hpp")
 
@@ -30,7 +29,7 @@ def sources_under(top):
 
 
 def resolve(include, from_file):
-    for base in (os.path.dirname(from_file),) + INCLUDE_DIRS:
+    for base in (os.path.dirname(from_file), SRC):
         path = os.path.normpath(os.path.join(base, include))
         if os.path.isfile(path):
             return path

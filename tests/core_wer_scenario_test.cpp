@@ -3,6 +3,8 @@
 // the analytic deep-tail layer (src/math/special) outside the estimator.
 
 #include <cmath>
+#include <cstddef>
+#include <iterator>
 #include <stdexcept>
 #include <vector>
 
@@ -138,6 +140,53 @@ TEST(WerScenarioTest, RunInsidePoolWorkerMatchesSerial) {
         nested[c] = WerScenario(cfg).run();
       });
   for (const auto& rows : nested) expect_same_rows(serial, rows);
+}
+
+// Golden MC overlay, pinned exactly (doubles as hexfloat literals): the
+// production IS-MC path — auto threshold proposal from the analytic band
+// with its defensive mixture — through the scenario's per-point streams.
+// n = 203 leaves a partial chunk and a masked tail batch.
+TEST(WerScenarioGolden, McOverlayPinned) {
+  struct Pinned {
+    double wer, variance, ess, ic_shift;
+    std::size_t n_failures;
+  };
+  // Row-major: (3 ns, 300 K), (3 ns, 350 K), (5 ns, 300 K), (5 ns, 350 K).
+  const Pinned golden[] = {
+      {0x1.1ab904f269266p-1, 0x1.7a7a6b2345495p-7, 0x1.776a568c00bb7p+4,
+       0x1.28380155f821ap+2, 180u},
+      {0x1.63533ef0099a8p-1, 0x1.c099133686e48p-7, 0x1.e1c591f0bfdbp+4,
+       0x1.33d90b7527c84p+2, 179u},
+      {0x1.35469c66c8d83p-4, 0x1.5e312923ade04p-10, 0x1.0cd0200b1e708p+2,
+       0x1.30edbd2232859p+2, 165u},
+      {0x1.427a520f34d29p-4, 0x1.8c88d5bdfd0cap-10, 0x1.024f6b8d9da9bp+2,
+       0x1.3de75dccfd5c1p+2, 160u},
+  };
+  auto cfg = analytic_config();
+  cfg.pulse_widths = {3e-9, 5e-9};
+  cfg.voltages = {0.45};
+  cfg.temperatures = {300.0, 350.0};
+  cfg.sigma_ic_rel = 0.2;
+  cfg.trajectories = 203;
+  for (std::size_t threads : {1u, 0u}) {
+    SCOPED_TRACE(threads);
+    cfg.threads = threads;
+    const WerScenario sc(cfg);
+    const auto pts = sc.run();
+    // The proposal shift is read from the served column, which names no
+    // estimator field.
+    const auto tab = sc.table();
+    ASSERT_EQ(pts.size(), std::size(golden));
+    for (std::size_t i = 0; i < pts.size(); ++i) {
+      const auto& mc = pts[i].mc;
+      EXPECT_EQ(mc.n_trajectories, 203u) << i;
+      EXPECT_EQ(mc.wer, golden[i].wer) << i;
+      EXPECT_EQ(mc.variance, golden[i].variance) << i;
+      EXPECT_EQ(mc.ess, golden[i].ess) << i;
+      EXPECT_EQ(tab.number(i, "ic_shift_mc"), golden[i].ic_shift) << i;
+      EXPECT_EQ(mc.n_failures, golden[i].n_failures) << i;
+    }
+  }
 }
 
 TEST(WerScenarioTest, ConfigValidation) {

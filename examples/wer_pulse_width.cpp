@@ -7,8 +7,9 @@
 //  * the behavioural closed form (thermal incubation),
 //  * the analytic switching-current-spread deep tail (math::special
 //    erfcx/log_erfc path) — valid to 1e-15 and beyond,
-//  * the importance-sampled LLGS estimator (threshold-tilted proposal +
-//    defensive mixture) with its relative-error bound — the trajectory-
+//  * the importance-sampled LLGS estimator (a switching-threshold
+//    proposal centred on the analytic failure band, with a defensive
+//    mixture) with its relative-error bound — the trajectory-
 //    level check on the closed forms, ~1e10x cheaper than naive MC at
 //    equal error in the deep tail.
 //

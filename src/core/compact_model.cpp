@@ -209,56 +209,42 @@ WerEstimate MtjCompactModel::llgs_write_error_rate(
 
   physics::LlgWerOptions wopt;
   wopt.threads = options.threads;
-  wopt.tilt = options.tilt;
-  // Forwarded unconditionally so an explicit (invalid) defensive fraction
-  // without a threshold spread still trips the physics-layer validation.
-  wopt.ic_defensive = options.ic_defensive;
-  if (options.ic_sigma_rel > 0.0) {
-    // Switching-threshold spread mode: the deep tail is carried by the 1-D
-    // threshold tilt, so the cone stays untilted unless explicitly pinned.
-    wopt.ic_sigma_rel = options.ic_sigma_rel;
-    if (options.ic_shift >= 0.0) {
-      wopt.ic_shift = options.ic_shift;
-      wopt.ic_proposal_sd = options.ic_proposal_sd;
-    } else {
-      // Auto-proposal from the analytic transition band. Failures turn on
-      // where the residual barrier Delta (1 - i/Ic(z))^2 crosses the
-      // ln(t/tau0) attempt budget, but the turn-on is smeared over several
-      // z-units (the barrier grows only quadratically past the boundary),
-      // so the proposal is centred on the band [z(L - 2), z(L + 3)]
-      // (L = ln(t/tau0), z(B) = the deviate whose residual barrier is B)
-      // and widened to cover it. The analytic band is approximate, but a
-      // proposal only needs to blanket the dominant failure region — the
-      // likelihood ratios absorb the rest.
-      const auto sp = switching_params(dir);
-      // Attempt time for the band: the LLGS trajectories attempt escape on
-      // the damping-relaxation scale (1 + alpha^2) / (alpha gamma mu0 Hk),
-      // which at high damping is much shorter than the conventional 1 ns
-      // tau0 used by the closed forms — the measured failure boundary sits
-      // correspondingly deeper than the tau0-based analytic one.
-      const double tau_relax = (1.0 + sp.alpha * sp.alpha) /
-                               (sp.alpha * physics::kGamma * physics::kMu0 *
-                                sp.hk_eff);
-      const double ln_t =
-          std::log(t_pulse / std::min(sp.tau0, tau_relax));
-      const double i_over = std::abs(i_write) / sp.ic0;
-      const auto z_at_barrier = [&](double barrier) {
-        const double frac = std::clamp(barrier / sp.delta, 0.0, 0.96);
-        return (i_over / (1.0 - std::sqrt(frac)) - 1.0) /
-               options.ic_sigma_rel;
-      };
-      const double z_lo = z_at_barrier(std::max(ln_t - 2.0, 0.0));
-      const double z_hi = z_at_barrier(std::max(ln_t + 3.0, 1.0));
-      wopt.ic_shift = std::clamp(0.5 * (z_lo + z_hi), 0.0, 38.0);
-      wopt.ic_proposal_sd = options.ic_proposal_sd >= 1.0
-                                ? options.ic_proposal_sd
-                                : std::max(1.0, (z_hi - z_lo) / 3.0);
-    }
-  } else if (options.tilt <= 0.0) {
-    // Auto-tilt from the behavioural closed form: the analytic tail is
-    // rough (it ignores the full trajectory dynamics) but plenty good as a
-    // proposal parameter — the likelihood-ratio weights absorb the error.
-    wopt.p_hint = write_error_rate(dir, std::abs(i_write), t_pulse);
+  wopt.ic_sigma_rel = options.ic_sigma_rel;
+  if (options.proposal) {
+    wopt.proposal = *options.proposal;
+  } else if (options.ic_sigma_rel > 0.0) {
+    // Proposal from the analytic transition band. Failures turn on where
+    // the residual barrier Delta (1 - i/Ic(z))^2 crosses the ln(t/tau0)
+    // attempt budget, but the turn-on is smeared over several z-units (the
+    // barrier grows only quadratically past the boundary), so the proposal
+    // is centred on the band [z(L - 2), z(L + 3)] (L = ln(t/tau0), z(B) =
+    // the deviate whose residual barrier is B) and widened to cover it.
+    // The analytic band is approximate, but a proposal only needs to
+    // blanket the dominant failure region — the likelihood ratios absorb
+    // the rest.
+    const auto sp = switching_params(dir);
+    // Attempt time for the band: the LLGS trajectories attempt escape on
+    // the damping-relaxation scale (1 + alpha^2) / (alpha gamma mu0 Hk),
+    // which at high damping is much shorter than the conventional 1 ns
+    // tau0 used by the closed forms — the measured failure boundary sits
+    // correspondingly deeper than the tau0-based analytic one.
+    const double tau_relax = (1.0 + sp.alpha * sp.alpha) /
+                             (sp.alpha * physics::kGamma * physics::kMu0 *
+                              sp.hk_eff);
+    const double ln_t = std::log(t_pulse / std::min(sp.tau0, tau_relax));
+    const double i_over = std::abs(i_write) / sp.ic0;
+    const auto z_at_barrier = [&](double barrier) {
+      const double frac = std::clamp(barrier / sp.delta, 0.0, 0.96);
+      return (i_over / (1.0 - std::sqrt(frac)) - 1.0) / options.ic_sigma_rel;
+    };
+    const double z_lo = z_at_barrier(std::max(ln_t - 2.0, 0.0));
+    const double z_hi = z_at_barrier(std::max(ln_t + 3.0, 1.0));
+    auto& q = wopt.proposal;
+    q.shift = std::clamp(0.5 * (z_lo + z_hi), 0.0, 38.0);
+    q.sd = std::max(1.0, (z_hi - z_lo) / 3.0);
+    // A 20% defensive floor under any shifted proposal; an unshifted one
+    // keeps the exact-zero weights of brute force.
+    q.defensive = q.shift > 0.0 ? 0.2 : 0.0;
   }
 
   const physics::Vec3 m0{0.0, 0.0, start_up ? 1.0 : -1.0};

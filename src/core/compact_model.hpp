@@ -14,6 +14,8 @@
 // The two are cross-validated in tests and in `bench/ablation_model_strategies`.
 #pragma once
 
+#include <optional>
+
 #include "core/mtj_params.hpp"
 #include "physics/llg.hpp"
 #include "physics/thermal.hpp"
@@ -43,30 +45,19 @@ struct WriteOutcome {
 /// Options of `MtjCompactModel::llgs_write_error_rate`.
 struct WerEstimateOptions {
   std::size_t threads = 0; ///< see `physics::LlgWerOptions::threads`
-  /// Importance-sampling tilt nu (>= 1); 0 = auto-derive from the
-  /// behavioural (closed-form) WER at the same operating point — the
-  /// analytic tail seeds the sampler, the sampler sharpens the tail.
-  double tilt = 0.0;
   /// Relative switching-current spread sampled per trajectory (see
   /// `physics::LlgWerOptions::ic_sigma_rel`). When > 0 the estimator
-  /// auto-centres the threshold proposal N(mu, tau^2) on the analytic
-  /// failure transition band (the z-range where the residual barrier
-  /// Delta (1 - i/Ic(z))^2 crosses the ln(t/tau0) attempt budget) and
-  /// widens it to cover the band — the 1-D tilt that keeps deep-tail
-  /// failures O(1)-probable — and pins the cone tilt to nu = 1 unless
-  /// `tilt` overrides it. 0 = pure-thermal estimator.
+  /// centres the threshold proposal on the analytic failure-transition
+  /// band (the z-range where the residual barrier Delta (1 - i/Ic(z))^2
+  /// crosses the ln(t/tau) attempt budget), widens it to cover the band
+  /// and mixes in a 0.2 defensive fraction whenever it is shifted. 0 =
+  /// pure-thermal plain MC.
   double ic_sigma_rel = 0.0;
-  /// Threshold-proposal mean shift override; < 0 (default) = auto from the
-  /// analytic band as above, >= 0 pins it (needs ic_sigma_rel > 0).
-  double ic_shift = -1.0;
-  /// Threshold-proposal width override; 0 with auto shift = auto from the
-  /// band, otherwise values >= 1 pin it (0 with pinned shift = 1).
-  double ic_proposal_sd = 0.0;
-  /// Defensive-mixture fraction (see `physics::LlgWerOptions::ic_defensive`);
-  /// < 0 (default) = auto: 0.2 whenever a threshold proposal is in play,
-  /// 0 pins the pure shifted proposal, values in (0, 1) pin the fraction.
-  double ic_defensive = -1.0;
   double dt = 1e-12; ///< LLGS integration step [s]
+  /// Test and benchmark seam: replaces the band-derived proposal. {0, 1, 0}
+  /// is the brute-force oracle; a pinned shifted proposal cross-checks the
+  /// deep tail. Production callers leave it unset.
+  std::optional<physics::ThresholdProposal> proposal;
 };
 
 /// Estimator statistics of one `llgs_write_error_rate` call.
@@ -179,14 +170,13 @@ class MtjCompactModel {
                                                std::size_t threads = 0) const;
 
   /// Importance-sampled LLGS write-error-rate estimate — the rare-event
-  /// path of the physical strategy. Seeds the tilt from the behavioural
-  /// closed-form WER at the same operating point (unless
-  /// `options.tilt` >= 1 pins it), runs `n` tilted LLGS transients through
+  /// path of the physical strategy. Picks the threshold proposal (see
+  /// `WerEstimateOptions`), runs `n` LLGS transients through
   /// `physics::LlgSolver::estimate_wer`, and returns the weighted estimate
-  /// with its relative-error bound and effective sample size. At tilt 1
-  /// this degenerates to 1 - llgs_switch_probability(...) over the same
-  /// substreams. Statistics and the post-call state of `rng` are
-  /// bit-identical for any thread count.
+  /// with its relative-error bound and effective sample size. With
+  /// `ic_sigma_rel == 0` this degenerates to 1 - llgs_switch_probability(...)
+  /// over the same substreams. Statistics and the post-call state of `rng`
+  /// are bit-identical for any thread count.
   [[nodiscard]] WerEstimate llgs_write_error_rate(
       WriteDirection dir, double i_write, double t_pulse, std::size_t n,
       mss::util::Rng& rng, const WerEstimateOptions& options = {}) const;

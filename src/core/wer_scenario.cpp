@@ -93,7 +93,7 @@ sweep::ResultTable WerScenario::table() const {
   for (const auto& p : points) {
     t.add_row({p.pulse_width, p.voltage, p.temperature, p.i_write,
                p.log10_wer_behavioural, p.log10_wer_analytic, p.mc.wer,
-               p.mc.rel_error, p.mc.ess, p.mc.ic_shift});
+               p.mc.rel_error, p.mc.ess, p.mc.proposal.shift});
   }
   return t;
 }

@@ -452,14 +452,10 @@ Vec3 LlgSolver::thermal_initial_state(bool up, mss::util::Rng& rng) const {
 
 void LlgSolver::thermal_initial_state_batch(
     bool up, mss::util::Rng* lane_rngs, std::uint32_t active_mask,
-    std::array<Vec3, kLanes>& starts, double tilt_nu,
-    std::array<double, kLanes>* log_weight) const {
+    std::array<Vec3, kLanes>& starts) const {
   const std::uint32_t active = active_mask & ((1u << kLanes) - 1u);
   const double delta = params_.delta();
   const double s = std::sqrt(1.0 / (2.0 * std::max(delta, 1.0)));
-  // At nu == 1 this is s / 1.0 == s exactly, so the untilted batch draw is
-  // the scalar `thermal_initial_state` expression bit-for-bit.
-  const double s_tilt = s / std::sqrt(tilt_nu);
   // Component-major masked fill: lane l consumes z_x then z_y from its own
   // stream — the scalar per-trajectory draw order.
   LaneScalars zx{};
@@ -469,18 +465,10 @@ void LlgSolver::thermal_initial_state_batch(
   const double sign = up ? 1.0 : -1.0;
   for (std::size_t l = 0; l < kLanes; ++l) {
     if (!(active >> l & 1u)) continue;
-    const double tx = s_tilt * zx[l];
-    const double ty = s_tilt * zy[l];
+    const double tx = s * zx[l];
+    const double ty = s * zy[l];
     Vec3 m{tx, ty, sign * std::sqrt(std::max(0.0, 1.0 - tx * tx - ty * ty))};
     starts[l] = m.normalized();
-    if (log_weight != nullptr) {
-      // Exact log likelihood ratio of target N(0, s^2) over proposal
-      // N(0, s^2/nu), two i.i.d. components, written in the standardized
-      // proposal draws: log w = -ln nu + (z_x^2 + z_y^2)(nu - 1)/(2 nu).
-      (*log_weight)[l] =
-          -std::log(tilt_nu) +
-          (zx[l] * zx[l] + zy[l] * zy[l]) * (tilt_nu - 1.0) / (2.0 * tilt_nu);
-    }
   }
 }
 
@@ -498,15 +486,14 @@ struct WerChunkStats {
 };
 
 WerChunkStats wer_run(const LlgSolver& solver, std::size_t n, const Vec3& m0,
-                      double duration, double dt, double i_amps, double nu,
-                      double ic_sigma, double ic_shift, double ic_sd,
-                      double ic_lambda,
+                      double duration, double dt, double i_amps,
+                      double ic_sigma, const ThresholdProposal& q,
                       const std::vector<mss::util::Rng>& streams,
                       std::size_t threads) {
-  const double log_ic_sd = std::log(ic_sd);
-  const double log_lambda = ic_lambda > 0.0 ? std::log(ic_lambda) : 0.0;
+  const double log_ic_sd = std::log(q.sd);
+  const double log_lambda = q.defensive > 0.0 ? std::log(q.defensive) : 0.0;
   const double log_1m_lambda =
-      ic_lambda > 0.0 ? std::log1p(-ic_lambda) : 0.0;
+      q.defensive > 0.0 ? std::log1p(-q.defensive) : 0.0;
   const bool start_up = m0.z >= 0.0;
   const auto map_chunk = [&](std::size_t, std::size_t begin,
                              std::size_t end) {
@@ -525,8 +512,8 @@ WerChunkStats wer_run(const LlgSolver& solver, std::size_t n, const Vec3& m0,
       // Per-trajectory switching-threshold deviate (draw #1 of the lane
       // stream, before the cone draws): lane l runs against a device with
       // Ic scaled by (1 + sigma z_l), folded into the kernel as the
-      // reciprocal spin-torque scale. The proposal mean shift `ic_shift`
-      // contributes its exact 1-D likelihood ratio to the lane weight.
+      // reciprocal spin-torque scale. The threshold proposal contributes
+      // its exact 1-D likelihood ratio to the lane weight.
       std::array<double, kLanes> stt_scale;
       stt_scale.fill(1.0);
       if (ic_sigma > 0.0) {
@@ -536,7 +523,7 @@ WerChunkStats wer_run(const LlgSolver& solver, std::size_t n, const Vec3& m0,
         // consumption pattern (and hence the determinism contract) does
         // not depend on which component a lane lands in.
         std::array<double, kLanes> sel{};
-        if (ic_lambda > 0.0) {
+        if (q.defensive > 0.0) {
           for (std::size_t l = 0; l < lanes; ++l) {
             sel[l] = lane_rngs[l].uniform();
           }
@@ -544,14 +531,14 @@ WerChunkStats wer_run(const LlgSolver& solver, std::size_t n, const Vec3& m0,
         LaneScalars u{};
         mss::util::Rng::normal_batch<kLanes>(lane_rngs.data(), u.lane, mask);
         for (std::size_t l = 0; l < lanes; ++l) {
-          const bool defensive = ic_lambda > 0.0 && sel[l] < ic_lambda;
-          const double z = defensive ? u[l] : ic_shift + ic_sd * u[l];
+          const bool defensive = q.defensive > 0.0 && sel[l] < q.defensive;
+          const double z = defensive ? u[l] : q.shift + q.sd * u[l];
           // Guard the unphysical Ic <= 0 left tail (>= 10 sigma for any
           // realistic spread); the clamp keeps the weight exact because it
           // only touches the dynamics, not the density ratio.
           const double ic_mult = std::max(0.05, 1.0 + ic_sigma * z);
           stt_scale[l] = 1.0 / ic_mult;
-          if (ic_lambda <= 0.0) {
+          if (q.defensive <= 0.0) {
             // log[ phi(z) / (phi(u) / tau) ] at z = shift + tau u. At
             // shift = 0, tau = 1 this is exactly 0: z == u bit-for-bit,
             // the two quadratics cancel and log(1) == 0 (the brute-force
@@ -564,7 +551,7 @@ WerChunkStats wer_run(const LlgSolver& solver, std::size_t n, const Vec3& m0,
             // z^2/2 - ((z - shift)/sd)^2/2 - log sd. Far below the
             // proposal the second term vanishes and w -> 1 / lambda: the
             // defensive cap.
-            const double ut = (z - ic_shift) / ic_sd;
+            const double ut = (z - q.shift) / q.sd;
             const double log_ratio =
                 0.5 * z * z - 0.5 * ut * ut - log_ic_sd + log_1m_lambda;
             const double m = std::max(log_lambda, log_ratio);
@@ -573,10 +560,8 @@ WerChunkStats wer_run(const LlgSolver& solver, std::size_t n, const Vec3& m0,
           }
         }
       }
-      std::array<double, kLanes> log_w_cone{};
       solver.thermal_initial_state_batch(start_up, lane_rngs.data(), mask,
-                                         starts, nu, &log_w_cone);
-      for (std::size_t l = 0; l < lanes; ++l) log_w[l] += log_w_cone[l];
+                                         starts);
       // Only the switch outcome matters: freeze switched lanes early.
       const auto run = solver.integrate_thermal_batch(
           starts, duration, dt, i_amps, lane_rngs.data(), mask,
@@ -620,63 +605,25 @@ LlgWerEstimate LlgSolver::estimate_wer(std::size_t n_trajectories,
   if (dt <= 0.0 || duration <= 0.0) {
     throw std::invalid_argument("LlgSolver::estimate_wer: bad time step");
   }
-  if (options.tilt < 0.0 || (options.tilt > 0.0 && options.tilt < 1.0)) {
-    throw std::invalid_argument(
-        "LlgSolver::estimate_wer: tilt must be 0 (auto) or >= 1");
-  }
-  if (options.ic_sigma_rel < 0.0) {
+  if (!(options.ic_sigma_rel >= 0.0)) {
     throw std::invalid_argument(
         "LlgSolver::estimate_wer: ic_sigma_rel must be >= 0");
   }
-  if (options.ic_shift != 0.0 &&
-      (options.ic_sigma_rel <= 0.0 || options.ic_shift < 0.0)) {
+  const ThresholdProposal& q = options.proposal;
+  if (!(q.shift >= 0.0) || !(q.sd >= 1.0) || !(q.defensive >= 0.0) ||
+      !(q.defensive < 1.0)) {
     throw std::invalid_argument(
-        "LlgSolver::estimate_wer: ic_shift needs ic_sigma_rel > 0 and must "
-        "be >= 0");
+        "LlgSolver::estimate_wer: the threshold proposal needs shift >= 0, "
+        "sd >= 1 and 0 <= defensive < 1");
   }
-  if (options.ic_proposal_sd != 0.0 &&
-      (options.ic_sigma_rel <= 0.0 || options.ic_proposal_sd < 1.0)) {
+  if (options.ic_sigma_rel == 0.0 && q != ThresholdProposal{}) {
     throw std::invalid_argument(
-        "LlgSolver::estimate_wer: ic_proposal_sd needs ic_sigma_rel > 0 and "
-        "must be >= 1");
-  }
-  if (options.ic_defensive >= 1.0 ||
-      (options.ic_defensive >= 0.0 && options.ic_defensive > 0.0 &&
-       options.ic_sigma_rel <= 0.0)) {
-    throw std::invalid_argument(
-        "LlgSolver::estimate_wer: ic_defensive must be < 1 and needs "
-        "ic_sigma_rel > 0");
-  }
-  const double ic_sd =
-      options.ic_proposal_sd >= 1.0 ? options.ic_proposal_sd : 1.0;
-  // Defensive fraction: auto keeps a 20% untilted floor under any shifted
-  // proposal, and exactly 0 (pure brute force, exact-zero weights) when
-  // the proposal is untilted.
-  const double ic_lambda =
-      options.ic_defensive >= 0.0
-          ? options.ic_defensive
-          : (options.ic_sigma_rel > 0.0 && options.ic_shift > 0.0 ? 0.2
-                                                                  : 0.0);
-
-  // Resolve the tilt once, before the sharded run, so every thread count
-  // runs the identical nu.
-  double nu = 1.0;
-  if (options.tilt >= 1.0) {
-    nu = options.tilt;
-  } else if (options.p_hint > 0.0 && options.p_hint < 1.0) {
-    // Even-odds failure under the small-angle cone model: with theta^2
-    // exponential, P_tilted(fail) = 1 - (1 - p)^nu = 1/2 at
-    // nu = ln 2 / (-ln(1 - p)). Clamped: beyond a modest tilt the
-    // in-pulse noise dominates the effective cone angle and narrower
-    // proposals stop buying variance (see LlgWerOptions::p_hint).
-    nu = std::min(16.0,
-                  std::max(1.0, std::log(2.0) / -std::log1p(-options.p_hint)));
+        "LlgSolver::estimate_wer: a threshold proposal needs ic_sigma_rel "
+        "> 0");
   }
 
   LlgWerEstimate out;
-  out.tilt = nu;
-  out.ic_shift = options.ic_sigma_rel > 0.0 ? options.ic_shift : 0.0;
-  out.ic_defensive = options.ic_sigma_rel > 0.0 ? ic_lambda : 0.0;
+  out.proposal = q;
   out.n_trajectories = n_trajectories;
   if (n_trajectories == 0) return out;
 
@@ -686,9 +633,8 @@ LlgWerEstimate LlgSolver::estimate_wer(std::size_t n_trajectories,
       rng.jump_substreams(n_trajectories);
 
   const WerChunkStats total =
-      wer_run(*this, n_trajectories, m0, duration, dt, i_amps, nu,
-              options.ic_sigma_rel, out.ic_shift, ic_sd, ic_lambda, streams,
-              options.threads);
+      wer_run(*this, n_trajectories, m0, duration, dt, i_amps,
+              options.ic_sigma_rel, q, streams, options.threads);
 
   out.n_failures = total.failures;
   out.wer = total.score.mean();

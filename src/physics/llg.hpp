@@ -92,68 +92,50 @@ struct LlgEnsembleOptions {
   bool stop_on_switch = false;
 };
 
+/// Importance-sampling proposal of the per-trajectory switching-threshold
+/// deviate (see `LlgWerOptions::ic_sigma_rel`). The deviate z ~ N(0, 1)
+/// is drawn instead from the defensive mixture
+/// lambda N(0, 1) + (1 - lambda) N(shift, sd^2) (Hesterberg), and each
+/// trajectory carries the exact likelihood ratio
+/// phi(z) / [lambda phi(z) + (1 - lambda) q(z)] as its weight. Only this
+/// one scalar per trajectory is re-weighted, so the weights do not
+/// degenerate with the length of the noise path. The default {0, 1, 0} is
+/// the target itself: plain MC, weights identically 1.
+struct ThresholdProposal {
+  /// Mean of the shifted component; >= 0. Parking it on the failure band
+  /// (where Ic(z) meets the drive) keeps proposal failures O(1)-probable
+  /// at any tail depth.
+  double shift = 0.0;
+  /// Width of the shifted component; >= 1. The activated-escape transition
+  /// from "switches anyway" to "fails for sure" is smeared over several
+  /// z-units at memory-grade Delta, and a unit-width proposal parked on its
+  /// sharp edge leaves the heavy-weight low-z failures uncovered.
+  double sd = 1.0;
+  /// Mixture fraction lambda in [0, 1) drawn from the N(0, 1) target. It
+  /// caps every weight at 1 / lambda wherever the target has mass, so a
+  /// mis-centred proposal degrades the error bar instead of silently
+  /// dropping probability mass; 0 keeps the pure shifted proposal.
+  double defensive = 0.0;
+
+  bool operator==(const ThresholdProposal&) const = default;
+};
+
 /// Options of `LlgSolver::estimate_wer`.
 struct LlgWerOptions {
   /// Worker threads: same contract as `LlgEnsembleOptions::threads`.
   std::size_t threads = 0;
-  /// Importance-sampling tilt nu >= 1 of the initial thermal-cone draw:
-  /// trajectories start from the narrowed cone N(0, s^2/nu) per transverse
-  /// component instead of the equilibrium N(0, s^2), which over-samples the
-  /// small-angle starts that dominate write failure; each trajectory
-  /// carries the exact likelihood-ratio weight. nu = 1 is plain MC
-  /// (weights identically 1). 0 (the default) derives nu from `p_hint`.
-  double tilt = 0.0;
-  /// Rough prior estimate of the WER (e.g. the closed-form behavioural
-  /// value) used to auto-pick the tilt as nu = ln 2 / (-ln(1 - p_hint)) —
-  /// the tilt that makes a *failure* an even-odds event under the
-  /// small-angle cone model. The derived nu is clamped to [1, 16]: the
-  /// in-pulse thermal noise re-randomises the cone angle within a few
-  /// damping times, so P(fail | theta_0 ~ 0) floors near the untilted rate
-  /// and cone tilts beyond ~the overdrive only spend proposal mass where
-  /// the noise rescues the trajectory anyway (see src/physics/README.md).
-  /// Deep tails are instead reached through `ic_sigma_rel`/`ic_shift`.
-  /// Ignored when `tilt` > 0; out-of-range values (<= 0 or >= 1) fall back
-  /// to nu = 1.
-  double p_hint = 0.0;
   /// Relative 1-sigma spread of the per-trajectory switching threshold
-  /// (critical current): each trajectory k draws z_k ~ N(ic_shift, 1) from
-  /// its own substream (first draw, before the cone draws) and runs with
+  /// (critical current): each trajectory k draws its deviate z_k from
+  /// `proposal` on its own substream (before the cone draws) and runs with
   /// its spin-torque prefactor scaled by 1 / (1 + ic_sigma_rel * z_k) —
   /// i.e. against a device whose critical current is Ic0 (1 + sigma z_k).
-  /// 0 (the default) disables the draw entirely (pure-thermal estimator,
-  /// stream layout unchanged).
+  /// 0 (the default) disables the draw entirely (pure-thermal plain MC,
+  /// stream layout unchanged) and admits only the default proposal.
   double ic_sigma_rel = 0.0;
-  /// Mean shift of the threshold deviate under importance sampling: the
-  /// proposal is z ~ N(ic_shift, 1) against the N(0, 1) target, with the
-  /// exact likelihood ratio exp(-ic_shift z + ic_shift^2 / 2) folded into
-  /// the lane weight. This 1-D exponential tilt is the deep-tail
-  /// workhorse: shifting to the failure boundary z* (where Ic(z*) equals
-  /// the drive) keeps the tilted failure probability O(1) at any tail
-  /// depth, with no weight degeneracy because only one draw is tilted.
-  /// Requires `ic_sigma_rel` > 0; 0 means untilted threshold sampling.
-  double ic_shift = 0.0;
-  /// Standard deviation tau of the threshold proposal N(ic_shift, tau^2).
-  /// The activated-escape transition from "switches anyway" to "fails for
-  /// sure" is smeared over several z-units at memory-grade Delta (the
-  /// residual barrier grows only quadratically past the boundary), and a
-  /// unit-width proposal parked on the sharp boundary leaves the heavy-
-  /// weight low-z failures uncovered — widening the proposal to span the
-  /// transition is what keeps the ESS proportional to the failure count.
-  /// 0 (the default) means 1 (plain mean-shift tilt); values >= 1 only.
-  double ic_proposal_sd = 0.0;
-  /// Defensive-mixture fraction lambda (Hesterberg): with probability
-  /// lambda the threshold deviate is drawn from the untilted N(0, 1)
-  /// target instead of the shifted proposal, and every weight uses the
-  /// mixture density lambda phi(z) + (1 - lambda) q(z). Any z with
-  /// non-negligible target mass then gets weight <= 1 / lambda, so a
-  /// mis-centred proposal degrades the error bar instead of silently
-  /// dropping probability mass (e.g. near-nominal incubation failures
-  /// that an aggressively shifted proposal never visits). < 0 (default)
-  /// = auto: 0.2 when ic_shift > 0, else 0. Explicit values must lie in
-  /// [0, 1) and require ic_sigma_rel > 0. lambda = 0 keeps the pure
-  /// shifted proposal (and the exact zero weights of the shift = 0,
-  /// sd = 1 brute-force path).
-  double ic_defensive = -1.0;
+  /// Threshold-deviate proposal. Validated by `estimate_wer`: shift >= 0,
+  /// sd >= 1, 0 <= defensive < 1, and anything but {0, 1, 0} needs
+  /// ic_sigma_rel > 0.
+  ThresholdProposal proposal;
 };
 
 /// Importance-sampled write-error-rate estimate returned by
@@ -164,9 +146,7 @@ struct LlgWerEstimate {
   double variance = 0.0;  ///< variance of the estimate (of the mean)
   double rel_error = 0.0; ///< sqrt(variance) / wer (0 when wer == 0)
   double ess = 0.0; ///< effective sample size (sum w)^2 / sum w^2 of failures
-  double tilt = 1.0;      ///< cone tilt nu actually used
-  double ic_shift = 0.0;  ///< threshold-deviate mean shift actually used
-  double ic_defensive = 0.0; ///< defensive-mixture fraction actually used
+  ThresholdProposal proposal; ///< threshold proposal actually used
   std::size_t n_trajectories = 0; ///< trajectories integrated
   std::size_t n_failures = 0;     ///< trajectories that failed to switch
 };
@@ -261,28 +241,24 @@ class LlgSolver {
 
   /// SoA-batched form of `thermal_initial_state`: fills `starts[l]` for
   /// every lane whose bit is set in `active_mask`, lane l drawing its two
-  /// transverse components from `lane_rngs[l]` in the scalar order — so at
-  /// `tilt_nu == 1` lane l's start is bit-identical to the scalar
+  /// transverse components from `lane_rngs[l]` in the scalar order — so
+  /// lane l's start is bit-identical to the scalar
   /// `thermal_initial_state(up, lane_rngs[l])` regardless of the other
-  /// lanes. With `tilt_nu > 1` the draw comes from the importance
-  /// proposal N(0, s^2/nu) per component and, when `log_weight` is
-  /// non-null, `(*log_weight)[l]` receives the exact log likelihood ratio
-  /// log[ target(theta) / proposal(theta) ] of the drawn start.
-  /// Inactive lanes draw nothing and are left untouched.
-  void thermal_initial_state_batch(
-      bool up, mss::util::Rng* lane_rngs, std::uint32_t active_mask,
-      std::array<Vec3, kLanes>& starts, double tilt_nu = 1.0,
-      std::array<double, kLanes>* log_weight = nullptr) const;
+  /// lanes. Inactive lanes draw nothing and are left untouched.
+  void thermal_initial_state_batch(bool up, mss::util::Rng* lane_rngs,
+                                   std::uint32_t active_mask,
+                                   std::array<Vec3, kLanes>& starts) const;
 
   /// Importance-sampled write-error-rate estimator: the rare-event
   /// counterpart of `integrate_thermal_ensemble`. Runs `n_trajectories`
-  /// thermal trajectories from the tilted initial cone (see
-  /// `LlgWerOptions::tilt`) with `stop_on_switch` early exit, scores each
-  /// trajectory v_k = w_k * 1[no switch] with its likelihood-ratio weight,
-  /// and reduces mean/variance/ESS in the fixed chunk order of the
-  /// determinism contract — estimates are bit-identical for any thread
-  /// count. At tilt nu = 1 this is exactly brute-force MC (wer =
-  /// failure fraction); the overlap-regime validation protocol in
+  /// thermal trajectories from the equilibrium cone, each against its own
+  /// switching threshold drawn from `options.proposal`, with
+  /// `stop_on_switch` early exit; scores each trajectory
+  /// v_k = w_k * 1[no switch] with its likelihood-ratio weight, and reduces
+  /// mean/variance/ESS in the fixed chunk order of the determinism
+  /// contract — estimates are bit-identical for any thread count. Under the
+  /// default proposal this is exactly brute-force MC (wer = failure
+  /// fraction); the overlap-regime validation protocol in
   /// src/physics/README.md leans on that.
   [[nodiscard]] LlgWerEstimate estimate_wer(
       std::size_t n_trajectories, const Vec3& m0, double duration, double dt,

@@ -110,7 +110,7 @@ std::vector<RetentionDesign> RetentionDesigner::sweep(
       [&](const sw::Point& p, util::Rng&) {
         return design(p.number("years"), fail_prob, array_bits, correctable);
       });
-  const sw::Runner runner({.threads = threads, .chunk_size = 1, .seed = 0});
+  const sw::Runner runner({.threads = threads, .seed = 0});
   return runner.run(space, exp);
 }
 

@@ -60,7 +60,7 @@ std::vector<TempCorner> temperature_sweep(const MtjParams& base,
       [&](const sw::Point& p, util::Rng&) {
         return evaluate_corner(base, p.number("temperature_k"), v_read, law);
       });
-  const sw::Runner runner({.threads = threads, .chunk_size = 1, .seed = 0});
+  const sw::Runner runner({.threads = threads, .seed = 0});
   return runner.run(space, exp);
 }
 

@@ -80,8 +80,8 @@ std::vector<WerScenarioPoint> WerScenario::run() const {
 
   // Point streams depend only on (seed, point index), so running the
   // points serially under an MC overlay draws the same randomness.
-  const sw::Runner runner({.threads = mc ? 1 : cfg_.threads, .chunk_size = 1,
-                           .seed = cfg_.seed});
+  const sw::Runner runner(
+      {.threads = mc ? 1 : cfg_.threads, .seed = cfg_.seed});
   return runner.run(space, exp);
 }
 

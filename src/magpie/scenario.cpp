@@ -194,8 +194,8 @@ std::vector<ScenarioRun> run_scenario_sweep(
         return run;
       });
 
-  const sweep::Runner runner({.threads = options.threads, .chunk_size = 1,
-                              .seed = options.seed});
+  const sweep::Runner runner(
+      {.threads = options.threads, .seed = options.seed});
   return runner.run(scenario_space(kernels), exp);
 }
 

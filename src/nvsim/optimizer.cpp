@@ -108,8 +108,7 @@ std::vector<Candidate> explore(const core::Pdk& pdk,
         return cand;
       });
 
-  const sweep::Runner runner(
-      {.threads = options.threads, .chunk_size = 1, .seed = 0});
+  const sweep::Runner runner({.threads = options.threads, .seed = 0});
   auto all = runner.run(space, exp);
 
   std::vector<Candidate> out;

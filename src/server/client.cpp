@@ -115,8 +115,6 @@ std::uint64_t Client::submit(const std::string& experiment_id,
   w.str(experiment_id);
   w.u32(options.experiment_version);
   w.u64(options.seed);
-  w.u32(options.chunk_size);
-  w.u32(options.threads);
   w.i32(options.priority);
   w.u8(options.space.has_value() ? 1 : 0);
   if (options.space) w.space(*options.space);

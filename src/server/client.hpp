@@ -46,8 +46,6 @@ struct ExperimentInfo {
 struct SubmitOptions {
   std::uint64_t seed = 0x5EEDC0DEull;
   std::uint32_t experiment_version = 0; ///< 0 = whatever is registered
-  std::uint32_t chunk_size = 0;         ///< 0 = server default
-  std::uint32_t threads = 0;            ///< 0 = server default
   std::int32_t priority = 0;            ///< higher runs first
   /// Space to sweep; nullopt = the experiment's default space.
   std::optional<sweep::ParamSpace> space;

@@ -16,10 +16,9 @@ StripedRun::StripedRun(const sweep::RowExperiment& exp,
       opt_(opt),
       cache_(cache),
       // The RNG keying of sweep::Runner, shared.
-      streams_(opt.seed, space.size(), opt.chunk_size) {
+      streams_(opt.seed, space.size()) {
   n_ = space_.size();
-  stripe_ = streams_.chunk() *
-            (opt_.stripe_chunks == 0 ? 1 : opt_.stripe_chunks);
+  stripe_ = opt_.stripe_chunks == 0 ? 1 : opt_.stripe_chunks;
   stats_.points = n_;
   rows_.resize(n_);
   if (n_ == 0) return;
@@ -56,7 +55,7 @@ void StripedRun::step() {
   }
 
   // Evaluate the stripe's misses in parallel. The RNG of index i is a
-  // pure function of (seed, chunk, i) — never of which indices happen to
+  // pure function of (seed, i) — never of which indices happen to
   // be cached or of which other jobs' stripes ran in between — so warm,
   // cold and time-sliced runs all draw identically.
   evaluated_.clear();

@@ -3,30 +3,28 @@
 // memo (sweep::Runner evaluates every point and never memoises).
 //
 // Determinism contract (the Runner's RNG keying, tested against it
-// row-for-row on all-distinct spaces): the chunk layout is a pure function
-// of (space size, chunk_size); the point at flat index i draws from jump
-// substream i/chunk forked with label i%chunk of a base stream seeded with
+// row-for-row on all-distinct spaces): the point at flat index i draws
+// from jump substream i, forked with label 0, of a base stream seeded with
 // `seed`; repeated Point::key()s are evaluated once at their first
 // occurrence and every duplicate serves that row. A persistent cache hit
-// substitutes the stored row for the evaluation — bit-identical to an
-// in-job memo hit when the stored row came from a run with the same
-// (experiment id+version, seed) identity, which is exactly what the cache
-// keys on.
+// substitutes the stored row for the evaluation — bit-identical to it when
+// that row came from the same (experiment id+version, seed) identity with
+// the point at the same flat index (README, "Stochastic-experiment caveat").
 //
-// Execution proceeds in *stripes* of whole chunks: per stripe, the
-// first-occurrence points missing from the cache are evaluated in parallel
-// over the shared thread pool, inserted into the cache (in index order, so
-// the file layout is deterministic too), and then every row of the stripe
-// is handed to the sink in index order. The cache owns every row; a run
-// holds only RowRef handles into it (see cache.hpp, "Record ownership").
-// Cancellation is cooperative at stripe granularity: rows already
-// streamed stay valid and cached, so a cancelled job resumes from the
-// cache like a killed one.
+// Execution proceeds in *stripes* of `stripe_chunks` points: per stripe,
+// the first-occurrence points missing from the cache are evaluated in
+// parallel over the shared thread pool, inserted into the cache (in index
+// order, so the file layout is deterministic too), and then every row of
+// the stripe is handed to the sink in index order. The cache owns every
+// row; a run holds only RowRef handles into it (see cache.hpp, "Record
+// ownership"). Cancellation is cooperative at stripe granularity: rows
+// already streamed stay valid and cached, so a cancelled job resumes from
+// the cache like a killed one.
 //
 // The stripe is also the *scheduling* quantum: StripedRun exposes the
 // stripe loop one step() at a time, so the server's executor can
 // round-robin several jobs without changing a single row — every stripe is
-// self-contained (its RNG is a pure function of (seed, chunk, index)), so
+// self-contained (its RNG is a pure function of (seed, index)), so
 // interleaving stripes of different jobs cannot reorder or perturb either
 // job's rows relative to a solo run.
 #pragma once
@@ -46,11 +44,9 @@ namespace mss::server {
 
 struct ExecOptions {
   std::uint64_t seed = 0x5EEDC0DEull;
-  /// Points per chunk (RNG keying unit, as in sweep::RunOptions).
-  std::size_t chunk_size = 1;
   /// Thread policy: 0 = shared global pool, 1 = serial, N = pool of N.
   std::size_t threads = 0;
-  /// Chunks per stripe — the cancellation/streaming/cache-append quantum.
+  /// Points per stripe — the cancellation/streaming/cache-append quantum.
   std::size_t stripe_chunks = 8;
 };
 

@@ -1,6 +1,5 @@
 #include "server/server.hpp"
 
-#include <algorithm>
 #include <exception>
 #include <utility>
 
@@ -259,8 +258,9 @@ bool Server::run_slice(Job& job) {
     }
   }
   if (!job.run) {
-    job.run =
-        std::make_unique<StripedRun>(*job.exp, job.space, job.opts, cache_);
+    const ExecOptions opt{.seed = job.seed, .threads = options_.threads,
+                          .stripe_chunks = options_.stripe_chunks};
+    job.run = std::make_unique<StripedRun>(*job.exp, job.space, opt, cache_);
   }
   try {
     job.run->step();
@@ -386,8 +386,6 @@ bool Server::handle_frame(util::Fd& fd, const std::string& payload) {
         const std::string exp_id = r.str();
         const std::uint32_t version = r.u32();
         const std::uint64_t seed = r.u64();
-        const std::uint32_t chunk = r.u32();
-        const std::uint32_t threads = r.u32();
         const std::int32_t priority = r.i32();
         const bool has_space = r.u8() != 0;
         sweep::ParamSpace space;
@@ -430,14 +428,7 @@ bool Server::handle_frame(util::Fd& fd, const std::string& payload) {
         job->priority = priority;
         job->exp = exp;
         job->space = std::move(space);
-        job->opts.seed = seed;
-        job->opts.chunk_size = chunk != 0 ? chunk : options_.chunk_size;
-        // Clamped: each distinct value is a persistent pool (see header).
-        const std::size_t hw =
-            std::max(1u, std::thread::hardware_concurrency());
-        job->opts.threads = threads != 0 ? std::min<std::size_t>(threads, hw)
-                                         : options_.threads;
-        job->opts.stripe_chunks = options_.stripe_chunks;
+        job->seed = seed;
         {
           std::lock_guard<std::mutex> lk(jobs_m_);
           job->id = next_job_id_++;

@@ -72,11 +72,9 @@ struct ServerOptions {
   /// handlers are reaped on exit, not just at the next accept). Excess
   /// clients get a typed Error{Busy} frame and a clean close. 0 = none.
   std::size_t max_conns = 256;
-  /// Default thread policy for job execution (0 = shared global pool).
+  /// Thread policy of every job (0 = shared global pool, 1 = serial).
   std::size_t threads = 0;
-  /// Default chunk_size when a Submit carries 0.
-  std::size_t chunk_size = 1;
-  /// Streaming/cancellation/scheduling quantum, in chunks.
+  /// Streaming/cancellation/scheduling quantum, in points.
   std::size_t stripe_chunks = 8;
   /// Reported in the HelloOk handshake.
   std::string server_id = "mss-server/1";
@@ -163,7 +161,7 @@ class Server {
     int priority = 0;
     const sweep::RowExperiment* exp = nullptr; ///< into registry_ (stable)
     sweep::ParamSpace space;
-    ExecOptions opts;
+    std::uint64_t seed = 0;
     std::atomic<bool> cancel{false};
 
     /// Striped execution state; created at the job's first slice, owned
@@ -203,10 +201,7 @@ class Server {
   void executor_loop();
   void handle_connection(Conn& conn);
   /// One request frame -> zero or more reply frames. Returns false when
-  /// the connection should end (shutdown request). A Submit's `threads`
-  /// is clamped to the hardware concurrency: every distinct value creates
-  /// a persistent pool, so a client must not pick the daemon's thread
-  /// count (rows are bit-identical for any thread count).
+  /// the connection should end (shutdown request).
   bool handle_frame(util::Fd& fd, const std::string& payload);
   /// Runs one scheduling quantum (stripe) of the job. Returns true when
   /// the job should be re-enqueued (more stripes remain).

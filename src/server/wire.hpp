@@ -34,9 +34,11 @@ namespace mss::server {
 /// Protocol version carried by the Hello handshake; a server refuses
 /// mismatching clients with Error{BadVersion} instead of misparsing.
 /// History: v1 = PR-8 original; v2 added the scheduler's `slices` counter
-/// to the StatusOk/TableEnd body. The handshake is transport-independent —
-/// identical over the unix socket and TCP.
-inline constexpr std::uint32_t kProtocolVersion = 2;
+/// to the StatusOk/TableEnd body; v3 dropped the Submit body's `chunk_size`
+/// and `threads` fields (one RNG keying, one daemon thread policy). The
+/// handshake is transport-independent — identical over the unix socket
+/// and TCP.
+inline constexpr std::uint32_t kProtocolVersion = 3;
 
 /// Upper bound a receiver accepts for one frame (defends against garbage
 /// length prefixes from a non-protocol peer).
@@ -55,8 +57,7 @@ enum class FrameType : std::uint8_t {
   Hello = 1,       ///< c->s: u32 protocol_version
   HelloOk = 2,     ///< s->c: u32 protocol_version | string server_id
   Submit = 3,      ///< c->s: string experiment_id | u32 experiment_version
-                   ///< (0 = registered) | u64 seed | u32 chunk_size (0 =
-                   ///< server default) | u32 threads | i32 priority |
+                   ///< (0 = registered) | u64 seed | i32 priority |
                    ///< u8 has_space | [space]
   Submitted = 4,   ///< s->c: u64 job_id
   Status = 5,      ///< c->s: u64 job_id

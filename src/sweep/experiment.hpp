@@ -3,18 +3,16 @@
 //
 // An Experiment<Result> is a named, pure evaluation: given a Point (and a
 // per-point RNG stream for stochastic models), produce a Result. The
-// Runner chunks the space's flat index range over the PR-1 thread pool
-// and writes each result into its point-indexed slot, so the output
-// vector is bit-identical for any thread count.
+// Runner spreads the space's flat index range over the PR-1 thread pool
+// one point at a time and writes each result into its point-indexed slot,
+// so the output vector is bit-identical for any thread count.
 //
-// Determinism contract (shared with the Monte-Carlo kernels):
-//  * the chunk layout is a pure function of (space size, chunk_size),
-//    never of the thread count;
-//  * chunk c draws from jump substream c of a base stream seeded with
-//    RunOptions::seed, and the point at in-chunk offset j forks that
-//    substream with label j — so the RNG a point sees is a pure function
-//    of (seed, chunk_size, point index). PointStreams is the one
-//    implementation of this keying; server::StripedRun shares it.
+// Determinism contract (shared with the Monte-Carlo kernels): the point at
+// flat index i of an n-point run draws from jump substream i of a base
+// stream seeded with RunOptions::seed, forked with label 0 — so the RNG a
+// point sees is a pure function of (seed, point index), never of the
+// thread count. PointStreams is the one implementation of this keying;
+// server::StripedRun shares it.
 //
 // The Runner evaluates every point, repeated ones included. Memoising
 // repeated Point::key()s at their first occurrence is the server
@@ -56,35 +54,25 @@ struct RunOptions {
   /// Thread policy shared with every parallel kernel: 0 = the shared
   /// global pool, 1 = serial inline, N = a shared pool of N threads.
   std::size_t threads = 0;
-  /// Points per chunk (the unit of work stealing *and* of RNG keying —
-  /// changing it changes stochastic draws, not determinism).
-  std::size_t chunk_size = 1;
   /// Base seed of the per-point RNG streams.
   std::uint64_t seed = 0x5EEDC0DEull;
 };
 
 /// The RNG keying of the determinism contract: index i of an n-point run
-/// draws from jump substream i / chunk of a base stream seeded with `seed`,
-/// forked with label i % chunk.
+/// draws from jump substream i of a base stream seeded with `seed`, forked
+/// with label 0.
 class PointStreams {
  public:
-  /// `chunk_size` 0 means 1.
-  PointStreams(std::uint64_t seed, std::size_t n, std::size_t chunk_size)
-      : chunk_(chunk_size == 0 ? 1 : chunk_size),
-        streams_(util::Rng(seed).jump_substreams(
-            util::ThreadPool::chunk_count(n, chunk_))) {}
-
-  /// Points per chunk (the normalised chunk_size).
-  [[nodiscard]] std::size_t chunk() const { return chunk_; }
+  PointStreams(std::uint64_t seed, std::size_t n)
+      : streams_(util::Rng(seed).jump_substreams(n)) {}
 
   /// The RNG of flat index i.
   [[nodiscard]] util::Rng at(std::size_t i) const {
-    return streams_[i / chunk_].fork(std::uint64_t(i % chunk_));
+    return streams_[i].fork(0);
   }
 
  private:
-  std::size_t chunk_;
-  std::vector<util::Rng> streams_; ///< jump substream per chunk
+  std::vector<util::Rng> streams_; ///< jump substream per point
 };
 
 /// What a memoised, cached run did. Only server::run_cached (and the
@@ -114,9 +102,9 @@ class Runner {
     std::vector<Result> results(n);
     if (n == 0) return results;
 
-    const PointStreams streams(opt_.seed, n, opt_.chunk_size);
+    const PointStreams streams(opt_.seed, n);
     util::ThreadPool::run_with(
-        opt_.threads, n, streams.chunk(),
+        opt_.threads, n, 1,
         [&](std::size_t, std::size_t b, std::size_t e) {
           for (std::size_t i = b; i < e; ++i) {
             util::Rng rng = streams.at(i);

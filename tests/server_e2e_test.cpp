@@ -1,7 +1,8 @@
 // In-process mss-server end-to-end: handshake, submit/status/fetch
-// streaming, concurrent clients, cancellation, error frames, shutdown,
-// and cross-restart cache resumption (graceful-stop flavour; the SIGKILL
-// flavour lives in server_resume_test.cpp).
+// streaming, concurrent clients, cancellation, error frames, the refusal
+// of an older protocol version, shutdown, and cross-restart cache
+// resumption (graceful-stop flavour; the SIGKILL flavour lives in
+// server_resume_test.cpp).
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -16,6 +17,8 @@
 #include "server/client.hpp"
 #include "server/registry.hpp"
 #include "server/server.hpp"
+#include "server/wire.hpp"
+#include "util/socket.hpp"
 
 namespace {
 
@@ -172,6 +175,28 @@ TEST(ServerE2E, WrongExperimentVersionIsRefused) {
   SubmitOptions opt;
   opt.experiment_version = 999;
   EXPECT_THROW((void)client.submit("demo.mc_tail", opt), ServerError);
+}
+
+// A client of the retired v2 protocol, whose Submit still carried
+// chunk_size and threads, is refused at the handshake with
+// Error{BadVersion} (code 2) instead of having its frames misparsed, and
+// the daemon goes on serving current clients.
+TEST(ServerE2E, OlderProtocolVersionIsRefusedAndTheDaemonSurvives) {
+  TestServer ts;
+  {
+    const mss::util::Fd fd = mss::util::unix_connect(ts.socket_path, 2'000);
+    WireWriter w;
+    w.u8(std::uint8_t(FrameType::Hello));
+    w.u32(kProtocolVersion - 1);
+    send_frame(fd, w.take(), 2'000);
+    const auto reply = recv_frame(fd, 2'000);
+    ASSERT_TRUE(reply.has_value());
+    WireReader r(*reply);
+    EXPECT_EQ(FrameType(r.u8()), FrameType::Error);
+    EXPECT_EQ(r.u16(), 2u);
+  }
+  Client client(ts.socket_path);
+  EXPECT_EQ(client.server_id(), "mss-server/1");
 }
 
 TEST(ServerE2E, CancelledJobReportsCancelledState) {

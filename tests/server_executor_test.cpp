@@ -1,5 +1,5 @@
 // server::run_cached vs sweep::Runner: bit-identical rows for every thread
-// policy and chunk size, warm-cache reruns, memo duplicates (the executor
+// policy and stripe size, warm-cache reruns, memo duplicates (the executor
 // is the one memo implementation), cooperative cancellation and stripe
 // streaming, and the served-row guard: every registered experiment's rows
 // over a small fixed space are pinned to its (id, version).
@@ -100,7 +100,7 @@ TEST(RunCached, MatchesRunnerBitIdenticallyAcrossPolicies) {
       "ref", [&](const Point& p, mss::util::Rng& rng) {
         return exp.evaluate(p, rng);
       });
-  const mss::sweep::Runner runner({.threads = 1, .chunk_size = 3, .seed = 77});
+  const mss::sweep::Runner runner({.threads = 1, .seed = 77});
   const auto expected = runner.run(space, runner_exp);
 
   for (const std::size_t threads : {std::size_t(1), std::size_t(0),
@@ -109,7 +109,6 @@ TEST(RunCached, MatchesRunnerBitIdenticallyAcrossPolicies) {
                                             std::size_t(100)}) {
       ExecOptions opt;
       opt.seed = 77;
-      opt.chunk_size = 3;
       opt.threads = threads;
       opt.stripe_chunks = stripe_chunks;
       Sink sink;

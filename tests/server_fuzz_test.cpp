@@ -147,8 +147,6 @@ std::vector<std::string> seed_payloads() {
     w.str("fuzz.echo");
     w.u32(1);
     w.u64(42);
-    w.u32(1);
-    w.u32(1);
     w.i32(0);
     w.u8(1);
     ParamSpace s;
@@ -162,8 +160,6 @@ std::vector<std::string> seed_payloads() {
     w.str("fuzz.echo");
     w.u32(0);
     w.u64(7);
-    w.u32(0);
-    w.u32(0);
     w.i32(0);
     w.u8(0);
     seeds.push_back(w.take());

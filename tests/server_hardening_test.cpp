@@ -2,15 +2,13 @@
 // concurrent job, max-conns Busy refusal + recovery, handler-exit reaping
 // without new accepts, client RPC deadlines against a silent server,
 // fail-fast connects, run_with_retry resuming bit-identically from the
-// persistent cache, the clamp on a client's requested thread count, and
-// the bound on a submitted space's point count.
+// persistent cache, and the bound on a submitted space's point count.
 #include <gtest/gtest.h>
 
 #include <cerrno>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <memory>
 #include <optional>
 #include <string>
@@ -74,16 +72,6 @@ bool eventually(Cond cond) {
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
   }
   return cond();
-}
-
-/// The `Threads:` line of /proc/self/status (0 if unreadable).
-long process_threads() {
-  std::ifstream status("/proc/self/status");
-  std::string line;
-  while (std::getline(status, line)) {
-    if (line.rfind("Threads:", 0) == 0) return std::stol(line.substr(8));
-  }
-  return 0;
 }
 
 bool bit_equal_tables(const mss::sweep::ResultTable& a,
@@ -284,38 +272,6 @@ TEST(ServerHardening, RunWithRetryResumesBitIdenticallyThroughBusy) {
   EXPECT_EQ(result.status.cache_hits, 10u);
   EXPECT_TRUE(bit_equal_tables(result.table, baseline));
   std::remove(cache.c_str());
-}
-
-// Every distinct thread count a job runs with is a persistent pool, so
-// the daemon clamps a Submit's `threads` to the hardware: a hostile
-// threads=4096 costs at most one hardware-sized pool, and the rows are
-// still bit-identical to a serial run.
-TEST(ServerHardening, SubmittedThreadCountIsClampedToTheHardware) {
-  SubmitOptions sopt;
-  sopt.seed = 4242;
-  sopt.space = demo_space(300, 12);
-
-  mss::sweep::ResultTable serial({""});
-  {
-    TestServer ts;
-    Client client(ts.socket_path);
-    sopt.threads = 1;
-    serial = client.fetch(client.submit("demo.mc_tail", sopt)).table;
-  }
-
-  TestServer ts;
-  Client client(ts.socket_path);
-  ASSERT_TRUE(eventually([&] { return ts.server->live_connections() == 1u; }));
-  const long before = process_threads();
-  ASSERT_GT(before, 0) << "/proc/self/status unreadable";
-  sopt.threads = 4096;
-  const auto wide = client.fetch(client.submit("demo.mc_tail", sopt));
-  const long after = process_threads();
-
-  EXPECT_EQ(wide.status.state, JobState::Done);
-  EXPECT_EQ(wide.status.evaluated, 12u);
-  EXPECT_LE(after - before, long(std::thread::hardware_concurrency()));
-  EXPECT_TRUE(bit_equal_tables(wide.table, serial));
 }
 
 // 64 binary axes fit in a ~2 KB Submit frame, yet their product wraps the

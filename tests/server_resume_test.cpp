@@ -55,7 +55,7 @@ pid_t spawn_server(const std::string& bin, const std::string& socket_path,
                    const std::string& cache_path) {
   const pid_t pid = ::fork();
   if (pid == 0) {
-    // Stripe of 2 chunks: fine-grained cache appends, so a mid-job kill
+    // Stripe of 2 points: fine-grained cache appends, so a mid-job kill
     // leaves plenty of resumable rows behind.
     ::execl(bin.c_str(), bin.c_str(), "--socket", socket_path.c_str(),
             "--cache", cache_path.c_str(), "--stripe", "2",

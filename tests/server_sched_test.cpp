@@ -195,7 +195,7 @@ TEST(ServerSched, EqualPriorityJobsRoundRobin) {
   EXPECT_EQ(std::count(small_last, log.end(), kBig), 18);
 
   // Interleaving is invisible in the rows: both match solo runs bit for
-  // bit (the RNG stream of point i depends only on seed/chunk/index).
+  // bit (the RNG stream of point i depends only on seed/index).
   EXPECT_TRUE(
       tables_bit_identical(big_result.table, solo_run(big_space, seed_big)));
   EXPECT_TRUE(tables_bit_identical(small_result.table,
@@ -246,7 +246,7 @@ TEST(ServerSched, HigherPriorityPreemptsAtStripeBoundary) {
 }
 
 // The slices counter counts scheduling quanta exactly: 9 points at
-// chunk 1, stripe 2 chunks -> ceil(9/2) = 5 slices.
+// stripe of 2 points -> ceil(9/2) = 5 slices.
 TEST(ServerSched, SlicesCounterCountsStripes) {
   TestServer ts(/*threads=*/1, /*stripe_chunks=*/2);
   Client client(ts.socket_path);

@@ -1,15 +1,17 @@
 // The TCP transport: host:port parsing, in-process listen/connect over
 // IPv4 (and IPv6 when available), byte-identical protocol behaviour and
 // bit-identical rows versus the unix-socket transport, transient-error
-// handling, and a real-binaries end-to-end run (mss-server --listen +
-// mss-client --connect) compared byte-for-byte against the unix path.
+// handling, a real-binaries end-to-end run (mss-server --listen +
+// mss-client --connect) compared byte-for-byte against the unix path, and
+// both binaries' refusal of malformed numeric flags.
 //
 // Binary paths arrive via MSS_SERVER_BIN / MSS_CLIENT_BIN (set by CMake
-// for the ctest run); the binary E2E self-skips when they are absent
-// (e.g. a build that only compiled the test targets).
+// for the ctest run); the real-binaries cases self-skip when they are
+// absent (e.g. a build that only compiled the test targets).
 #include <gtest/gtest.h>
 
 #include <array>
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -17,8 +19,10 @@
 #include <string>
 #include <system_error>
 #include <thread>
+#include <utility>
 #include <vector>
 
+#include <fcntl.h>
 #include <signal.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -265,16 +269,46 @@ std::unique_ptr<SpawnedServer> spawn_server(const std::string& bin,
   return server;
 }
 
-TEST(ServerTcpE2E, ClientOverTcpMatchesUnixByteForByte) {
-  const char* server_bin = std::getenv("MSS_SERVER_BIN");
-  const char* client_bin = std::getenv("MSS_CLIENT_BIN");
-  if (server_bin == nullptr || *server_bin == '\0' ||
-      ::access(server_bin, X_OK) != 0) {
-    GTEST_SKIP() << "MSS_SERVER_BIN not set/executable (ctest exports it)";
+/// The binary that environment variable `var` names; "" when it is unset
+/// or not executable.
+std::string tool_bin(const char* var) {
+  const char* path = std::getenv(var);
+  return path != nullptr && ::access(path, X_OK) == 0 ? path : "";
+}
+
+/// Runs `argv` with its output discarded and returns its exit code; -1
+/// when it did not exit normally within 10 s (it is then killed).
+int exit_code(const std::vector<std::string>& argv) {
+  std::vector<char*> args; // built before fork: the child only execs
+  for (const auto& a : argv) args.push_back(const_cast<char*>(a.c_str()));
+  args.push_back(nullptr);
+  const pid_t pid = ::fork();
+  if (pid < 0) return -1;
+  if (pid == 0) {
+    const int null = ::open("/dev/null", O_WRONLY);
+    ::dup2(null, 1);
+    ::dup2(null, 2);
+    ::execv(args[0], args.data());
+    std::_Exit(127);
   }
-  if (client_bin == nullptr || *client_bin == '\0' ||
-      ::access(client_bin, X_OK) != 0) {
-    GTEST_SKIP() << "MSS_CLIENT_BIN not set/executable (ctest exports it)";
+  int wstatus = 0;
+  for (int i = 0; i < 1000; ++i) {
+    if (::waitpid(pid, &wstatus, WNOHANG) == pid) {
+      return WIFEXITED(wstatus) ? WEXITSTATUS(wstatus) : -1;
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  ::kill(pid, SIGKILL);
+  ::waitpid(pid, &wstatus, 0);
+  return -1;
+}
+
+TEST(ServerTcpE2E, ClientOverTcpMatchesUnixByteForByte) {
+  const std::string server_bin = tool_bin("MSS_SERVER_BIN");
+  const std::string client_bin = tool_bin("MSS_CLIENT_BIN");
+  if (server_bin.empty() || client_bin.empty()) {
+    GTEST_SKIP() << "MSS_SERVER_BIN/MSS_CLIENT_BIN not set/executable "
+                    "(ctest exports them)";
   }
 
   // Two independent servers (separate in-memory caches) isolate the
@@ -291,12 +325,12 @@ TEST(ServerTcpE2E, ClientOverTcpMatchesUnixByteForByte) {
   const std::string args = " run nvsim.explore --format csv --seed 1234";
   int tcp_status = -1;
   const std::string via_tcp =
-      run_capture(std::string(client_bin) + " --connect " +
+      run_capture(client_bin + " --connect " +
                       tcp_server->tcp_endpoint + args + " 2>/dev/null",
                   tcp_status);
   int unix_status = -1;
   const std::string via_unix =
-      run_capture(std::string(client_bin) + " --socket " + unix_sock + args +
+      run_capture(client_bin + " --socket " + unix_sock + args +
                       " 2>/dev/null",
                   unix_status);
 
@@ -310,6 +344,40 @@ TEST(ServerTcpE2E, ClientOverTcpMatchesUnixByteForByte) {
 
   std::remove(tcp_sock.c_str());
   std::remove(unix_sock.c_str());
+}
+
+// A numeric flag that is not a whole in-range integer is a usage error
+// (exit 2), never a silent 0 — which --max-conns reads as "unlimited",
+// --io-timeout as "never evict" and --timeout as "block forever". The
+// server exits before it binds its socket.
+TEST(ServerTcpE2E, MalformedNumericFlagsExitWithUsageError) {
+  const std::string server_bin = tool_bin("MSS_SERVER_BIN");
+  const std::string client_bin = tool_bin("MSS_CLIENT_BIN");
+  if (server_bin.empty() || client_bin.empty()) {
+    GTEST_SKIP() << "MSS_SERVER_BIN/MSS_CLIENT_BIN not set/executable "
+                    "(ctest exports them)";
+  }
+  const std::string sock = temp_name(".sock");
+  for (const auto& [flag, value] :
+       std::vector<std::pair<std::string, std::string>>{
+           {"--max-conns", "abc"},
+           {"--io-timeout", "abc"},
+           {"--io-timeout", "3000000"}, // * 1000 overflows an int
+           {"--stripe", "-1"},
+           {"--threads", "2x"}}) {
+    EXPECT_EQ(exit_code({server_bin, "--socket", sock, flag, value}), 2)
+        << flag << " " << value;
+    EXPECT_NE(::access(sock.c_str(), F_OK), 0) << "mss-server bound " << sock;
+  }
+  for (const auto& [flag, value] :
+       std::vector<std::pair<std::string, std::string>>{
+           {"--timeout", "abc"}, {"--retries", "1e3"}, {"--seed", ""}}) {
+    EXPECT_EQ(
+        exit_code({client_bin, "--socket", sock, flag, value, "experiments"}),
+        2)
+        << flag << " " << value;
+  }
+  std::remove(sock.c_str());
 }
 
 } // namespace

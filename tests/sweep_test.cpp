@@ -212,7 +212,6 @@ TEST(Runner, BitIdenticalForAnyThreadCount) {
   const auto space = sw::ParamSpace().cross(sw::Axis::linear("x", 0.0, 1.0, 97));
   sw::RunOptions serial;
   serial.threads = 1;
-  serial.chunk_size = 4;
   auto pooled = serial;
   pooled.threads = 8;
   const auto a = sw::Runner(serial).run(space, stochastic_experiment());

@@ -10,7 +10,7 @@
 //   mss-client [transport] run EXPERIMENT [submit flags] [--format ...]
 //   mss-client [transport] shutdown
 //
-// submit flags: --seed N --priority N --chunk N --threads N
+// submit flags: --seed N --priority N
 // `run` = submit + blocking fetch in one call.
 //
 // Resilience: connects fail fast (5 s deadline) instead of hanging on a
@@ -18,15 +18,20 @@
 // deadline; --retries N retries retryable failures (connection refused,
 // reset, Busy, ShuttingDown) with exponential backoff — for `run`, the
 // whole submit+fetch is retried and resumes from the server's cache.
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
+#include <limits>
 #include <string>
 #include <vector>
 
+#include "cli_flags.hpp"
 #include "server/client.hpp"
 
 namespace {
+
+using mss::tools::parse_number;
+using mss::tools::parse_seconds_ms;
 
 void usage(const char* argv0) {
   std::fprintf(
@@ -34,7 +39,7 @@ void usage(const char* argv0) {
       "usage: %s [--socket PATH | --connect HOST:PORT]\n"
       "          [--timeout SEC] [--retries N] COMMAND ...\n"
       "  experiments                         list servable experiments\n"
-      "  submit EXP [--seed N] [--priority N] [--chunk N] [--threads N]\n"
+      "  submit EXP [--seed N] [--priority N]\n"
       "  status JOB                          one status snapshot\n"
       "  cancel JOB                          cooperative cancellation\n"
       "  fetch JOB [--format console|csv|json]  stream the result table\n"
@@ -74,14 +79,9 @@ void print_table(const mss::sweep::ResultTable& table,
   }
 }
 
-std::uint64_t parse_u64(const char* s) {
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(s, &end, 10);
-  if (end == s || *end != '\0') {
-    std::fprintf(stderr, "not a number: %s\n", s);
-    std::exit(2);
-  }
-  return v;
+/// The job id operand of status/cancel/fetch.
+std::uint64_t job_id(const std::string& s) {
+  return parse_number<std::uint64_t>("JOB", s.c_str());
 }
 
 } // namespace
@@ -115,19 +115,16 @@ int main(int argc, char** argv) {
     } else if (arg == "--format") {
       format = next();
     } else if (arg == "--timeout") {
-      const int ms = int(std::strtol(next(), nullptr, 10)) * 1000;
+      const int ms = parse_seconds_ms(arg.c_str(), next());
       client_options.connect_timeout_ms = ms;
       client_options.io_timeout_ms = ms;
     } else if (arg == "--retries") {
-      retry.attempts = 1 + int(parse_u64(next()));
+      retry.attempts = 1 + parse_number(arg.c_str(), next(), 0,
+                                        std::numeric_limits<int>::max() - 1);
     } else if (arg == "--seed") {
-      submit.seed = parse_u64(next());
+      submit.seed = parse_number<std::uint64_t>(arg.c_str(), next());
     } else if (arg == "--priority") {
-      submit.priority = std::int32_t(std::strtol(next(), nullptr, 10));
-    } else if (arg == "--chunk") {
-      submit.chunk_size = std::uint32_t(parse_u64(next()));
-    } else if (arg == "--threads") {
-      submit.threads = std::uint32_t(parse_u64(next()));
+      submit.priority = parse_number<std::int32_t>(arg.c_str(), next());
     } else if (arg == "--help" || arg == "-h") {
       usage(argv[0]);
       return 0;
@@ -196,15 +193,15 @@ int main(int argc, char** argv) {
       return 0;
     }
     if (command == "status") {
-      print_status(client.status(parse_u64(positional[1].c_str())));
+      print_status(client.status(job_id(positional[1])));
       return 0;
     }
     if (command == "cancel") {
-      print_status(client.cancel(parse_u64(positional[1].c_str())));
+      print_status(client.cancel(job_id(positional[1])));
       return 0;
     }
     if (command == "fetch") {
-      const std::uint64_t id = parse_u64(positional[1].c_str());
+      const std::uint64_t id = job_id(positional[1]);
       const auto result = client.fetch(id);
       print_table(result.table, format);
       print_status(result.status, stderr); // keep csv/json on stdout clean

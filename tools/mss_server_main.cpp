@@ -8,13 +8,16 @@
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 #include <thread>
 
+#include "cli_flags.hpp"
 #include "server/server.hpp"
 
 namespace {
+
+using mss::tools::parse_number;
+using mss::tools::parse_seconds_ms;
 
 std::atomic<bool> g_stop{false};
 
@@ -27,7 +30,7 @@ void usage(const char* argv0) {
                "          [--cache-max-bytes N] [--compact-cache] "
                "[--compact-on-start]\n"
                "          [--io-timeout SEC] [--max-conns N]\n"
-               "          [--threads N] [--chunk N] [--stripe N]\n"
+               "          [--threads N] [--stripe N]\n"
                "  --socket PATH   unix socket to listen on "
                "(default ./mss-server.sock)\n"
                "  --listen H:P    additionally listen on TCP (\":0\" = "
@@ -59,8 +62,7 @@ void usage(const char* argv0) {
                "                  Busy error (default 256, 0 = unlimited)\n"
                "  --threads N     job thread policy: 0 = shared pool "
                "(default), 1 = serial\n"
-               "  --chunk N       default sweep chunk size (default 1)\n"
-               "  --stripe N      chunks per streaming/cancellation/"
+               "  --stripe N      points per streaming/cancellation/"
                "scheduling stripe\n"
                "                  (default 8)\n",
                argv0);
@@ -89,21 +91,19 @@ int main(int argc, char** argv) {
     } else if (arg == "--cache") {
       options.cache_path = next();
     } else if (arg == "--cache-max-bytes") {
-      options.cache_max_bytes = std::strtoul(next(), nullptr, 10);
+      options.cache_max_bytes = parse_number<std::size_t>(arg.c_str(), next());
     } else if (arg == "--compact-cache") {
       compact_only = true;
     } else if (arg == "--compact-on-start") {
       options.compact_cache_on_start = true;
     } else if (arg == "--io-timeout") {
-      options.io_timeout_ms = int(std::strtol(next(), nullptr, 10)) * 1000;
+      options.io_timeout_ms = parse_seconds_ms(arg.c_str(), next());
     } else if (arg == "--max-conns") {
-      options.max_conns = std::strtoul(next(), nullptr, 10);
+      options.max_conns = parse_number<std::size_t>(arg.c_str(), next());
     } else if (arg == "--threads") {
-      options.threads = std::strtoul(next(), nullptr, 10);
-    } else if (arg == "--chunk") {
-      options.chunk_size = std::strtoul(next(), nullptr, 10);
+      options.threads = parse_number<std::size_t>(arg.c_str(), next());
     } else if (arg == "--stripe") {
-      options.stripe_chunks = std::strtoul(next(), nullptr, 10);
+      options.stripe_chunks = parse_number<std::size_t>(arg.c_str(), next());
     } else {
       usage(argv[0]);
       return arg == "--help" || arg == "-h" ? 0 : 2;

@@ -100,8 +100,8 @@ void BM_SpiceRcTransient(benchmark::State& state) {
                                                     mss::spice::kGround,
                                                     1e-12));
     mss::spice::Engine eng(ckt);
-    const auto tr = eng.transient(5e-9, 5e-12);
-    benchmark::DoNotOptimize(tr.v("out", tr.size() - 1));
+    const auto tr = eng.transient(5e-9, 5e-12, {"v(out)"});
+    benchmark::DoNotOptimize(tr.waveform("v(out)").back());
   }
   state.SetItemsProcessed(state.iterations() * 1000); // steps per run
 }
@@ -129,10 +129,10 @@ void BM_SpiceSparseTransient(benchmark::State& state) {
   mss::spice::Engine eng(ckt);
   constexpr double kDt = 10e-12;
   constexpr double kStop = 2e-9; // 200 steps per run
-  const std::string far_node = "n" + std::to_string(n - 1);
+  const std::string far_probe = "v(n" + std::to_string(n - 1) + ")";
   for (auto _ : state) {
-    const auto tr = eng.transient(kStop, kDt);
-    benchmark::DoNotOptimize(tr.v(far_node, tr.size() - 1));
+    const auto tr = eng.transient(kStop, kDt, {far_probe});
+    benchmark::DoNotOptimize(tr.waveform(far_probe).back());
   }
   state.SetItemsProcessed(state.iterations() * 200); // steps per run
   state.counters["dim"] = double(n + 1);
@@ -163,11 +163,15 @@ void BM_SpiceArrayWrite(benchmark::State& state) {
 // Every size runs the flat sparse backend. MinTime is raised above the
 // 0.5 s default because rows:1024 / rows:64 feed the intra-snapshot
 // --max-ratio CI gate: more iterations per measurement dilute scheduler
-// bursts that would otherwise skew the ratio on a loaded runner.
-BENCHMARK(BM_SpiceArrayWrite)->ArgName("rows")->Arg(16)->Arg(32)->Arg(64)
-    ->Arg(256)
+// bursts that would otherwise skew the ratio on a loaded runner. rows:64
+// is the gate's ~16 ms denominator, the noisier side of the ratio, so it
+// averages over five times as long.
+BENCHMARK(BM_SpiceArrayWrite)->ArgName("rows")->Arg(16)->Arg(32)->Arg(256)
     ->Arg(1024)
     ->MinTime(2.0)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_SpiceArrayWrite)->ArgName("rows")->Arg(64)
+    ->MinTime(10.0)
     ->Unit(benchmark::kMillisecond);
 
 /// The cell-level netlists of the fig. 6 test chip (tens of unknowns each):

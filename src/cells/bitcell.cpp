@@ -64,8 +64,12 @@ BitcellWriteResult Bitcell::characterize_write(WriteDirection dir,
   ckt.add(std::make_unique<Capacitor>("csl", sl, spice::kGround,
                                       opt_.c_sourceline));
 
+  // Energy from whichever source drives the pulse.
+  const std::string source = to_p ? "vbl" : "vsl";
+  const std::string drive = to_p ? "bl" : "sl";
   Engine engine(ckt);
-  const auto tr = engine.transient(t_stop, opt_.sim_dt);
+  const auto tr = engine.transient(
+      t_stop, opt_.sim_dt, {"i(" + source + ")", "v(" + drive + ")"});
 
   BitcellWriteResult out;
   out.switched = mtj->state() == (to_p ? MtjState::Parallel
@@ -73,8 +77,7 @@ BitcellWriteResult Bitcell::characterize_write(WriteDirection dir,
   if (!mtj->flip_times().empty()) {
     out.t_switch = mtj->flip_times().front() - t_start;
   }
-  // Energy from whichever source drives the pulse.
-  out.energy = source_energy(tr, to_p ? "vbl" : "vsl", to_p ? "bl" : "sl");
+  out.energy = source_energy(tr, source, drive);
 
   for (const auto& [t, i] : mtj->current_trace()) {
     out.i_peak = std::max(out.i_peak, std::abs(i));
@@ -110,15 +113,18 @@ BitcellReadResult Bitcell::characterize_read(double t_read) const {
     ckt.add(std::make_unique<Capacitor>("cbl", bl, spice::kGround,
                                         opt_.c_bitline));
 
-    Engine engine(ckt);
-    const auto tr = engine.transient(0.2e-9 + t_read + 0.3e-9, opt_.sim_dt);
-
     // MDL pipeline: settled bitline-source current during the pulse.
     const double t_lo = 0.2e-9 + 0.6 * t_read;
     const double t_hi = 0.2e-9 + 0.95 * t_read;
-    const std::string mdl = "meas iread avg i(vbl) from=" + mdl_num(t_lo) +
-                            " to=" + mdl_num(t_hi) + "\n";
-    const auto meas = run_mdl_pipeline(tr, mdl);
+    const auto script = spice::mdl::Script::parse(
+        "meas iread avg i(vbl) from=" + mdl_num(t_lo) +
+        " to=" + mdl_num(t_hi) + "\n");
+    auto probes = script.signals();
+    probes.push_back("v(bl)"); // read energy
+    Engine engine(ckt);
+    const auto tr =
+        engine.transient(0.2e-9 + t_read + 0.3e-9, opt_.sim_dt, probes);
+    const auto meas = run_mdl_pipeline(tr, script);
     const double i_cell = std::abs(meas.at("iread"));
     if (st == MtjState::Parallel) {
       out.i_cell_p = i_cell;

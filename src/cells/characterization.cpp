@@ -27,27 +27,25 @@ DeviceCards device_cards(const core::Pdk& pdk) {
 
 double source_energy(const spice::TransientResult& tr,
                      const std::string& vsource_name,
-                     const std::string& plus_node,
-                     const std::string& minus_node) {
+                     const std::string& plus_node) {
   // SPICE convention: the stored branch current flows from the + terminal
   // *through the source* to the - terminal, so a delivering source carries
   // negative branch current and the power it delivers is p = -v * i.
   const auto& times = tr.times();
+  const auto& v = tr.waveform("v(" + plus_node + ")");
+  const auto& i = tr.waveform("i(" + vsource_name + ")");
   double e = 0.0;
   for (std::size_t k = 1; k < times.size(); ++k) {
     const double dt = times[k] - times[k - 1];
-    const double p0 = -(tr.v(plus_node, k - 1) - tr.v(minus_node, k - 1)) *
-                      tr.i(vsource_name, k - 1);
-    const double p1 = -(tr.v(plus_node, k) - tr.v(minus_node, k)) *
-                      tr.i(vsource_name, k);
+    const double p0 = -v[k - 1] * i[k - 1];
+    const double p1 = -v[k] * i[k];
     e += 0.5 * (p0 + p1) * dt;
   }
   return e;
 }
 
 std::map<std::string, double> run_mdl_pipeline(
-    const spice::TransientResult& tr, const std::string& mdl_script_text) {
-  const auto script = spice::mdl::Script::parse(mdl_script_text);
+    const spice::TransientResult& tr, const spice::mdl::Script& script) {
   const auto results = script.evaluate(tr);
   const std::string file = spice::mdl::write_measure_file(results);
   return spice::mdl::parse_measure_file(file);
@@ -61,10 +59,14 @@ ArrayWriteResult characterize_array_write(const core::Pdk& pdk,
   const double t_stop = t_start + pulse_width + 1.0e-9;
   auto net = build_array_write_netlist(pdk, opt, dir, pulse_width);
 
-  spice::Engine engine(net.circuit);
-  const auto tr = engine.transient(t_stop, opt.sim_dt);
-
+  // Energy from whichever source drives the pulse.
   const bool to_p = dir == core::WriteDirection::ToParallel;
+  const std::string& source = to_p ? net.v_bitline : net.v_sourceline;
+  const std::string& drive = to_p ? net.bl_drive_node : net.sl_drive_node;
+  spice::Engine engine(net.circuit);
+  const auto tr = engine.transient(
+      t_stop, opt.sim_dt, {"i(" + source + ")", "v(" + drive + ")"});
+
   ArrayWriteResult out;
   out.converged = tr.converged();
   out.dim = net.dim;
@@ -76,8 +78,7 @@ ArrayWriteResult characterize_array_write(const core::Pdk& pdk,
   if (!net.target_mtj->flip_times().empty()) {
     out.t_switch = net.target_mtj->flip_times().front() - t_start;
   }
-  out.energy = source_energy(tr, to_p ? net.v_bitline : net.v_sourceline,
-                             to_p ? net.bl_drive_node : net.sl_drive_node);
+  out.energy = source_energy(tr, source, drive);
   for (const auto& [t, i] : net.target_mtj->current_trace()) {
     out.i_peak = std::max(out.i_peak, std::abs(i));
     if (net.target_mtj->flip_times().empty() ||
@@ -96,16 +97,18 @@ ArrayReadResult characterize_array_read(const core::Pdk& pdk,
   for (const core::MtjState st :
        {core::MtjState::Parallel, core::MtjState::Antiparallel}) {
     auto net = build_array_read_netlist(pdk, opt, st, t_read);
-    spice::Engine engine(net.circuit);
-    const auto tr = engine.transient(t_start + t_read + 0.3e-9, opt.sim_dt);
-
     // MDL pipeline: settled bitline-source current during the pulse.
     const double t_lo = t_start + 0.6 * t_read;
     const double t_hi = t_start + 0.95 * t_read;
-    const std::string mdl = "meas iread avg i(" + net.v_bitline +
-                            ") from=" + mdl_num(t_lo) +
-                            " to=" + mdl_num(t_hi) + "\n";
-    const auto meas = run_mdl_pipeline(tr, mdl);
+    const auto script = spice::mdl::Script::parse(
+        "meas iread avg i(" + net.v_bitline + ") from=" + mdl_num(t_lo) +
+        " to=" + mdl_num(t_hi) + "\n");
+    auto probes = script.signals();
+    probes.push_back("v(" + net.bl_drive_node + ")"); // read energy
+    spice::Engine engine(net.circuit);
+    const auto tr =
+        engine.transient(t_start + t_read + 0.3e-9, opt.sim_dt, probes);
+    const auto meas = run_mdl_pipeline(tr, script);
     const double i_cell = std::abs(meas.at("iread"));
     out.dim = net.dim;
     out.steps = tr.accepted_steps();

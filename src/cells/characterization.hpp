@@ -34,22 +34,22 @@ struct DeviceCards {
 /// fixed 6-decimal notation and truncates nanosecond-scale values to zero.)
 [[nodiscard]] std::string mdl_num(double v);
 
-/// Energy *delivered by* a voltage source over the run [J]:
-/// integral of -(v(plus) - v(minus)) * i_branch dt, following the SPICE
-/// convention that the branch current flows from + through the source to -
-/// (a delivering source therefore carries negative branch current).
+/// Energy *delivered by* a grounded voltage source over the run [J]:
+/// integral of -v(plus) * i_branch dt, following the SPICE convention that
+/// the branch current flows from + through the source to - (a delivering
+/// source therefore carries negative branch current). The run must have
+/// probed `i(<vsource_name>)` and `v(<plus_node>)`.
 [[nodiscard]] double source_energy(const spice::TransientResult& tr,
                                    const std::string& vsource_name,
-                                   const std::string& plus_node,
-                                   const std::string& minus_node = "0");
+                                   const std::string& plus_node);
 
-/// Runs the full paper pipeline on a finished transient: evaluate the MDL
-/// script text, serialise the measurement file, re-parse it, and return the
-/// extracted name->value map. Exercising the round trip (rather than using
-/// the in-memory results directly) is deliberate: it is the flow the paper
-/// describes.
+/// Runs the rest of the paper pipeline on a transient that probed
+/// `script.signals()`: evaluate the script, serialise the measurement file,
+/// re-parse it, and return the extracted name->value map. Exercising the
+/// round trip (rather than using the in-memory results directly) is
+/// deliberate: it is the flow the paper describes.
 [[nodiscard]] std::map<std::string, double> run_mdl_pipeline(
-    const spice::TransientResult& tr, const std::string& mdl_script_text);
+    const spice::TransientResult& tr, const spice::mdl::Script& script);
 
 /// Outcome of an array-scale write characterisation.
 struct ArrayWriteResult {

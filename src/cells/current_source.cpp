@@ -67,14 +67,12 @@ CurrentSourceResult CurrentSource::characterize() const {
       continue;
     }
     // Output current = current through the load supply (delivering =>
-    // negative branch current).
-    // The branch index is the load source's unknown; read it via a 1-step
-    // transient for the name-based accessor instead of poking indices.
-    const auto tr = engine.transient(1e-10, 1e-11);
-    const double i_out = -tr.i("vload", tr.size() - 1);
+    // negative branch current), read at the end of a short transient.
+    const auto tr = engine.transient(1e-10, 1e-11, {"i(vload)", "i(vvdd)"});
+    const double i_out = -tr.waveform("i(vload)").back();
     out.levels.push_back(i_out);
     if (k == opt_.n_mtj / 2) {
-      const double i_vdd = -tr.i("vvdd", tr.size() - 1);
+      const double i_vdd = -tr.waveform("i(vvdd)").back();
       out.static_power = vdd * (i_vdd + i_out);
     }
   }

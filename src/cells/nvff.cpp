@@ -81,8 +81,9 @@ NvffResult Nvff::characterize(bool bit) const {
                                                      MtjState::Antiparallel));
 
     Engine engine(ckt);
-    const auto tr = engine.transient(t2, opt_.sim_dt,
-                                     /*use_initial_conditions=*/true);
+    const auto tr = engine.transient(
+        t2, opt_.sim_dt, {"i(vvdd)", "v(vdd)", "i(vctl)", "v(ctl)"},
+        /*use_initial_conditions=*/true);
     out.e_store = source_energy(tr, "vvdd", "vdd") +
                   source_energy(tr, "vctl", "ctl");
 
@@ -123,14 +124,17 @@ NvffResult Nvff::characterize(bool bit) const {
                                         mtj_qb_state));
 
     Engine engine(ckt);
-    const auto tr = engine.transient(t_stop, opt_.sim_dt,
-                                     /*use_initial_conditions=*/true);
+    const auto tr = engine.transient(
+        t_stop, opt_.sim_dt, {"i(vvdd)", "v(vdd)", "v(q)", "v(qb)"},
+        /*use_initial_conditions=*/true);
     out.e_restore = source_energy(tr, "vvdd", "vdd");
 
     const auto& times = tr.times();
+    const auto& vq = tr.waveform("v(q)");
+    const auto& vqb = tr.waveform("v(qb)");
     for (std::size_t k = 0; k < times.size(); ++k) {
       if (times[k] < t_ramp0) continue;
-      const double d = tr.v("q", k) - tr.v("qb", k);
+      const double d = vq[k] - vqb[k];
       if (std::abs(d) > vdd / 2.0) {
         out.t_restore = times[k] - t_ramp0;
         out.restore_ok = bit ? (d > 0.0) : (d < 0.0);

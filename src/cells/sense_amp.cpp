@@ -88,16 +88,19 @@ SenseAmpResult SenseAmp::resolve(double v_plus, double v_minus) const {
   ckt.add(std::make_unique<Capacitor>("ct", tail, spice::kGround, 2e-15));
 
   Engine engine(ckt);
-  const auto tr = engine.transient(t_stop, opt_.sim_dt);
+  const auto tr = engine.transient(
+      t_stop, opt_.sim_dt, {"i(vvdd)", "v(vdd)", "v(outp)", "v(outn)"});
 
   SenseAmpResult out;
   out.energy = source_energy(tr, "vvdd", "vdd");
 
   // Resolution: |outp - outn| exceeds vdd/2 after SE.
   const auto& times = tr.times();
+  const auto& v_outp = tr.waveform("v(outp)");
+  const auto& v_outn = tr.waveform("v(outn)");
   for (std::size_t k = 0; k < times.size(); ++k) {
     if (times[k] < t_se) continue;
-    const double d = tr.v("outp", k) - tr.v("outn", k);
+    const double d = v_outp[k] - v_outn[k];
     if (std::abs(d) > vdd / 2.0) {
       out.resolved = true;
       out.t_resolve = times[k] - t_se;

@@ -56,22 +56,25 @@ WriteDriverResult WriteDriver::characterize() const {
   ckt.add(std::make_unique<Capacitor>("cload", ckt.node(out_node),
                                       spice::kGround, opt_.c_load));
 
-  Engine engine(ckt);
-  const auto tr = engine.transient(t_stop, opt_.sim_dt);
-
   // Odd chain inverts; measure whichever polarity with the MDL pipeline.
   const bool inverting = opt_.stages % 2 == 1;
   const double half = vdd / 2.0;
   const std::string rise_edge = inverting ? "fall" : "rise";
   const std::string fall_edge = inverting ? "rise" : "fall";
-  const std::string mdl =
+  const auto script = spice::mdl::Script::parse(
       "meas trise delay trig v(in) val=" + mdl_num(half) +
       " rise=1 targ v(" + out_node + ") val=" + mdl_num(half) + " " +
       rise_edge + "=1\n" +
       "meas tfall delay trig v(in) val=" + mdl_num(half) +
       " fall=1 targ v(" + out_node + ") val=" + mdl_num(half) + " " +
-      fall_edge + "=1\n";
-  const auto meas = run_mdl_pipeline(tr, mdl);
+      fall_edge + "=1\n");
+  auto probes = script.signals();
+  probes.push_back("i(vvdd)"); // cycle energy
+  probes.push_back("v(vdd)");
+
+  Engine engine(ckt);
+  const auto tr = engine.transient(t_stop, opt_.sim_dt, probes);
+  const auto meas = run_mdl_pipeline(tr, script);
 
   WriteDriverResult out;
   out.t_rise = meas.count("trise") ? meas.at("trise") : 0.0;

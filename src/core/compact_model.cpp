@@ -183,21 +183,12 @@ double MtjCompactModel::llgs_switch_probability(WriteDirection dir,
                                                 mss::util::Rng& rng,
                                                 std::size_t threads) const {
   if (n == 0) throw std::invalid_argument("llgs_switch_probability: n == 0");
-  // The n transients are exactly a thermal ensemble from the start basin:
-  // run them through the batched SIMD kernel. Per-trajectory jump
-  // substreams make the probability (and the post-call state of `rng`)
-  // bit-identical for any thread count; trajectories freeze at their first
-  // crossing (stop_on_switch) since only the switch outcome feeds the
-  // statistic.
-  const auto [start_up, current] = llgs_drive(dir, i_write);
-  const physics::LlgSolver solver(llg_params());
-  physics::LlgEnsembleOptions opt;
+  // Plain MC over the n transients is the estimator's default proposal:
+  // the switch count is the complement of its failure count.
+  WerEstimateOptions opt;
   opt.threads = threads;
-  opt.stop_on_switch = true;
-  const physics::Vec3 m0{0.0, 0.0, start_up ? 1.0 : -1.0};
-  const auto ens = solver.integrate_thermal_ensemble(
-      n, m0, t_pulse, /*dt=*/1e-12, current, rng, opt);
-  return ens.p_switch();
+  const auto est = llgs_write_error_rate(dir, i_write, t_pulse, n, rng, opt);
+  return double(n - est.n_failures) / double(n);
 }
 
 WerEstimate MtjCompactModel::llgs_write_error_rate(

@@ -156,13 +156,13 @@ class MtjCompactModel {
                                         double t_pulse, mss::util::Rng& rng,
                                         double dt = 1e-12) const;
 
-  /// Monte-Carlo switching probability from `n` LLGS transients, run
-  /// through the batched SIMD thermal-ensemble kernel: sharded across the
-  /// shared thread pool (`threads`: 0 = the global pool, 1 = serial inline,
-  /// N = a pool of that size) and stepped `physics::LlgSolver::kLanes`
-  /// trajectories at a time inside each thread. Every transient draws from
-  /// its own per-trajectory jump substream, so the result and the post-call
-  /// state of `rng` are bit-identical for any thread count.
+  /// Monte-Carlo switching probability from `n` LLGS transients: the
+  /// switched fraction (n - n_failures) / n of a plain-MC
+  /// `llgs_write_error_rate` run (no threshold spread, 1 ps step), sharded
+  /// across the thread pool (`threads`: 0 = the global pool, 1 = serial
+  /// inline, N = a pool of that size). Every transient draws from its own
+  /// per-trajectory jump substream, so the result and the post-call state
+  /// of `rng` are bit-identical for any thread count.
   [[nodiscard]] double llgs_switch_probability(WriteDirection dir,
                                                double i_write, double t_pulse,
                                                std::size_t n,
@@ -174,9 +174,9 @@ class MtjCompactModel {
   /// `WerEstimateOptions`), runs `n` LLGS transients through
   /// `physics::LlgSolver::estimate_wer`, and returns the weighted estimate
   /// with its relative-error bound and effective sample size. With
-  /// `ic_sigma_rel == 0` this degenerates to 1 - llgs_switch_probability(...)
-  /// over the same substreams. Statistics and the post-call state of `rng`
-  /// are bit-identical for any thread count.
+  /// `ic_sigma_rel == 0` this is plain MC, the run llgs_switch_probability
+  /// counts. Statistics and the post-call state of `rng` are bit-identical
+  /// for any thread count.
   [[nodiscard]] WerEstimate llgs_write_error_rate(
       WriteDirection dir, double i_write, double t_pulse, std::size_t n,
       mss::util::Rng& rng, const WerEstimateOptions& options = {}) const;
@@ -192,7 +192,7 @@ class MtjCompactModel {
 
   /// Start basin and signed stack current of an LLGS write — the one place
   /// the torque sign convention is encoded for both physical-strategy
-  /// entry points (`llgs_write`, `llgs_switch_probability`).
+  /// entry points (`llgs_write`, `llgs_write_error_rate`).
   struct LlgsDrive {
     bool start_up;
     double current;

@@ -379,8 +379,7 @@ LlgEnsembleResult ensemble_run(const LlgSolver& solver, std::size_t n,
       solver.thermal_initial_state_batch(start_up, lane_rngs.data(), mask,
                                          starts);
       const auto run = solver.integrate_thermal_batch(
-          starts, duration, dt, i_amps, lane_rngs.data(), mask,
-          options.stop_on_switch);
+          starts, duration, dt, i_amps, lane_rngs.data(), mask);
       for (std::size_t l = 0; l < lanes; ++l) {
         if (run.switched[l]) {
           ++st.switched;

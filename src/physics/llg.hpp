@@ -82,14 +82,6 @@ struct LlgEnsembleOptions {
   /// Worker threads: 0 = all hardware threads (shared pool), 1 = serial,
   /// N = dedicated pool of N. Statistics are bit-identical for any value.
   std::size_t threads = 0;
-  /// Freeze a lane the step it first crosses m_z = 0: its result (switch
-  /// time, m at the crossing) is recorded and the lane idles — it draws no
-  /// further thermal field — until the whole batch drains, at which point
-  /// the batch exits early. Cheaper when only switching statistics matter,
-  /// but `m_final`/`mean_mz_final` then reflect the crossing instead of the
-  /// end of the pulse, so the default keeps the full-duration integration.
-  /// Deterministic per trajectory, hence invariant to the thread count.
-  bool stop_on_switch = false;
 };
 
 /// Importance-sampling proposal of the per-trajectory switching-threshold

@@ -4,18 +4,22 @@
 
 namespace mss::spice {
 
+namespace {
+
+bool is_ground(const std::string& name) {
+  return name == "0" || name == "gnd" || name == "GND";
+}
+
+} // namespace
+
 int Circuit::node(const std::string& name) {
-  if (name == "0" || name == "gnd" || name == "GND") return kGround;
-  auto it = index_.find(name);
-  if (it != index_.end()) return it->second;
-  const int idx = static_cast<int>(names_.size());
-  names_.push_back(name);
-  index_.emplace(name, idx);
-  return idx;
+  if (is_ground(name)) return kGround;
+  return index_.try_emplace(name, static_cast<int>(index_.size()))
+      .first->second;
 }
 
 int Circuit::find_node(const std::string& name) const {
-  if (name == "0" || name == "gnd" || name == "GND") return kGround;
+  if (is_ground(name)) return kGround;
   auto it = index_.find(name);
   if (it == index_.end()) {
     throw std::out_of_range("Circuit: unknown node '" + name + "'");
@@ -23,8 +27,15 @@ int Circuit::find_node(const std::string& name) const {
   return it->second;
 }
 
+std::size_t Circuit::find_branch(const std::string& name) const {
+  for (const auto& e : elements_) {
+    if (e->branch_count() > 0 && e->name() == name) return e->branch_base();
+  }
+  throw std::out_of_range("Circuit: unknown voltage source '" + name + "'");
+}
+
 std::size_t Circuit::assign_unknowns() {
-  std::size_t next = names_.size();
+  std::size_t next = index_.size();
   for (auto& e : elements_) {
     const int n = e->branch_count();
     if (n > 0) {

@@ -22,7 +22,7 @@
 
 namespace mss::spice {
 
-/// Ground node index sentinel (node "0" or "gnd").
+/// Ground node index sentinel (node "0", "gnd" or "GND").
 inline constexpr int kGround = -1;
 
 /// What the engine is currently computing; elements stamp differently for
@@ -137,8 +137,7 @@ class MnaSystem {
     if (i == kGround) return;
     rhs_[static_cast<std::size_t>(i)] += v;
   }
-  /// System dimension.
-  [[nodiscard]] std::size_t dim() const { return rhs_.size(); }
+
  private:
   SparseSolver& solver_;
   std::vector<double>& rhs_;
@@ -153,8 +152,6 @@ class Solution {
   [[nodiscard]] double v(int node) const {
     return node == kGround ? 0.0 : (*x_)[static_cast<std::size_t>(node)];
   }
-  /// Raw unknown (branch currents live past the node block).
-  [[nodiscard]] double raw(std::size_t idx) const { return (*x_)[idx]; }
 
  private:
   const std::vector<double>* x_;
@@ -176,7 +173,10 @@ class Element {
   [[nodiscard]] virtual int branch_count() const { return 0; }
   /// Called once by the circuit with the index of the first claimed branch
   /// unknown (absolute index into x).
-  virtual void set_branch_base(std::size_t /*base*/) {}
+  void set_branch_base(std::size_t base) { branch_base_ = base; }
+  /// Index of the first claimed branch unknown (valid after
+  /// Circuit::assign_unknowns).
+  [[nodiscard]] std::size_t branch_base() const { return branch_base_; }
 
   /// True when the element's stamps depend on the present iterate
   /// (MOSFET, MTJ): forces Newton iteration.
@@ -195,25 +195,26 @@ class Element {
 
  private:
   std::string name_;
+  std::size_t branch_base_ = 0;
 };
 
 /// The netlist: nodes by name + owned elements.
 class Circuit {
  public:
   /// Returns the index for a node name, creating it on first use.
-  /// "0" and "gnd" map to the ground sentinel.
+  /// "0", "gnd" and "GND" map to the ground sentinel.
   int node(const std::string& name);
 
   /// Number of non-ground nodes.
-  [[nodiscard]] std::size_t node_count() const { return names_.size(); }
+  [[nodiscard]] std::size_t node_count() const { return index_.size(); }
 
-  /// Name of node index i.
-  [[nodiscard]] const std::string& node_name(std::size_t i) const {
-    return names_[i];
-  }
-
-  /// Index of an existing node; throws std::out_of_range if absent.
+  /// Index of an existing node (kGround for a ground name); throws
+  /// std::out_of_range if absent.
   [[nodiscard]] int find_node(const std::string& name) const;
+
+  /// Branch-current unknown of the named voltage source (valid after
+  /// assign_unknowns); throws std::out_of_range if there is none.
+  [[nodiscard]] std::size_t find_branch(const std::string& name) const;
 
   /// Adds an element (ownership transferred). Returns a borrowed pointer
   /// usable for later state queries.
@@ -225,9 +226,6 @@ class Circuit {
   }
 
   /// Owned elements.
-  [[nodiscard]] const std::vector<std::unique_ptr<Element>>& elements() const {
-    return elements_;
-  }
   [[nodiscard]] std::vector<std::unique_ptr<Element>>& elements() {
     return elements_;
   }
@@ -246,7 +244,6 @@ class Circuit {
 
  private:
   std::unordered_map<std::string, int> index_;
-  std::vector<std::string> names_;
   std::vector<std::unique_ptr<Element>> elements_;
 };
 

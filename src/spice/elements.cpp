@@ -71,7 +71,7 @@ VoltageSource::VoltageSource(std::string name, int plus, int minus,
 
 void VoltageSource::stamp(MnaSystem& st, const Solution&,
                           const StampContext& ctx) const {
-  const int br = static_cast<int>(branch_);
+  const int br = static_cast<int>(branch_base());
   // KCL rows: current leaves + node, enters - node; branch row:
   // v(+) - v(-) = V(t).
   st.add_all(slots_,

@@ -50,18 +50,12 @@ class VoltageSource final : public Element {
   VoltageSource(std::string name, int plus, int minus,
                 std::unique_ptr<Waveform> wave);
   [[nodiscard]] int branch_count() const override { return 1; }
-  void set_branch_base(std::size_t base) override { branch_ = base; }
   void stamp(MnaSystem& st, const Solution& x,
              const StampContext& ctx) const override;
-  /// Index of the branch-current unknown (valid after assign_unknowns).
-  [[nodiscard]] std::size_t branch_index() const { return branch_; }
-  /// Source value at time t.
-  [[nodiscard]] double value(double t) const { return wave_->value(t); }
 
  private:
   int plus_, minus_;
   std::unique_ptr<Waveform> wave_;
-  std::size_t branch_ = 0;
   mutable StampSlots<4> slots_;
 };
 

@@ -4,57 +4,36 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "spice/elements.hpp"
-
 namespace mss::spice {
 
-std::size_t TransientResult::idx_of_node(const std::string& node) const {
-  auto it = node_index_.find(node);
-  if (it == node_index_.end()) {
-    throw std::out_of_range("TransientResult: unknown node '" + node + "'");
+namespace {
+
+/// Unknown a probe reads: `v(<node>)` resolves through Circuit::find_node
+/// (kGround for a ground name), `i(<vsource>)` to the source's branch.
+int resolve_probe(const Circuit& ckt, const std::string& probe) {
+  const bool call =
+      probe.size() >= 4 && probe[1] == '(' && probe.back() == ')';
+  const std::string name = call ? probe.substr(2, probe.size() - 3) : "";
+  if (call && (probe[0] == 'v' || probe[0] == 'V')) {
+    return ckt.find_node(name);
   }
-  return it->second;
-}
-
-std::size_t TransientResult::idx_of_source(const std::string& vsource) const {
-  auto it = source_branch_.find(vsource);
-  if (it == source_branch_.end()) {
-    throw std::out_of_range("TransientResult: unknown source '" + vsource +
-                            "'");
+  if (call && (probe[0] == 'i' || probe[0] == 'I')) {
+    return static_cast<int>(ckt.find_branch(name));
   }
-  return it->second;
+  throw std::invalid_argument("Engine::transient: bad probe '" + probe +
+                              "' (want v(<node>) or i(<vsource>))");
 }
 
-double TransientResult::v(const std::string& node, std::size_t k) const {
-  if (node == "0" || node == "gnd" || node == "GND") return 0.0;
-  return samples_[k][idx_of_node(node)];
-}
+} // namespace
 
-std::vector<double> TransientResult::voltage(const std::string& node) const {
-  std::vector<double> out(times_.size());
-  for (std::size_t k = 0; k < times_.size(); ++k) out[k] = v(node, k);
-  return out;
-}
-
-double TransientResult::i(const std::string& vsource, std::size_t k) const {
-  return samples_[k][idx_of_source(vsource)];
-}
-
-std::vector<double> TransientResult::current(
-    const std::string& vsource) const {
-  std::vector<double> out(times_.size());
-  const std::size_t idx = idx_of_source(vsource);
-  for (std::size_t k = 0; k < times_.size(); ++k) out[k] = samples_[k][idx];
-  return out;
-}
-
-bool TransientResult::has_node(const std::string& node) const {
-  return node == "0" || node == "gnd" || node == "GND" ||
-         node_index_.count(node) > 0;
-}
-
-bool TransientResult::has_source(const std::string& vsource) const {
-  return source_branch_.count(vsource) > 0;
+const std::vector<double>& TransientResult::waveform(
+    const std::string& probe) const {
+  const auto it = std::find(probes_.begin(), probes_.end(), probe);
+  if (it == probes_.end()) {
+    throw std::out_of_range("TransientResult: '" + probe +
+                            "' was not probed");
+  }
+  return columns_[static_cast<std::size_t>(it - probes_.begin())];
 }
 
 Engine::Engine(Circuit& circuit, EngineOptions options)
@@ -123,39 +102,44 @@ void Engine::commit_all(const std::vector<double>& x,
 }
 
 TransientResult Engine::transient(double t_stop, double dt,
+                                  const std::vector<std::string>& probes,
                                   bool use_initial_conditions) {
   if (t_stop <= 0.0 || dt <= 0.0 || dt > t_stop) {
     throw std::invalid_argument("Engine::transient: bad time parameters");
   }
   const std::size_t dim = ckt_.assign_unknowns();
 
+  // Resolve every probe before the first step: a bad probe throws here,
+  // not after the run.
+  std::vector<int> unknowns; // per column; kGround stays a zero column
+  for (const auto& p : probes) unknowns.push_back(resolve_probe(ckt_, p));
   TransientResult res;
-  for (std::size_t k = 0; k < ckt_.node_count(); ++k) {
-    res.node_index_.emplace(ckt_.node_name(k), k);
-  }
-  for (auto& e : ckt_.elements()) {
-    if (const auto* vs = dynamic_cast<const VoltageSource*>(e.get())) {
-      res.source_branch_.emplace(vs->name(), vs->branch_index());
-    }
-    e->reset();
-  }
+  res.probes_ = probes;
+  for (auto& e : ckt_.elements()) e->reset();
 
-  // Preallocate the full waveform storage so the stepping loop below only
+  // Preallocate the waveform storage so the stepping loop below only
   // copies into existing buffers: after this point the transient performs
   // zero heap allocations per step.
   const auto steps = static_cast<std::size_t>(std::llround(t_stop / dt));
   res.times_.assign(steps + 1, 0.0);
-  res.samples_.assign(steps + 1, std::vector<double>(dim, 0.0));
+  res.columns_.assign(unknowns.size(), std::vector<double>(steps + 1, 0.0));
 
   std::vector<double> x(dim, 0.0);
+  const auto record = [&](std::size_t k, double t) {
+    res.times_[k] = t;
+    for (std::size_t c = 0; c < unknowns.size(); ++c) {
+      if (unknowns[c] != kGround) {
+        res.columns_[c][k] = x[static_cast<std::size_t>(unknowns[c])];
+      }
+    }
+  };
   if (!use_initial_conditions) {
     StampContext dc_ctx;
     dc_ctx.kind = AnalysisKind::Dc;
     if (!solve(x, dc_ctx, dim)) res.converged_ = false;
     commit_all(x, dc_ctx);
   }
-  res.times_[0] = 0.0;
-  res.samples_[0] = x;
+  record(0, 0.0);
 
   for (std::size_t k = 0; k < steps; ++k) {
     StampContext ctx;
@@ -165,8 +149,7 @@ TransientResult Engine::transient(double t_stop, double dt,
     ctx.first_step = (k == 0);
     if (!solve(x, ctx, dim)) res.converged_ = false;
     commit_all(x, ctx);
-    res.times_[k + 1] = ctx.t;
-    res.samples_[k + 1] = x;
+    record(k + 1, ctx.t);
   }
   return res;
 }

@@ -5,10 +5,13 @@
 // thousands. Assembly is one serial stamping pass per Newton iteration,
 // through the elements' cached stamp slots; partial refactorization is
 // always on.
+//
+// A transient stores only the signals its caller probes, named in MDL's
+// grammar: `v(<node>)` or `i(<vsource>)`. There is one storage mode, the
+// time grid plus one column per probe; reading an unprobed signal throws.
 #pragma once
 
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "spice/circuit.hpp"
@@ -27,28 +30,23 @@ struct EngineOptions {
 /// DC solve outcome.
 struct DcResult {
   bool converged = false;
-  int iterations = 0;
   std::vector<double> x; ///< unknown vector (node voltages + branch currents)
 };
 
-/// Stored transient waveforms with name-based signal access.
+/// Stored transient waveforms: the time grid plus one column per probe.
+/// A probe names a signal in MDL's grammar (mdl.hpp): `v(<node>)` is a
+/// node voltage (a ground name reads all zeros) and `i(<vsource>)` the
+/// branch current of a voltage source (positive current flows from +
+/// through the source to -). Only the probed signals are stored.
 class TransientResult {
  public:
   /// Time points [s].
   [[nodiscard]] const std::vector<double>& times() const { return times_; }
-
-  /// Voltage of a named node at step k.
-  [[nodiscard]] double v(const std::string& node, std::size_t k) const;
-  /// Complete voltage waveform of a named node.
-  [[nodiscard]] std::vector<double> voltage(const std::string& node) const;
-  /// Branch current through a named voltage source at step k
-  /// (positive current flows from + through the source to -).
-  [[nodiscard]] double i(const std::string& vsource, std::size_t k) const;
-  /// Complete current waveform of a named voltage source.
-  [[nodiscard]] std::vector<double> current(const std::string& vsource) const;
-  /// True when the named signal exists ("v:<node>" or "i:<source>").
-  [[nodiscard]] bool has_node(const std::string& node) const;
-  [[nodiscard]] bool has_source(const std::string& vsource) const;
+  /// Waveform of a probe, keyed by the probe string exactly as it was
+  /// passed to `Engine::transient`. Throws std::out_of_range for a signal
+  /// that was not probed.
+  [[nodiscard]] const std::vector<double>& waveform(
+      const std::string& probe) const;
   /// Number of stored steps.
   [[nodiscard]] std::size_t size() const { return times_.size(); }
   /// Whether every step converged.
@@ -61,13 +59,9 @@ class TransientResult {
  private:
   friend class Engine;
   std::vector<double> times_;
-  std::vector<std::vector<double>> samples_;
-  std::unordered_map<std::string, std::size_t> node_index_;
-  std::unordered_map<std::string, std::size_t> source_branch_;
+  std::vector<std::string> probes_;          ///< as the caller passed them
+  std::vector<std::vector<double>> columns_; ///< one per probe
   bool converged_ = true;
-
-  [[nodiscard]] std::size_t idx_of_node(const std::string& node) const;
-  [[nodiscard]] std::size_t idx_of_source(const std::string& vsource) const;
 };
 
 /// The analysis driver. Borrows the circuit for its lifetime.
@@ -83,8 +77,13 @@ class Engine {
   /// When `use_initial_conditions` is true the run starts from x = 0 with
   /// element initial conditions (capacitor v0); otherwise a DC operating
   /// point is computed first and committed as the starting state.
-  [[nodiscard]] TransientResult transient(double t_stop, double dt,
-                                          bool use_initial_conditions = false);
+  /// `probes` are the signals the result stores (see TransientResult);
+  /// they are resolved before the first step, so a malformed probe throws
+  /// std::invalid_argument and an unknown node or source
+  /// std::out_of_range without running the analysis.
+  [[nodiscard]] TransientResult transient(
+      double t_stop, double dt, const std::vector<std::string>& probes,
+      bool use_initial_conditions = false);
 
   /// Numeric factorizations performed so far — the dirty-stamp cache
   /// observable (a linear fixed-step transient settles at three: DC

@@ -65,21 +65,6 @@ double parse_number(const std::string& token) {
   }
 }
 
-std::vector<double> signal_waveform(const TransientResult& tr,
-                                    const std::string& signal) {
-  const std::string s = signal;
-  if (s.size() >= 4 && (s[0] == 'v' || s[0] == 'V') && s[1] == '(' &&
-      s.back() == ')') {
-    return tr.voltage(s.substr(2, s.size() - 3));
-  }
-  if (s.size() >= 4 && (s[0] == 'i' || s[0] == 'I') && s[1] == '(' &&
-      s.back() == ')') {
-    return tr.current(s.substr(2, s.size() - 3));
-  }
-  throw std::out_of_range("MDL: bad signal spec '" + signal +
-                          "' (want v(node) or i(source))");
-}
-
 std::optional<double> cross_time(const std::vector<double>& times,
                                  const std::vector<double>& values,
                                  const CrossSpec& spec) {
@@ -189,6 +174,21 @@ Script Script::parse(const std::string& text) {
   return script;
 }
 
+std::vector<std::string> Script::signals() const {
+  std::vector<std::string> out;
+  const auto add = [&](const std::string& sig) {
+    if (std::find(out.begin(), out.end(), sig) == out.end()) {
+      out.push_back(sig);
+    }
+  };
+  for (const auto& m : measurements_) {
+    if (m.kind == Kind::Delay) add(m.trig.signal);
+    add(m.kind == Kind::Delay || m.kind == Kind::Cross ? m.targ.signal
+                                                       : m.signal);
+  }
+  return out;
+}
+
 namespace {
 
 /// Window [from, to] clipped to the run; returns index range [i0, i1].
@@ -224,8 +224,8 @@ std::vector<MeasureResult> Script::evaluate(const TransientResult& tr) const {
     r.name = m.name;
     try {
       if (m.kind == Kind::Delay) {
-        const auto w_trig = signal_waveform(tr, m.trig.signal);
-        const auto w_targ = signal_waveform(tr, m.targ.signal);
+        const auto& w_trig = tr.waveform(m.trig.signal);
+        const auto& w_targ = tr.waveform(m.targ.signal);
         const auto t0 = cross_time(times, w_trig, m.trig);
         const auto t1 = cross_time(times, w_targ, m.targ);
         if (t0 && t1) {
@@ -233,14 +233,14 @@ std::vector<MeasureResult> Script::evaluate(const TransientResult& tr) const {
           r.valid = true;
         }
       } else if (m.kind == Kind::Cross) {
-        const auto w = signal_waveform(tr, m.targ.signal);
+        const auto& w = tr.waveform(m.targ.signal);
         const auto t = cross_time(times, w, m.targ);
         if (t) {
           r.value = *t;
           r.valid = true;
         }
       } else {
-        const auto w = signal_waveform(tr, m.signal);
+        const auto& w = tr.waveform(m.signal);
         const auto [i0, i1] = window(times, m.from, m.to);
         const double span = times[i1] - times[i0];
         switch (m.kind) {
@@ -287,7 +287,7 @@ std::vector<MeasureResult> Script::evaluate(const TransientResult& tr) const {
         }
       }
     } catch (const std::out_of_range&) {
-      r.valid = false; // unknown signal -> invalid measurement, not a crash
+      r.valid = false; // unprobed signal -> invalid measurement, not a crash
     }
     out.push_back(std::move(r));
   }

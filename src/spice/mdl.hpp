@@ -25,6 +25,12 @@
 //
 // where <sig> is v(<node>) or i(<vsource>) and numbers accept SPICE unit
 // suffixes (f p n u m k meg g).
+//
+// <sig> is the probe grammar of Engine::transient, which stores only the
+// signals it is asked for: a script lists what it reads (`signals()`), the
+// caller passes that list as the run's probes, and evaluation reads the
+// columns by the same strings. A measurement over a signal the run did not
+// probe evaluates as invalid.
 #pragma once
 
 #include <map>
@@ -94,6 +100,10 @@ class Script {
     return measurements_;
   }
 
+  /// The distinct signals the measurements read, in first-use order: the
+  /// probes a transient must store for `evaluate`.
+  [[nodiscard]] std::vector<std::string> signals() const;
+
   /// Evaluates every measurement over a transient result.
   [[nodiscard]] std::vector<MeasureResult> evaluate(
       const TransientResult& tr) const;
@@ -105,11 +115,6 @@ class Script {
 /// Parses a SPICE-style number with optional unit suffix ("4.9n" = 4.9e-9).
 /// Throws std::invalid_argument on malformed input.
 [[nodiscard]] double parse_number(const std::string& token);
-
-/// Extracts the waveform of "v(node)" / "i(source)" from a result.
-/// Throws std::out_of_range for unknown signals.
-[[nodiscard]] std::vector<double> signal_waveform(const TransientResult& tr,
-                                                  const std::string& signal);
 
 /// Time of the nth level crossing; nullopt when it never occurs.
 [[nodiscard]] std::optional<double> cross_time(

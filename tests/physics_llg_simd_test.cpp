@@ -34,16 +34,13 @@ mp::LlgParams test_params() {
   return p;
 }
 
-mp::LlgEnsembleResult run_ensemble(std::size_t threads, std::uint64_t seed,
-                                   std::size_t n = 37,
-                                   bool stop_on_switch = false) {
+mp::LlgEnsembleResult run_ensemble(std::size_t threads, std::uint64_t seed) {
   const mp::LlgSolver solver(test_params());
   mp::LlgEnsembleOptions opt;
   opt.threads = threads;
-  opt.stop_on_switch = stop_on_switch;
   mu::Rng rng(seed);
-  return solver.integrate_thermal_ensemble(n, {0.0, 0.0, -1.0}, 1.5e-9, 1e-12,
-                                           150e-6, rng, opt);
+  return solver.integrate_thermal_ensemble(37, {0.0, 0.0, -1.0}, 1.5e-9,
+                                           1e-12, 150e-6, rng, opt);
 }
 
 void expect_identical(const mp::LlgEnsembleResult& a,
@@ -70,14 +67,6 @@ TEST(LlgSimd, EnsembleBitIdenticalAcrossThreads) {
   EXPECT_GT(reference.n_switched, 0u);
   for (const std::size_t threads : {2u, 8u}) {
     expect_identical(reference, run_ensemble(threads, 11));
-  }
-}
-
-TEST(LlgSimd, StopOnSwitchBitIdenticalAcrossThreads) {
-  const auto reference = run_ensemble(1, 13, 37, /*stop_on_switch=*/true);
-  EXPECT_GT(reference.n_switched, 0u);
-  for (const std::size_t threads : {2u, 8u}) {
-    expect_identical(reference, run_ensemble(threads, 13, 37, true));
   }
 }
 
@@ -254,15 +243,11 @@ TEST(LlgSimd, BatchKernelRejectsBadTimeStep) {
 // substream keying or the reduction order fails here, where a relative
 // tolerance would let a reordered sum through. n = 45 leaves a partial
 // chunk and a masked tail batch.
-namespace {
-
-void expect_golden_ensemble(bool stop_on_switch, double mean_mz_final) {
+TEST(LlgGolden, EnsembleFullPulsePinned) {
   const mp::LlgSolver solver(test_params());
-  mp::LlgEnsembleOptions opt;
-  opt.stop_on_switch = stop_on_switch;
   mu::Rng rng(2024);
   const auto ens = solver.integrate_thermal_ensemble(
-      45, {0.0, 0.0, -1.0}, 1.5e-9, 1e-12, 150e-6, rng, opt);
+      45, {0.0, 0.0, -1.0}, 1.5e-9, 1e-12, 150e-6, rng);
   EXPECT_EQ(ens.n_trajectories, 45u);
   EXPECT_EQ(ens.n_switched, 38u);
   EXPECT_EQ(ens.switch_time.count(), 38u);
@@ -270,17 +255,6 @@ void expect_golden_ensemble(bool stop_on_switch, double mean_mz_final) {
   EXPECT_EQ(ens.switch_time.stddev(), 0x1.725975d8e8f1dp-33);
   EXPECT_EQ(ens.switch_time.min(), 0x1.92f8943703b99p-31);
   EXPECT_EQ(ens.switch_time.max(), 0x1.8160fab5d5cf9p-30);
-  EXPECT_EQ(ens.mean_mz_final, mean_mz_final);
+  EXPECT_EQ(ens.mean_mz_final, 0x1.5299f1efee06ep-1);
   EXPECT_EQ(rng.uniform(), 0x1.906fe7dd14f42p-1);
-}
-
-} // namespace
-
-TEST(LlgGolden, EnsembleFullPulsePinned) {
-  expect_golden_ensemble(false, 0x1.5299f1efee06ep-1);
-}
-
-// Frozen lanes latch the same crossings; only m_final moves.
-TEST(LlgGolden, EnsembleStopOnSwitchPinned) {
-  expect_golden_ensemble(true, -0x1.53cba8b3377a9p-4);
 }

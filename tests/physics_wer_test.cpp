@@ -3,8 +3,8 @@
 // MtjCompactModel::llgs_write_error_rate).
 //
 // The four pillars:
-//  * degeneracy — with no threshold spread the estimator is plain MC,
-//    bit-exactly 1 - llgs_switch_probability over the same substreams;
+//  * degeneracy — with no threshold spread the estimator is plain MC, the
+//    run whose failure count llgs_switch_probability complements;
 //  * determinism — statistics are bit-identical for any thread count;
 //  * overlap validation — in a regime brute-force MC can still reach
 //    (WER ~ 4e-3), the band-derived threshold proposal agrees within 3
@@ -63,11 +63,13 @@ TEST(PhysicsWerTest, UntiltedPathIsExactlyBruteForce) {
   Rng r2(1234);
   const double p_switch = m.llgs_switch_probability(dir, i, t, n, r2);
 
-  // Same substreams, same trajectories: the failure count is bit-exactly
-  // the complement of the switch count (the means themselves differ only
-  // by the rounding of 1.0 - p vs a directly accumulated mean).
-  EXPECT_EQ(static_cast<double>(est.n_failures),
-            std::round((1.0 - p_switch) * static_cast<double>(n)));
+  // The switch probability is the complement of this run's failure count
+  // (the means themselves differ only by the rounding of 1.0 - p vs a
+  // directly accumulated mean).
+  EXPECT_EQ(p_switch, static_cast<double>(n - est.n_failures) /
+                          static_cast<double>(n));
+  EXPECT_GT(est.n_failures, 0u);
+  EXPECT_LT(est.n_failures, n);
   EXPECT_NEAR(est.wer,
               static_cast<double>(est.n_failures) / static_cast<double>(n),
               1e-15);

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "spice/elements.hpp"
 #include "spice/engine.hpp"
@@ -78,7 +80,7 @@ TEST(MdlCross, FindsNthCrossings) {
 
 namespace {
 
-ms::TransientResult make_rc_run() {
+ms::TransientResult make_rc_run(const std::vector<std::string>& probes) {
   ms::Circuit ckt;
   const int in = ckt.node("in");
   const int out = ckt.node("out");
@@ -89,15 +91,15 @@ ms::TransientResult make_rc_run() {
   ckt.add(std::make_unique<ms::Resistor>("r1", in, out, 1e3));
   ckt.add(std::make_unique<ms::Capacitor>("c1", out, ms::kGround, 1e-12));
   ms::Engine eng(ckt);
-  return eng.transient(8e-9, 10e-12);
+  return eng.transient(8e-9, 10e-12, probes);
 }
 
 } // namespace
 
 TEST(MdlEval, DelayOfRcIsLnTwoTau) {
-  const auto tr = make_rc_run();
   const auto script = mdl::Script::parse(
       "meas d50 delay trig v(in) val=0.5 rise=1 targ v(out) val=0.5 rise=1\n");
+  const auto tr = make_rc_run(script.signals());
   const auto res = script.evaluate(tr);
   ASSERT_EQ(res.size(), 1u);
   ASSERT_TRUE(res[0].valid);
@@ -106,13 +108,13 @@ TEST(MdlEval, DelayOfRcIsLnTwoTau) {
 }
 
 TEST(MdlEval, WindowedStatsAndFinal) {
-  const auto tr = make_rc_run();
   const auto script = mdl::Script::parse(R"(
 meas vfin final v(out)
 meas vmax max v(out)
 meas vmin min v(out) from=0 to=0.9n
 meas vavg avg v(in) from=2n to=8n
 )");
+  const auto tr = make_rc_run(script.signals());
   const auto res = script.evaluate(tr);
   ASSERT_EQ(res.size(), 4u);
   EXPECT_NEAR(res[0].value, 1.0, 0.01);  // settled
@@ -122,11 +124,45 @@ meas vavg avg v(in) from=2n to=8n
 }
 
 TEST(MdlEval, InvalidSignalYieldsInvalidResultNotThrow) {
-  const auto tr = make_rc_run();
-  const auto script = mdl::Script::parse("meas bad avg v(missing)\n");
+  // A signal the run did not store — whether or not the circuit has it —
+  // evaluates as an invalid measurement.
+  const auto tr = make_rc_run({"v(out)"});
+  const auto script = mdl::Script::parse(
+      "meas bad avg v(missing)\nmeas unprobed avg v(in)\n"
+      "meas good avg v(out)\n");
   const auto res = script.evaluate(tr);
-  ASSERT_EQ(res.size(), 1u);
+  ASSERT_EQ(res.size(), 3u);
   EXPECT_FALSE(res[0].valid);
+  EXPECT_FALSE(res[1].valid);
+  EXPECT_TRUE(res[2].valid);
+}
+
+TEST(MdlEval, SignalsAreExactlyWhatTheScriptReads) {
+  // Distinct signals in first-use order: a delay reads trig and targ, a
+  // cross its one signal; repeats appear once.
+  const auto script = mdl::Script::parse(R"(
+meas d50 delay trig v(in) val=0.5 rise=1 targ v(out) val=0.5 rise=1
+meas iavg avg i(vin) from=2n to=8n
+meas tx cross v(out) val=0.5 rise=1
+meas vfin final v(in)
+)");
+  const std::vector<std::string> want = {"v(in)", "v(out)", "i(vin)"};
+  ASSERT_EQ(script.signals(), want);
+
+  // Probing the list makes every measurement valid...
+  for (const auto& r : script.evaluate(make_rc_run(want))) {
+    EXPECT_TRUE(r.valid) << r.name;
+  }
+  // ...and dropping any one signal invalidates a measurement that reads it.
+  for (std::size_t drop = 0; drop < want.size(); ++drop) {
+    auto probes = want;
+    probes.erase(probes.begin() + static_cast<long>(drop));
+    bool any_invalid = false;
+    for (const auto& r : script.evaluate(make_rc_run(probes))) {
+      any_invalid = any_invalid || !r.valid;
+    }
+    EXPECT_TRUE(any_invalid) << "without " << want[drop];
+  }
 }
 
 TEST(MdlFile, RoundTripSkipsFailed) {

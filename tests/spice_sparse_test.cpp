@@ -256,7 +256,7 @@ TEST(SparseEquivalence, LinearTransientFactorsThrice) {
   // back-substitutes only.
   auto ckt = random_rc(7, 20);
   ms::Engine eng(ckt);
-  const auto tr = eng.transient(5e-9, 10e-12);
+  const auto tr = eng.transient(5e-9, 10e-12, {});
   ASSERT_TRUE(tr.converged());
   EXPECT_EQ(eng.factor_count(), 3u);
 }

@@ -65,7 +65,7 @@ struct ArrayWriteResult {
   // benchmark digests it.
   std::string backend = "sparse";
   /// Total columns numerically factored over the run (the
-  /// partial-refactorization observable).
+  /// refactorization observable).
   std::size_t factor_cols = 0;
   // Always 0: the factorization has no column panels any more; the two
   // fields stay because the end-to-end benchmark digests them.

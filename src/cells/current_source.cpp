@@ -67,12 +67,11 @@ CurrentSourceResult CurrentSource::characterize() const {
       continue;
     }
     // Output current = current through the load supply (delivering =>
-    // negative branch current), read at the end of a short transient.
-    const auto tr = engine.transient(1e-10, 1e-11, {"i(vload)", "i(vvdd)"});
-    const double i_out = -tr.waveform("i(vload)").back();
+    // negative branch current) at the operating point.
+    const double i_out = -dc.x[ckt.find_branch("vload")];
     out.levels.push_back(i_out);
     if (k == opt_.n_mtj / 2) {
-      const double i_vdd = -tr.waveform("i(vvdd)").back();
+      const double i_vdd = -dc.x[ckt.find_branch("vvdd")];
       out.static_power = vdd * (i_vdd + i_out);
     }
   }

@@ -47,7 +47,6 @@ Server::Server(ServerOptions options, Registry registry)
       registry_(std::move(registry)),
       cache_(options_.cache_path, CacheOptions{options_.cache_max_bytes}),
       listener_(options_.socket_path) {
-  if (options_.compact_cache_on_start) cache_.compact();
   if (!options_.listen_address.empty()) {
     tcp_listener_.emplace(util::parse_host_port(options_.listen_address));
   }

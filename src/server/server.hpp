@@ -60,8 +60,6 @@ struct ServerOptions {
   std::string cache_path;
   /// Cache file size cap in bytes (0 = unlimited); see CacheOptions.
   std::size_t cache_max_bytes = 0;
-  /// Compact the cache (drop duplicate records) before serving.
-  bool compact_cache_on_start = false;
   /// Per-connection idle I/O timeout in ms (0 = none). A peer that makes
   /// no byte of progress for this long — a slow-loris half-frame, or a
   /// reader that stopped draining its fetch — is evicted; its handler

@@ -6,22 +6,29 @@
 
 namespace mss::spice {
 
+std::optional<Signal> parse_signal(const std::string& text) {
+  if (text.size() < 4 || text[1] != '(' || text.back() != ')') {
+    return std::nullopt;
+  }
+  const char kind = text[0];
+  if (kind != 'v' && kind != 'V' && kind != 'i' && kind != 'I') {
+    return std::nullopt;
+  }
+  return Signal{kind == 'i' || kind == 'I', text.substr(2, text.size() - 3)};
+}
+
 namespace {
 
 /// Unknown a probe reads: `v(<node>)` resolves through Circuit::find_node
 /// (kGround for a ground name), `i(<vsource>)` to the source's branch.
 int resolve_probe(const Circuit& ckt, const std::string& probe) {
-  const bool call =
-      probe.size() >= 4 && probe[1] == '(' && probe.back() == ')';
-  const std::string name = call ? probe.substr(2, probe.size() - 3) : "";
-  if (call && (probe[0] == 'v' || probe[0] == 'V')) {
-    return ckt.find_node(name);
+  const auto sig = parse_signal(probe);
+  if (!sig) {
+    throw std::invalid_argument("Engine::transient: bad probe '" + probe +
+                                "' (want v(<node>) or i(<vsource>))");
   }
-  if (call && (probe[0] == 'i' || probe[0] == 'I')) {
-    return static_cast<int>(ckt.find_branch(name));
-  }
-  throw std::invalid_argument("Engine::transient: bad probe '" + probe +
-                              "' (want v(<node>) or i(<vsource>))");
+  return sig->current ? static_cast<int>(ckt.find_branch(sig->name))
+                      : ckt.find_node(sig->name);
 }
 
 } // namespace

@@ -3,14 +3,15 @@
 // step. Every solve runs on the one sparse LU (sparse.hpp), from
 // cell-level netlists of tens of unknowns to array-level ones of
 // thousands. Assembly is one serial stamping pass per Newton iteration,
-// through the elements' cached stamp slots; partial refactorization is
-// always on.
+// through the elements' cached stamp slots; the solver always refactors by
+// replaying the dirty set.
 //
 // A transient stores only the signals its caller probes, named in MDL's
 // grammar: `v(<node>)` or `i(<vsource>)`. There is one storage mode, the
 // time grid plus one column per probe; reading an unprobed signal throws.
 #pragma once
 
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -26,6 +27,19 @@ struct EngineOptions {
   double gmin = 1e-12;     ///< node-to-ground shunt conductance
   double damping = 0.6;    ///< max voltage change per Newton step [V]
 };
+
+/// A signal in MDL's grammar, split into its parts: `v(<node>)` is a node
+/// voltage, `i(<vsource>)` a voltage source's branch current (the kind
+/// letter in either case).
+struct Signal {
+  bool current = false; ///< `i(...)` rather than `v(...)`
+  std::string name;     ///< the node or source name inside the parentheses
+};
+
+/// Parses `text` as a signal; std::nullopt unless it is `v(<name>)` or
+/// `i(<name>)` with a non-empty name. The one syntax check of the grammar,
+/// shared by transient probes and MDL scripts.
+[[nodiscard]] std::optional<Signal> parse_signal(const std::string& text);
 
 /// DC solve outcome.
 struct DcResult {
@@ -93,9 +107,9 @@ class Engine {
     return solver_.factor_count();
   }
 
-  /// Total columns numerically factored — the partial-refactorization
-  /// observable (full refactors contribute `dim` each; partial refactors
-  /// contribute only the recomputed columns).
+  /// Total columns numerically factored — the refactorization observable
+  /// (full refactors contribute `dim` each; a dirty-set replay only the
+  /// columns it recomputed).
   [[nodiscard]] std::size_t factor_cols_total() const {
     return solver_.factor_cols_total();
   }

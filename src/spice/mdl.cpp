@@ -102,11 +102,18 @@ Script Script::parse(const std::string& text) {
     Measurement m;
     m.name = toks[1];
     const std::string kind = lower(toks[2]);
+    const auto signal = [&](const std::string& tok) {
+      if (!parse_signal(tok)) {
+        fail(line_no,
+             "bad signal '" + tok + "' (want v(<node>) or i(<vsource>))");
+      }
+      return tok;
+    };
 
     auto parse_cross = [&](std::size_t& idx) {
       CrossSpec cs;
       if (idx >= toks.size()) fail(line_no, "missing signal");
-      cs.signal = toks[idx++];
+      cs.signal = signal(toks[idx++]);
       bool have_val = false;
       while (idx < toks.size()) {
         const auto [key, val] = split_kv(toks[idx]);
@@ -157,7 +164,7 @@ Script Script::parse(const std::string& text) {
       if (it == kinds.end()) fail(line_no, "unknown kind '" + kind + "'");
       m.kind = it->second;
       if (toks.size() < 4) fail(line_no, "missing signal");
-      m.signal = toks[3];
+      m.signal = signal(toks[3]);
       for (std::size_t idx = 4; idx < toks.size(); ++idx) {
         const auto [key, val] = split_kv(toks[idx]);
         if (key == "from") {

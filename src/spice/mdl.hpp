@@ -23,8 +23,9 @@
 //   meas <name> final    <sig>
 //   meas <name> cross    <sig> val=<v> (rise|fall)=<n>
 //
-// where <sig> is v(<node>) or i(<vsource>) and numbers accept SPICE unit
-// suffixes (f p n u m k meg g).
+// where <sig> is v(<node>) or i(<vsource>) — anything else is a syntax
+// error of its line — and numbers accept SPICE unit suffixes (f p n u m k
+// meg g).
 //
 // <sig> is the probe grammar of Engine::transient, which stores only the
 // signals it is asked for: a script lists what it reads (`signals()`), the

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
-#include <limits>
 #include <numeric>
 #include <stdexcept>
 
@@ -221,9 +220,101 @@ void SparseSolver::rebuild_symbolic() {
   diag_.assign(dim_, 0.0);
   sol_.assign(dim_, 0.0);
   heap_.clear();
-  unassigned_.clear();
+  candidates_.clear();
   pattern_dirty_ = false;
   factor_valid_ = false;
+}
+
+bool SparseSolver::eliminate(std::size_t k, std::uint32_t& pr, double& piv) {
+  const std::uint32_t col = q_[k];
+  const auto kb = static_cast<std::int32_t>(k);
+  // Rows pivoted before k feed the update; every other row — not pivoted
+  // yet, or pivoted at or after k by the stored factorization a replay
+  // checks against — is a pivot candidate, as it was when k was factored.
+  const auto earlier = [&](std::uint32_t r) {
+    return pinv_[r] >= 0 && pinv_[r] < kb;
+  };
+  const auto heap_cmp = std::greater<std::uint32_t>();
+  const auto touch = [&](std::uint32_t r) {
+    mark_[r] = 1;
+    touched_.push_back(r);
+    if (earlier(r)) {
+      heap_.push_back(static_cast<std::uint32_t>(pinv_[r]));
+      std::push_heap(heap_.begin(), heap_.end(), heap_cmp);
+    } else {
+      candidates_.push_back(r);
+    }
+  };
+  heap_.clear();
+  candidates_.clear();
+  touched_.clear();
+
+  // Scatter A(:, col). The assembled pattern has unique positions, so a
+  // plain store per row suffices.
+  for (std::uint32_t p = col_ptr_[col]; p < col_ptr_[col + 1]; ++p) {
+    work_[row_ind_[p]] = csc_vals_[p];
+    touch(row_ind_[p]);
+  }
+
+  // Left-looking update: apply earlier pivot columns in ascending pivot
+  // order. Fill introduced by column t is always a later pivot or a
+  // candidate, so the min-heap pops monotonically and each pivot is pushed
+  // at most once (rows are marked on first touch).
+  while (!heap_.empty()) {
+    std::pop_heap(heap_.begin(), heap_.end(), heap_cmp);
+    const std::uint32_t t = heap_.back();
+    heap_.pop_back();
+    const double ut = work_[prow_[t]];
+    if (ut == 0.0) continue; // exact numeric zero: no U entry, no update
+    u_rows_.push_back(t);
+    u_vals_.push_back(ut);
+    for (std::uint32_t p = l_ptr_[t]; p < l_ptr_[t + 1]; ++p) {
+      const std::uint32_t r = l_rows_[p];
+      const double delta = l_vals_[p] * ut;
+      if (mark_[r]) {
+        work_[r] -= delta;
+      } else {
+        work_[r] = -delta;
+        touch(r);
+      }
+    }
+  }
+
+  // Threshold partial pivoting among the candidates; the diagonal row wins
+  // when within kPivotTol of the column maximum (keeps the ordering's
+  // structure), otherwise the max-magnitude row (handles the zero-diagonal
+  // branch rows of voltage sources).
+  double best = 0.0;
+  bool have = false;
+  for (const std::uint32_t r : candidates_) {
+    const double m = std::abs(work_[r]);
+    if (!have || m > best) {
+      best = m;
+      pr = r;
+      have = true;
+    }
+  }
+  const bool singular = !have || best < 1e-300;
+  if (!singular) {
+    if (mark_[col] && !earlier(col)) {
+      const double dmag = std::abs(work_[col]);
+      if (dmag > 0.0 && dmag >= kPivotTol * best) pr = col;
+    }
+    piv = work_[pr];
+    // L: candidates in insertion order, exact zeros dropped.
+    for (const std::uint32_t r : candidates_) {
+      if (r == pr) continue;
+      const double lv = work_[r] / piv;
+      if (lv == 0.0) continue;
+      l_rows_.push_back(r);
+      l_vals_.push_back(lv);
+    }
+  }
+  for (const std::uint32_t r : touched_) {
+    mark_[r] = 0;
+    work_[r] = 0.0;
+  }
+  return !singular;
 }
 
 bool SparseSolver::factor(std::size_t start) {
@@ -238,8 +329,8 @@ bool SparseSolver::factor(std::size_t start) {
     std::fill(pinv_.begin(), pinv_.end(), -1);
   } else {
     // Keep the factored prefix [0, start); free the pivot assignments of
-    // the recomputed suffix (prow_ is complete — partial restarts only run
-    // on top of a full valid factorization).
+    // the recomputed suffix (prow_ is complete — restarts only run on top
+    // of a full valid factorization).
     for (std::size_t k = start; k < n; ++k) pinv_[prow_[k]] = -1;
     l_rows_.resize(l_ptr_[start]);
     l_vals_.resize(l_ptr_[start]);
@@ -251,270 +342,68 @@ bool SparseSolver::factor(std::size_t start) {
   last_factor_start_ = start;
   factor_cols_total_ += n - start;
 
-  const auto heap_cmp = std::greater<std::uint32_t>();
-  bool singular = false;
-
-  for (std::size_t k = start; k < n && !singular; ++k) {
-    const std::uint32_t col = q_[k];
-    heap_.clear();
-    unassigned_.clear();
-    u_scratch_rows_.clear();
-    u_scratch_vals_.clear();
-    touched_.clear();
-
-    // Scatter A(:, col). The assembled pattern has unique positions, so a
-    // plain store per row suffices.
-    for (std::uint32_t p = col_ptr_[col]; p < col_ptr_[col + 1]; ++p) {
-      const std::uint32_t r = row_ind_[p];
-      work_[r] = csc_vals_[p];
-      mark_[r] = 1;
-      touched_.push_back(r);
-      if (pinv_[r] >= 0) {
-        heap_.push_back(static_cast<std::uint32_t>(pinv_[r]));
-        std::push_heap(heap_.begin(), heap_.end(), heap_cmp);
-      } else {
-        unassigned_.push_back(r);
-      }
-    }
-
-    // Left-looking update: apply earlier pivot columns in ascending pivot
-    // order. Fill introduced by column t is always assigned to a pivot
-    // later than t (or unassigned), so the min-heap pops monotonically and
-    // each pivot is pushed at most once (rows are marked on first touch).
-    while (!heap_.empty()) {
-      std::pop_heap(heap_.begin(), heap_.end(), heap_cmp);
-      const std::uint32_t t = heap_.back();
-      heap_.pop_back();
-      const double ut = work_[prow_[t]];
-      if (ut == 0.0) continue; // exact numeric zero: no U entry, no update
-      u_scratch_rows_.push_back(t);
-      u_scratch_vals_.push_back(ut);
-      for (std::uint32_t p = l_ptr_[t]; p < l_ptr_[t + 1]; ++p) {
-        const std::uint32_t r = l_rows_[p];
-        const double delta = l_vals_[p] * ut;
-        if (!mark_[r]) {
-          mark_[r] = 1;
-          touched_.push_back(r);
-          work_[r] = -delta;
-          if (pinv_[r] >= 0) {
-            heap_.push_back(static_cast<std::uint32_t>(pinv_[r]));
-            std::push_heap(heap_.begin(), heap_.end(), heap_cmp);
-          } else {
-            unassigned_.push_back(r);
-          }
-        } else {
-          work_[r] -= delta;
-        }
-      }
-    }
-
-    // Threshold partial pivoting among the not-yet-pivotal rows; the
-    // diagonal row wins when within kPivotTol of the column maximum (keeps
-    // the ordering's structure), otherwise the max-magnitude row (handles
-    // the zero-diagonal branch rows of voltage sources).
-    double best = 0.0;
+  for (std::size_t k = start; k < n; ++k) {
     std::uint32_t pr = 0;
-    bool have = false;
-    for (const std::uint32_t r : unassigned_) {
-      const double m = std::abs(work_[r]);
-      if (!have || m > best) {
-        best = m;
-        pr = r;
-        have = true;
-      }
-    }
-    if (!have || best < 1e-300) {
-      singular = true;
-    } else {
-      if (col < n && pinv_[col] < 0 && mark_[col]) {
-        const double dmag = std::abs(work_[col]);
-        if (dmag > 0.0 && dmag >= kPivotTol * best) pr = col;
-      }
-      const double piv = work_[pr];
-      pinv_[pr] = static_cast<std::int32_t>(k);
-      prow_[k] = pr;
-      diag_[k] = piv;
-
-      u_rows_.insert(u_rows_.end(), u_scratch_rows_.begin(),
-                     u_scratch_rows_.end());
-      u_vals_.insert(u_vals_.end(), u_scratch_vals_.begin(),
-                     u_scratch_vals_.end());
-      u_ptr_.push_back(static_cast<std::uint32_t>(u_rows_.size()));
-
-      for (const std::uint32_t r : unassigned_) {
-        if (r == pr) continue;
-        const double lv = work_[r] / piv;
-        if (lv == 0.0) continue;
-        l_rows_.push_back(r);
-        l_vals_.push_back(lv);
-      }
-      l_ptr_.push_back(static_cast<std::uint32_t>(l_rows_.size()));
-
-    }
-
-    for (const std::uint32_t r : touched_) {
-      mark_[r] = 0;
-      work_[r] = 0.0;
-    }
+    double piv = 0.0;
+    if (!eliminate(k, pr, piv)) return false;
+    pinv_[pr] = static_cast<std::int32_t>(k);
+    prow_[k] = pr;
+    diag_[k] = piv;
+    u_ptr_.push_back(static_cast<std::uint32_t>(u_rows_.size()));
+    l_ptr_.push_back(static_cast<std::uint32_t>(l_rows_.size()));
   }
-  return !singular;
+  return true;
 }
 
-bool SparseSolver::replay_column(std::size_t k) {
-  const std::uint32_t col = q_[k];
-  const auto kb = static_cast<std::int32_t>(k);
-  const auto heap_cmp = std::greater<std::uint32_t>();
-  heap_.clear();
-  unassigned_.clear();
-  u_scratch_rows_.clear();
-  u_scratch_vals_.clear();
-  l_scratch_vals_.clear();
-  touched_.clear();
-
-  const auto finish = [this](bool ok) {
-    for (const std::uint32_t r : touched_) {
-      mark_[r] = 0;
-      work_[r] = 0.0;
+bool SparseSolver::refactor(std::size_t first_dirty) {
+  bool ok = true;
+  for (std::size_t k = first_dirty; k < dim_; ++k) {
+    // A clean column whose stored U references a dirty earlier pivot sees
+    // different updates, so it is dirty too; every other clean column
+    // keeps its stored L/U column. Earlier flags are final by now.
+    for (std::uint32_t p = u_ptr_[k]; p < u_ptr_[k + 1] && !dirty_pos_[k];
+         ++p) {
+      dirty_pos_[k] = dirty_pos_[u_rows_[p]];
     }
-    return ok;
-  };
-
-  // Scatter A(:, col). Rows pivotal before position k push their pivot;
-  // rows assigned at or after k were still pivot candidates when k was
-  // first factored, so they stay candidates in the replay.
-  for (std::uint32_t p = col_ptr_[col]; p < col_ptr_[col + 1]; ++p) {
-    const std::uint32_t r = row_ind_[p];
-    work_[r] = csc_vals_[p];
-    mark_[r] = 1;
-    touched_.push_back(r);
-    if (pinv_[r] >= 0 && pinv_[r] < kb) {
-      heap_.push_back(static_cast<std::uint32_t>(pinv_[r]));
-      std::push_heap(heap_.begin(), heap_.end(), heap_cmp);
-    } else {
-      unassigned_.push_back(r);
-    }
-  }
-
-  while (!heap_.empty()) {
-    std::pop_heap(heap_.begin(), heap_.end(), heap_cmp);
-    const std::uint32_t t = heap_.back();
-    heap_.pop_back();
-    const double ut = work_[prow_[t]];
-    if (ut == 0.0) continue; // exact numeric zero: no U entry, no update
-    u_scratch_rows_.push_back(t);
-    u_scratch_vals_.push_back(ut);
-    for (std::uint32_t p = l_ptr_[t]; p < l_ptr_[t + 1]; ++p) {
-      const std::uint32_t r = l_rows_[p];
-      const double delta = l_vals_[p] * ut;
-      if (!mark_[r]) {
-        mark_[r] = 1;
-        touched_.push_back(r);
-        work_[r] = -delta;
-        if (pinv_[r] >= 0 && pinv_[r] < kb) {
-          heap_.push_back(static_cast<std::uint32_t>(pinv_[r]));
-          std::push_heap(heap_.begin(), heap_.end(), heap_cmp);
-        } else {
-          unassigned_.push_back(r);
-        }
-      } else {
-        work_[r] -= delta;
-      }
-    }
-  }
-
-  // The same threshold-pivoting rule as factor(); the replay only commits
-  // when it lands on the row the stored factorization chose.
-  double best = 0.0;
-  std::uint32_t pr = 0;
-  bool have = false;
-  for (const std::uint32_t r : unassigned_) {
-    const double m = std::abs(work_[r]);
-    if (!have || m > best) {
-      best = m;
-      pr = r;
-      have = true;
-    }
-  }
-  if (!have || best < 1e-300) return finish(false);
-  if (col < dim_ && (pinv_[col] < 0 || pinv_[col] >= kb) && mark_[col]) {
-    const double dmag = std::abs(work_[col]);
-    if (dmag > 0.0 && dmag >= kPivotTol * best) pr = col;
-  }
-  if (pr != prow_[k]) return finish(false);
-
-  // U must replay the stored trace exactly (same rows, same order).
-  const std::uint32_t ub = u_ptr_[k];
-  const std::uint32_t ue = u_ptr_[k + 1];
-  if (ue - ub != u_scratch_rows_.size()) return finish(false);
-  for (std::uint32_t i = 0; i < ue - ub; ++i) {
-    if (u_rows_[ub + i] != u_scratch_rows_[i]) return finish(false);
-  }
-
-  // L likewise: candidates in insertion order, exact zeros dropped, must
-  // reproduce the stored row sequence.
-  const double piv = work_[pr];
-  const std::uint32_t lb = l_ptr_[k];
-  const std::uint32_t le = l_ptr_[k + 1];
-  std::uint32_t li = 0;
-  for (const std::uint32_t r : unassigned_) {
-    if (r == pr) continue;
-    const double lv = work_[r] / piv;
-    if (lv == 0.0) continue;
-    if (li >= le - lb || l_rows_[lb + li] != r) return finish(false);
-    l_scratch_vals_.push_back(lv);
-    ++li;
-  }
-  if (li != le - lb) return finish(false);
-
-  diag_[k] = piv;
-  std::copy(u_scratch_vals_.begin(), u_scratch_vals_.end(),
-            u_vals_.begin() + ub);
-  std::copy(l_scratch_vals_.begin(), l_scratch_vals_.end(),
-            l_vals_.begin() + lb);
-  return finish(true);
-}
-
-bool SparseSolver::refactor_scattered(std::size_t first_dirty,
-                                          bool& engaged) {
-  engaged = false;
-  const std::size_t n = dim_;
-  // Propagate dirtiness through the stored U structure: a clean column
-  // whose U column references a dirty earlier pivot sees different
-  // updates and must be recomputed; everything else replays identically
-  // and keeps its stored L/U column.
-  std::size_t scattered = 0;
-  for (std::size_t k = first_dirty; k < n; ++k) {
-    if (!dirty_pos_[k]) {
-      for (std::uint32_t p = u_ptr_[k]; p < u_ptr_[k + 1]; ++p) {
-        if (dirty_pos_[u_rows_[p]]) {
-          dirty_pos_[k] = 1;
-          break;
-        }
-      }
-    }
-    scattered += dirty_pos_[k];
-  }
-
-  // Engage only when skipping clean columns buys enough over the suffix
-  // restart (which has no per-column replay checks): at least a quarter
-  // of the suffix must be skippable.
-  if (scattered >= ((n - first_dirty) * 3) / 4) return true;
-  engaged = true;
-
-  for (std::size_t k = first_dirty; k < n; ++k) {
     if (!dirty_pos_[k]) continue;
-    // Values drifted past a pivot choice, a pattern row, or an exact-zero
-    // drop: finish with the suffix restart from here.
-    if (!replay_column(k)) {
-      const bool ok = factor(k);
-      if (ok) last_factor_start_ = first_dirty;
-      return ok;
+    // The replay commits in place only when it lands on the stored
+    // structure: same pivot row, same U and L row sequences (the static
+    // pattern keeps per-column storage offsets stable). Its column is
+    // appended past the stored factors and truncated again.
+    const std::size_t ue = u_rows_.size();
+    const std::size_t le = l_rows_.size();
+    std::uint32_t pr = 0;
+    double piv = 0.0;
+    const bool same =
+        eliminate(k, pr, piv) && pr == prow_[k] &&
+        std::equal(u_rows_.begin() + ue, u_rows_.end(),
+                   u_rows_.begin() + u_ptr_[k],
+                   u_rows_.begin() + u_ptr_[k + 1]) &&
+        std::equal(l_rows_.begin() + le, l_rows_.end(),
+                   l_rows_.begin() + l_ptr_[k],
+                   l_rows_.begin() + l_ptr_[k + 1]);
+    if (same) {
+      diag_[k] = piv;
+      std::copy(u_vals_.begin() + ue, u_vals_.end(),
+                u_vals_.begin() + u_ptr_[k]);
+      std::copy(l_vals_.begin() + le, l_vals_.end(),
+                l_vals_.begin() + l_ptr_[k]);
+    }
+    u_rows_.resize(ue);
+    u_vals_.resize(ue);
+    l_rows_.resize(le);
+    l_vals_.resize(le);
+    if (!same) {
+      // Values drifted past a pivot choice, a pattern row or an exact-zero
+      // drop: recompute the suffix from here.
+      ok = factor(k);
+      break;
     }
     ++factor_cols_total_;
     ++scattered_cols_total_;
   }
   last_factor_start_ = first_dirty;
-  return true;
+  return ok;
 }
 
 bool SparseSolver::solve(const std::vector<double>& b, std::vector<double>& x) {
@@ -529,37 +418,27 @@ bool SparseSolver::solve(const std::vector<double>& b, std::vector<double>& x) {
     csc_vals_[csc_of_slot_[s]] = vals_[s];
   }
 
-  // Dirty scan, column-wise: the first changed pivot position bounds what
-  // the refactorization must recompute (a left-looking column depends only
-  // on its A column and earlier pivot columns). The same pass marks every
-  // own-dirty pivot position so the scattered refactorization can skip the
-  // clean columns inside the suffix without rescanning the values.
-  std::size_t first_dirty = std::numeric_limits<std::size_t>::max();
+  // Dirty scan, column-wise: mark every pivot position whose A column
+  // changed and find the first one (dim_ when nothing changed).
+  std::size_t first_dirty = 0;
   if (factor_valid_) {
+    first_dirty = dim_;
     dirty_pos_.assign(dim_, 0);
     for (std::size_t c = 0; c < dim_; ++c) {
       for (std::uint32_t p = col_ptr_[c]; p < col_ptr_[c + 1]; ++p) {
         if (csc_vals_[p] != cached_vals_[p]) {
           dirty_pos_[qpos_[c]] = 1;
-          if (qpos_[c] < first_dirty) first_dirty = qpos_[c];
+          first_dirty = std::min<std::size_t>(first_dirty, qpos_[c]);
           break;
         }
       }
     }
-  } else {
-    first_dirty = 0;
   }
 
-  if (first_dirty != std::numeric_limits<std::size_t>::max()) {
-    const bool scatter_eligible = partial_ && factor_valid_;
+  if (!factor_valid_ || first_dirty < dim_) {
+    const bool replay = factor_valid_ && partial_;
     factor_valid_ = false;
-    bool engaged = false;
-    bool ok = false;
-    if (scatter_eligible) {
-      ok = refactor_scattered(first_dirty, engaged);
-    }
-    if (!engaged) ok = factor(scatter_eligible ? first_dirty : 0);
-    if (!ok) return false;
+    if (!(replay ? refactor(first_dirty) : factor(0))) return false;
     cached_vals_ = csc_vals_;
     factor_valid_ = true;
     ++factor_count_;

@@ -31,11 +31,11 @@
 // ladder/line and array netlists low; it is computed once per pattern
 // rebuild.
 //
-// Factorization. For each column (in RCM order) the not-yet-factored
-// column of A is scattered into a dense work vector, updates from earlier
-// pivot columns are applied in ascending pivot order via a min-heap
-// worklist (entries only ever introduce later pivots, so the heap pops
-// monotonically), and the pivot row is chosen by threshold partial
+// Factorization. One column kernel eliminates each pivot position (in
+// RCM order): it scatters the column of A into a dense work vector,
+// applies the earlier pivot columns in ascending pivot order via a
+// min-heap worklist (entries only ever introduce later pivots, so the heap
+// pops monotonically), and picks the pivot row by threshold partial
 // pivoting: the diagonal row wins whenever it is within a fixed tolerance
 // (0.1) of the column maximum, preserving the ordering's structure;
 // otherwise the max row wins, which is what makes the zero-diagonal branch
@@ -45,15 +45,15 @@
 // The dirty-value cache compares the gathered CSC values against the
 // factored copy and skips the numeric factorization when unchanged, so a
 // linear transient pays one back-substitution — O(nnz(L) + nnz(U)) — per
-// step. When values *did* change, the comparison also yields the first
-// changed pivot position: a left-looking column depends only on its own
-// A column and on earlier pivot columns, so every L/U column before that
-// position is still exact and the factorization restarts there (partial
-// refactorization), bit-identical to a full refactor. Newton iterations
-// that only move device rows late in the ordering refactor a short suffix.
-// Inside that suffix, the scattered (dirty-set) path recomputes only the
-// columns whose values changed plus their dependents through the stored U
-// structure, again bit-identical to a full refactor.
+// step. When values *did* change, the solver replays the dirty set through
+// the same kernel: the columns whose own A column changed plus their
+// dependents through the stored U structure (a left-looking column depends
+// only on its A column and on the pivot columns its U references). A
+// replayed column that lands on the stored pivot row and L/U row sequences
+// overwrites its values in place; at the first one that does not, the
+// factorization restarts from that position. Either way the result is
+// bit-identical to a full refactor, which runs only when no valid
+// factorization exists.
 #pragma once
 
 #include <cstddef>
@@ -83,9 +83,8 @@ namespace detail {
 /// The linear solver.
 class SparseSolver final {
  public:
-  /// Enables/disables the partial-refactorization fast path (on by
-  /// default; the off state is the full-refactor reference the tests
-  /// compare against).
+  /// Enables/disables the dirty-set replay (on by default; the off state
+  /// is the full-refactor reference the tests compare against).
   void set_partial_refactor(bool enabled) { partial_ = enabled; }
 
   /// Starts a stamping pass for an n x n system. Changing `dim` resets the
@@ -124,8 +123,8 @@ class SparseSolver final {
   [[nodiscard]] std::size_t factor_count() const { return factor_count_; }
 
   /// Total columns numerically factored so far. A full refactorization
-  /// contributes `dim`; a partial refactorization contributes only the
-  /// recomputed columns — the observable of the partial-refactor path.
+  /// contributes `dim`; a replay contributes the columns it recomputed —
+  /// the observable of the dirty-set replay.
   [[nodiscard]] std::size_t factor_cols_total() const {
     return factor_cols_total_;
   }
@@ -135,15 +134,13 @@ class SparseSolver final {
   /// assembled matrix.
   [[nodiscard]] double value(std::size_t i, std::size_t j) const;
 
-  /// Pivot position the last numeric factorization started from (0 = full
-  /// refactor; > 0 = partial, the L/U prefix below it was reused).
+  /// First pivot position the last numeric factorization could change:
+  /// the L/U columns below it were reused as they were.
   [[nodiscard]] std::size_t last_factor_start() const {
     return last_factor_start_;
   }
-  /// Columns recomputed by the scattered (dirty-set) refactorization path
-  /// over the solver's lifetime — the clean columns it skipped *inside*
-  /// the refactor suffix are the difference to a first-dirty-pivot
-  /// restart. 0 until a solve engages the scattered path.
+  /// Columns the dirty-set replay committed in place over the solver's
+  /// lifetime; the suffix a replay deviation restarts is not counted.
   [[nodiscard]] std::size_t scattered_cols_total() const {
     return scattered_cols_total_;
   }
@@ -187,34 +184,26 @@ class SparseSolver final {
   std::vector<double> work_;                  ///< dense column accumulator
   std::vector<std::uint8_t> mark_;       ///< row-touched flags
   std::vector<std::uint32_t> heap_;      ///< pending pivot updates
-  std::vector<std::uint32_t> unassigned_; ///< pivot candidates of the column
+  std::vector<std::uint32_t> candidates_; ///< pivot candidates of the column
   std::vector<std::uint32_t> touched_;   ///< rows to unmark after a column
-  std::vector<std::uint32_t> u_scratch_rows_;
-  std::vector<double> u_scratch_vals_;
-  std::vector<double> l_scratch_vals_;        ///< replayed L values before commit
   std::vector<std::uint8_t> dirty_pos_;  ///< pivot position -> stamps changed
   std::vector<double> sol_;                   ///< solution by pivot order
 
   void rebuild_symbolic();
-  /// Numeric factorization from pivot position `start` (0 = full). Reuses
-  /// the L/U columns below `start`, which requires a complete valid
+  /// The column kernel: eliminates pivot position `k`, appends its U and L
+  /// entries to the ends of `u_rows_`/`u_vals_` and `l_rows_`/`l_vals_`,
+  /// and picks its pivot row `pr` (value `piv`). Rows pivoted before `k`
+  /// update the column; all others are pivot candidates. Returns false
+  /// when the column is numerically singular.
+  [[nodiscard]] bool eliminate(std::size_t k, std::uint32_t& pr, double& piv);
+  /// Numeric factorization from pivot position `start` (0 = full), appended
+  /// to the L/U columns below `start`, which requires a complete valid
   /// factorization when `start > 0`.
   [[nodiscard]] bool factor(std::size_t start);
-  /// Scattered (dirty-set) refactorization: recompute only the columns
-  /// whose stamp values changed plus their dependents through the stored
-  /// U structure, rewriting L/U values in place (the static pattern keeps
-  /// per-column storage offsets stable). `dirty_pos_` must hold the
-  /// own-dirty flags for positions >= `first_dirty`. Sets `engaged` false
-  /// (and returns true) when the classic suffix restart is at least as
-  /// cheap; falls back to `factor()` itself on any replay deviation.
-  [[nodiscard]] bool refactor_scattered(std::size_t first_dirty,
-                                        bool& engaged);
-  /// Replays the numeric computation of pivot position `k` against the
-  /// stored symbolic trace. Returns true and commits the new values when
-  /// the pivot row and the L/U patterns replay exactly; returns false
-  /// (storage untouched) when the replay deviates — values drifted enough
-  /// to change a pivot choice or an exact-zero drop.
-  [[nodiscard]] bool replay_column(std::size_t k);
+  /// Replays the dirty set from `first_dirty` (`dirty_pos_` holds the
+  /// own-dirty flags), rewriting L/U values in place, and falls back to
+  /// `factor(k)` at the first column that deviates from the stored trace.
+  [[nodiscard]] bool refactor(std::size_t first_dirty);
 };
 
 } // namespace mss::spice

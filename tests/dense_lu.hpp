@@ -165,8 +165,8 @@ struct SequenceArms {
 /// solve and a fixed-step transient of `steps` x `dt` (0.6 V node-step
 /// damping, 1e-6 convergence, one solve per point for a linear circuit,
 /// trapezoidal after a backward-Euler first step) — on the one persistent
-/// solver `s`, its dirty-value cache, partial and scattered refactorization
-/// live unless the caller turned them off. Returns the committed iterate of
+/// solver `s`, its dirty-value cache and dirty-set replay live unless the
+/// caller turned the replay off. Returns the committed iterate of
 /// the operating point and of every step (steps + 1 vectors), which equal
 /// Engine::transient's samples bit for bit when both run the same arms.
 inline std::vector<std::vector<double>> newton_sequence(

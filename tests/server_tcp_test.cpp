@@ -369,6 +369,9 @@ TEST(ServerTcpE2E, MalformedNumericFlagsExitWithUsageError) {
         << flag << " " << value;
     EXPECT_NE(::access(sock.c_str(), F_OK), 0) << "mss-server bound " << sock;
   }
+  // The removed --compact-on-start is an unknown flag: exit 2 too.
+  EXPECT_EQ(exit_code({server_bin, "--socket", sock, "--compact-on-start"}), 2);
+  EXPECT_NE(::access(sock.c_str(), F_OK), 0) << "mss-server bound " << sock;
   for (const auto& [flag, value] :
        std::vector<std::pair<std::string, std::string>>{
            {"--timeout", "abc"}, {"--retries", "1e3"}, {"--seed", ""}}) {

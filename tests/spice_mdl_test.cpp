@@ -61,6 +61,23 @@ TEST(MdlParse, RejectsSyntaxErrors) {
                std::invalid_argument); // missing val=
 }
 
+TEST(MdlParse, RejectsMalformedSignalsWithLineNumber) {
+  // Signal syntax is checked at parse time, with the statement's line.
+  for (const char* script :
+       {"# header\nmeas x avg x(out)\n",
+        "\nmeas x delay trig v(a) val=1 rise=1 targ vout val=1 rise=1\n",
+        "\nmeas x cross v() val=0.5 rise=1\n"}) {
+    try {
+      (void)mdl::Script::parse(script);
+      ADD_FAILURE() << "parsed: " << script;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("MDL line 2: bad signal"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+}
+
 TEST(MdlCross, FindsNthCrossings) {
   const std::vector<double> t{0, 1, 2, 3, 4, 5, 6};
   const std::vector<double> y{0, 1, 0, 1, 0, 1, 0};

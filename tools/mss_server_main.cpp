@@ -27,8 +27,7 @@ void usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s [--socket PATH] [--listen HOST:PORT] [--cache "
                "PATH]\n"
-               "          [--cache-max-bytes N] [--compact-cache] "
-               "[--compact-on-start]\n"
+               "          [--cache-max-bytes N] [--compact-cache]\n"
                "          [--io-timeout SEC] [--max-conns N]\n"
                "          [--threads N] [--stripe N]\n"
                "  --socket PATH   unix socket to listen on "
@@ -50,8 +49,6 @@ void usage(const char* argv0) {
                "  --compact-cache rewrite the cache dropping duplicate "
                "records,\n"
                "                  print the stats and exit (needs --cache)\n"
-               "  --compact-on-start  run the same compaction before "
-               "serving\n"
                "  --io-timeout S  per-connection idle I/O timeout in "
                "seconds; a peer\n"
                "                  making no progress that long is evicted "
@@ -94,8 +91,6 @@ int main(int argc, char** argv) {
       options.cache_max_bytes = parse_number<std::size_t>(arg.c_str(), next());
     } else if (arg == "--compact-cache") {
       compact_only = true;
-    } else if (arg == "--compact-on-start") {
-      options.compact_cache_on_start = true;
     } else if (arg == "--io-timeout") {
       options.io_timeout_ms = parse_seconds_ms(arg.c_str(), next());
     } else if (arg == "--max-conns") {

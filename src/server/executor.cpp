@@ -14,9 +14,7 @@ StripedRun::StripedRun(const sweep::RowExperiment& exp,
     : exp_(exp),
       space_(space),
       opt_(opt),
-      cache_(cache),
-      // The RNG keying of sweep::Runner, shared.
-      streams_(opt.seed, space.size()) {
+      cache_(cache) {
   n_ = space_.size();
   stripe_ = opt_.stripe_chunks == 0 ? 1 : opt_.stripe_chunks;
   stats_.points = n_;
@@ -54,10 +52,10 @@ void StripedRun::step() {
     pending_.push_back(i);
   }
 
-  // Evaluate the stripe's misses in parallel. The RNG of index i is a
-  // pure function of (seed, i) — never of which indices happen to
-  // be cached or of which other jobs' stripes ran in between — so warm,
-  // cold and time-sliced runs all draw identically.
+  // Evaluate the stripe's misses in parallel. A point's RNG is a pure
+  // function of (seed, Point::key()) — never of its index, of which
+  // points happen to be cached or of which other jobs' stripes ran in
+  // between — so warm, cold and time-sliced runs all draw identically.
   evaluated_.clear();
   evaluated_.resize(pending_.size());
   util::ThreadPool::run_with(
@@ -65,8 +63,9 @@ void StripedRun::step() {
       [&](std::size_t, std::size_t b, std::size_t e) {
         for (std::size_t k = b; k < e; ++k) {
           const std::size_t i = pending_[k];
-          util::Rng rng = streams_.at(i);
-          Row row = exp_.evaluate(space_.at(i), rng);
+          const sweep::Point p = space_.at(i);
+          util::Rng rng = sweep::point_rng(opt_.seed, p);
+          Row row = exp_.evaluate(p, rng);
           if (row.size() != exp_.columns.size()) {
             throw std::logic_error(
                 "RowExperiment '" + exp_.id + "' produced " +

@@ -2,14 +2,13 @@
 // ParamSpace — the one implementation of the sweep layer's first-occurrence
 // memo (sweep::Runner evaluates every point and never memoises).
 //
-// Determinism contract (the Runner's RNG keying, tested against it
-// row-for-row on all-distinct spaces): the point at flat index i draws
-// from jump substream i, forked with label 0, of a base stream seeded with
-// `seed`; repeated Point::key()s are evaluated once at their first
-// occurrence and every duplicate serves that row. A persistent cache hit
-// substitutes the stored row for the evaluation — bit-identical to it when
-// that row came from the same (experiment id+version, seed) identity with
-// the point at the same flat index (README, "Stochastic-experiment caveat").
+// Determinism contract (the Runner's, tested against it row-for-row): a
+// point draws from sweep::point_rng(seed, point), keyed on its
+// Point::key(), so a row is a pure function of the cache key it is stored
+// under — (experiment id+version, seed, Point::key()). Repeated keys are
+// evaluated once, at their first occurrence, and every duplicate serves
+// that row; a persistent cache hit substitutes the stored row. Both are
+// bit-identical to evaluating the point again, in any space that holds it.
 //
 // Execution proceeds in *stripes* of `stripe_chunks` points: per stripe,
 // the first-occurrence points missing from the cache are evaluated in
@@ -24,7 +23,7 @@
 // The stripe is also the *scheduling* quantum: StripedRun exposes the
 // stripe loop one step() at a time, so the server's executor can
 // round-robin several jobs without changing a single row — every stripe is
-// self-contained (its RNG is a pure function of (seed, index)), so
+// self-contained (its RNG is a pure function of (seed, key)), so
 // interleaving stripes of different jobs cannot reorder or perturb either
 // job's rows relative to a solo run.
 #pragma once
@@ -37,7 +36,7 @@
 #include <vector>
 
 #include "server/cache.hpp"
-#include "sweep/experiment.hpp" // RunStats, PointStreams
+#include "sweep/experiment.hpp" // RunStats, point_rng
 #include "sweep/servable.hpp"
 
 namespace mss::server {
@@ -90,7 +89,6 @@ class StripedRun {
   ExecOptions opt_;
   ResultCache& cache_;
 
-  sweep::PointStreams streams_;
   std::size_t n_;
   std::size_t stripe_;
   std::size_t next_ = 0; ///< first index of the next stripe

@@ -7,16 +7,17 @@
 // one point at a time and writes each result into its point-indexed slot,
 // so the output vector is bit-identical for any thread count.
 //
-// Determinism contract (shared with the Monte-Carlo kernels): the point at
-// flat index i of an n-point run draws from jump substream i of a base
-// stream seeded with RunOptions::seed, forked with label 0 — so the RNG a
-// point sees is a pure function of (seed, point index), never of the
-// thread count. PointStreams is the one implementation of this keying;
+// Determinism contract: a point draws from point_rng(seed, point), a
+// stream keyed on the point's own Point::key() — never on its flat index,
+// the thread count or the other points of the space. Equal keys draw
+// equally in any space and any run, so a row is a pure function of
+// (seed, Point::key()), the identity the server's result cache stores it
+// under. point_rng is the one implementation of this keying;
 // server::StripedRun shares it.
 //
 // The Runner evaluates every point, repeated ones included. Memoising
-// repeated Point::key()s at their first occurrence is the server
-// executor's job (server::StripedRun), the one implementation of it.
+// repeated Point::key()s is the server executor's job
+// (server::StripedRun), the one implementation of it.
 #pragma once
 
 #include <cstddef>
@@ -54,26 +55,20 @@ struct RunOptions {
   /// Thread policy shared with every parallel kernel: 0 = the shared
   /// global pool, 1 = serial inline, N = a shared pool of N threads.
   std::size_t threads = 0;
-  /// Base seed of the per-point RNG streams.
+  /// Seed of the per-point RNG streams (point_rng).
   std::uint64_t seed = 0x5EEDC0DEull;
 };
 
-/// The RNG keying of the determinism contract: index i of an n-point run
-/// draws from jump substream i of a base stream seeded with `seed`, forked
-/// with label 0.
-class PointStreams {
- public:
-  PointStreams(std::uint64_t seed, std::size_t n)
-      : streams_(util::Rng(seed).jump_substreams(n)) {}
-
-  /// The RNG of flat index i.
-  [[nodiscard]] util::Rng at(std::size_t i) const {
-    return streams_[i].fork(0);
-  }
-
- private:
-  std::vector<util::Rng> streams_; ///< jump substream per point
-};
+/// The RNG of `point` in a run seeded with `seed`: the one keying of the
+/// determinism contract. The label is FNV-1a 64 of the key bytes; fork()
+/// maps distinct labels to distinct streams. Changing the hash moves every
+/// stochastic row, so it obliges every stochastic experiment's version bump.
+[[nodiscard]] inline util::Rng point_rng(std::uint64_t seed,
+                                         const Point& point) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (const unsigned char c : point.key()) h = (h ^ c) * 0x100000001b3ull;
+  return util::Rng(seed).fork(h);
+}
 
 /// What a memoised, cached run did. Only server::run_cached (and the
 /// server's StripedRun behind it) fills it; the Runner keeps no stats.
@@ -102,13 +97,13 @@ class Runner {
     std::vector<Result> results(n);
     if (n == 0) return results;
 
-    const PointStreams streams(opt_.seed, n);
     util::ThreadPool::run_with(
         opt_.threads, n, 1,
         [&](std::size_t, std::size_t b, std::size_t e) {
           for (std::size_t i = b; i < e; ++i) {
-            util::Rng rng = streams.at(i);
-            results[i] = exp.evaluate(space.at(i), rng);
+            const Point p = space.at(i);
+            util::Rng rng = point_rng(opt_.seed, p);
+            results[i] = exp.evaluate(p, rng);
           }
         });
     return results;

@@ -153,14 +153,14 @@ TEST(WerScenarioGolden, McOverlayPinned) {
   };
   // Row-major: (3 ns, 300 K), (3 ns, 350 K), (5 ns, 300 K), (5 ns, 350 K).
   const Pinned golden[] = {
-      {0x1.1ab904f269266p-1, 0x1.7a7a6b2345495p-7, 0x1.776a568c00bb7p+4,
-       0x1.28380155f821ap+2, 180u},
-      {0x1.63533ef0099a8p-1, 0x1.c099133686e48p-7, 0x1.e1c591f0bfdbp+4,
-       0x1.33d90b7527c84p+2, 179u},
-      {0x1.35469c66c8d83p-4, 0x1.5e312923ade04p-10, 0x1.0cd0200b1e708p+2,
-       0x1.30edbd2232859p+2, 165u},
-      {0x1.427a520f34d29p-4, 0x1.8c88d5bdfd0cap-10, 0x1.024f6b8d9da9bp+2,
-       0x1.3de75dccfd5c1p+2, 160u},
+      {0x1.16d7717fb58ccp-1, 0x1.7e8ea2d7efed6p-7, 0x1.6add234b3d293p+4,
+       0x1.28380155f821ap+2, 185u},
+      {0x1.a68d74d30c137p-2, 0x1.1e5ce14286ad5p-7, 0x1.1dbcc58fc8b86p+4,
+       0x1.33d90b7527c84p+2, 175u},
+      {0x1.54133fcc35104p-3, 0x1.c5567d42e10ffp-9, 0x1.ed474a73d7213p+2,
+       0x1.30edbd2232859p+2, 157u},
+      {0x1.11a5ec2097d36p-3, 0x1.61c42da157475p-9, 0x1.9bf460c0b7ef6p+2,
+       0x1.3de75dccfd5c1p+2, 167u},
   };
   auto cfg = analytic_config();
   cfg.pulse_widths = {3e-9, 5e-9};

@@ -251,6 +251,45 @@ TEST(RunCached, StochasticDuplicatesInLaterStripesServeTheOwnerRow) {
   }
 }
 
+// A row is a pure function of its cache key: a space holding indices 5-9
+// of a 10-point space, run after that space filled the cache, is served
+// rows bit-identical to its own cold run.
+TEST(RunCached, SubspaceAfterSuperspaceServesItsColdRows) {
+  const auto registry = mss::server::Registry::builtin();
+  const auto* exp = registry.find("demo.mc_tail");
+  ASSERT_NE(exp, nullptr);
+  const std::vector<double> thresholds = {0.50, 0.75, 1.00, 1.25, 1.50,
+                                          1.75, 2.00, 2.25, 2.50, 2.75};
+  const auto space_of = [](std::vector<double> t) {
+    ParamSpace s;
+    s.cross(Axis::list("samples", std::vector<std::int64_t>{500}))
+        .cross(Axis::list("threshold", std::move(t)));
+    return s;
+  };
+  const ParamSpace super = space_of(thresholds);
+  const ParamSpace sub = space_of({thresholds.begin() + 5, thresholds.end()});
+
+  ExecOptions opt;
+  opt.seed = 42;
+  Sink cold;
+  ASSERT_EQ(run_cached(*exp, sub, opt, nullptr, nullptr, cold.fn()),
+            ExecOutcome::Done);
+
+  ResultCache shared("");
+  ASSERT_EQ(run_cached(*exp, super, opt, &shared, nullptr, nullptr),
+            ExecOutcome::Done);
+  Sink warm;
+  RunStats stats;
+  ASSERT_EQ(run_cached(*exp, sub, opt, &shared, nullptr, warm.fn(), &stats),
+            ExecOutcome::Done);
+  EXPECT_EQ(stats.cache_hits, sub.size());
+  ASSERT_EQ(warm.rows.size(), sub.size());
+  for (std::size_t i = 0; i < sub.size(); ++i) {
+    EXPECT_TRUE(rows_bit_identical({warm.rows[i]}, {cold.rows[i]}))
+        << "point " << i;
+  }
+}
+
 TEST(RunCached, PresetCancelStopsBeforeAnyEvaluation) {
   auto exp = noisy_experiment();
   const auto space = small_space();

@@ -168,6 +168,45 @@ TEST(SparseSolver, DirtyValueCacheSkipsRefactor) {
   EXPECT_EQ(s.factor_count(), 2u);
 }
 
+// The replay's pivot-row check alone rejects this update. At the first
+// pivot position the diagonal row holds 2 and the other row an exact 0;
+// the update swaps them to 0 and 5, so the pivot moves to the other row.
+// Both L columns are empty (the zero is dropped either way) and the first
+// position has no U entries, so only the pivot-row comparison sees the move.
+TEST(SparseSolver, ReplayRestartsWhenOnlyThePivotRowMoves) {
+  // The first pivot column is RCM's choice over the full 2x2 pattern.
+  const std::vector<std::uint32_t> col_ptr{0, 2, 4}, row_ind{0, 1, 0, 1};
+  const auto order = ms::rcm_order(2, col_ptr, row_ind);
+  const std::size_t c0 = order[0], c1 = order[1];
+  const auto stamp = [&](ms::SparseSolver& s, double diag, double off) {
+    s.begin(2);
+    s.add(c0, c0, diag);
+    s.add(c1, c0, off);
+    s.add(c0, c1, 1.0);
+    s.add(c1, c1, 3.0);
+  };
+  ms::SparseSolver replay;
+  ms::SparseSolver full;
+  full.set_partial_refactor(false);
+  std::vector<double> b(2), x_replay, x_full;
+  b[c0] = 1.0;
+  b[c1] = 2.0;
+  for (ms::SparseSolver* s : {&replay, &full}) {
+    stamp(*s, 2.0, 0.0);
+    ASSERT_TRUE(s->solve(b, x_replay));
+    stamp(*s, 0.0, 5.0);
+  }
+  ASSERT_TRUE(replay.solve(b, x_replay));
+  ASSERT_TRUE(full.solve(b, x_full));
+  EXPECT_EQ(replay.scattered_cols_total(), 0u); // the replay restarted
+  for (std::size_t i = 0; i < 2; ++i) {
+    EXPECT_EQ(x_replay[i], x_full[i]) << "x[" << i << "]"; // bit-identical
+  }
+  // [[0, 1], [5, 3]] (rows c0, c1) x = [1, 2]: x[c1] = 1, x[c0] = -1/5.
+  EXPECT_NEAR(x_full[c1], 1.0, 1e-15);
+  EXPECT_NEAR(x_full[c0], -0.2, 1e-15);
+}
+
 TEST(SparseSolver, PatternGrowthRebuildsSymbolic) {
   ms::SparseSolver s;
   s.begin(3);

@@ -1,7 +1,7 @@
 // Tests of the declarative sweep subsystem: ParamSpace composition
 // (cross/zip sizes, range endpoints), Runner determinism (bit-identical
-// results for 1 vs N threads), memoisation hit counts, and the
-// ResultTable emission formats.
+// results for 1 vs N threads, draws keyed on the point, not its index)
+// and the ResultTable emission formats.
 #include "sweep/experiment.hpp"
 #include "sweep/param_space.hpp"
 #include "sweep/result_table.hpp"
@@ -9,6 +9,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -233,6 +235,44 @@ TEST(Runner, SeedSelectsTheStreams) {
   bool any_differ = false;
   for (std::size_t i = 0; i < a.size(); ++i) any_differ |= a[i] != b[i];
   EXPECT_TRUE(any_differ);
+}
+
+TEST(PointRng, DistinctKeysDrawDistinctlyEqualKeysEqually) {
+  // Int, double and string coordinates, 3 x 12 x 4 = 144 distinct keys.
+  const auto space =
+      sw::ParamSpace()
+          .cross(sw::Axis::list("n", std::vector<std::int64_t>{-1, 0, 7}))
+          .cross(sw::Axis::linear("x", -1.0, 1.0, 12))
+          .cross(sw::Axis::list("s", std::vector<std::string>{"", "a", "b",
+                                                              "a;b"}));
+  constexpr std::uint64_t kSeed = 42;
+  std::set<std::uint64_t> first_draws;
+  for (std::size_t i = 0; i < space.size(); ++i) {
+    const sw::Point p = space.at(i);
+    const std::uint64_t draw = sw::point_rng(kSeed, p).next_u64();
+    first_draws.insert(draw);
+    // The stream is a function of the key alone: a second decode of the
+    // point draws the same.
+    EXPECT_EQ(sw::point_rng(kSeed, space.at(i)).next_u64(), draw);
+  }
+  EXPECT_EQ(first_draws.size(), space.size());
+}
+
+// A point draws from its key, not its flat index: a duplicated point gets
+// the same result at both indices, and a subspace's results equal the
+// superspace's at the same points.
+TEST(Runner, ResultIsAFunctionOfThePointNotItsIndex) {
+  const auto dup = sw::ParamSpace().cross(
+      sw::Axis::list("x", std::vector<double>{0.1, 0.2, 0.3, 0.1}));
+  const auto d = sw::Runner().run(dup, stochastic_experiment());
+  EXPECT_EQ(d[0], d[3]); // bit-identical doubles
+  EXPECT_NE(d[0], d[1]);
+
+  const auto sub = sw::ParamSpace().cross(
+      sw::Axis::list("x", std::vector<double>{0.3, 0.2}));
+  const auto s = sw::Runner().run(sub, stochastic_experiment());
+  EXPECT_EQ(s[0], d[2]);
+  EXPECT_EQ(s[1], d[1]);
 }
 
 TEST(Runner, TableAssemblesRowsInSpaceOrder) {

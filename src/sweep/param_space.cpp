@@ -238,7 +238,7 @@ Point ParamSpace::at(std::size_t i) const {
       coords.emplace_back(a.name(), a.at(digit[d]));
     }
   }
-  return Point(i, std::move(coords));
+  return Point(std::move(coords));
 }
 
 } // namespace mss::sweep

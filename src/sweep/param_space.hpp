@@ -31,16 +31,12 @@ using Value = std::variant<std::int64_t, double, std::string>;
 /// std::invalid_argument.
 [[nodiscard]] double as_number(const Value& v);
 
-/// One coordinate assignment of a sweep: named values plus the flat index
-/// the space decoded it from.
+/// One coordinate assignment of a sweep: named values, identified by
+/// key() wherever results are reused or random draws are keyed.
 class Point {
  public:
-  Point(std::size_t index, std::vector<std::pair<std::string, Value>> coords)
-      : index_(index), coords_(std::move(coords)) {}
-
-  /// Flat index in the enclosing space — the stable identity output slots
-  /// and RNG substreams are keyed off.
-  [[nodiscard]] std::size_t index() const { return index_; }
+  explicit Point(std::vector<std::pair<std::string, Value>> coords)
+      : coords_(std::move(coords)) {}
 
   [[nodiscard]] std::size_t size() const { return coords_.size(); }
   [[nodiscard]] const std::string& name(std::size_t i) const {
@@ -60,16 +56,16 @@ class Point {
   [[nodiscard]] const std::string& str(const std::string& name) const;
 
   /// Canonical "name=<tag>value;..." key — a pure, *injective* function of
-  /// the coordinate list (never of the index). Values carry a one-char type
-  /// tag ('i' int64, 'd' double at %.17g, 's' string) and '\', '=', ';' are
+  /// the coordinate list. Values carry a one-char type tag ('i' int64,
+  /// 'd' double at %.17g, 's' string) and '\', '=', ';' are
   /// backslash-escaped in names and string values, so distinct coordinate
-  /// lists always produce distinct keys. Used to memoise repeated points
-  /// and as the identity of the persistent cross-run result cache — the
-  /// format is a stability contract (src/sweep/README.md).
+  /// lists always produce distinct keys. Used to memoise repeated points,
+  /// to key each point's RNG stream (point_rng) and as the identity of the
+  /// persistent cross-run result cache — the format is a stability
+  /// contract (src/sweep/README.md).
   [[nodiscard]] std::string key() const;
 
  private:
-  std::size_t index_;
   std::vector<std::pair<std::string, Value>> coords_;
 };
 

@@ -156,11 +156,8 @@ TEST(ServerSched, EqualPriorityJobsRoundRobin) {
   Client big_client(ts.socket_path);
   Client small_client(ts.socket_path);
 
-  // Distinct seeds: the two spaces share points (both span threshold
-  // 0.5..2.5), and with one seed the shared in-memory cache would serve
-  // one job rows computed at the *other* job's flat index — the
-  // documented stochastic-caveat, not a scheduler property. Distinct
-  // `samples` values tell the jobs apart in the gate's log.
+  // Distinct `samples` values (part of every key) tell the jobs apart in
+  // the gate's log.
   const std::uint64_t seed_big = 77, seed_small = 78;
   constexpr std::int64_t kBig = 2000, kSmall = 1000;
   const ParamSpace big_space = demo_space(kBig, 24);     // 12 stripes
@@ -195,7 +192,7 @@ TEST(ServerSched, EqualPriorityJobsRoundRobin) {
   EXPECT_EQ(std::count(small_last, log.end(), kBig), 18);
 
   // Interleaving is invisible in the rows: both match solo runs bit for
-  // bit (the RNG stream of point i depends only on seed/index).
+  // bit (a point's RNG stream depends only on the seed and its key).
   EXPECT_TRUE(
       tables_bit_identical(big_result.table, solo_run(big_space, seed_big)));
   EXPECT_TRUE(tables_bit_identical(small_result.table,
@@ -262,8 +259,9 @@ TEST(ServerSched, SlicesCounterCountsStripes) {
 // {threads} x {stripe_chunks} combinations (the determinism contract:
 // the scheduler must never perturb RNG streams).
 TEST(ServerSched, ConcurrentRowsBitIdenticalAcrossConfigs) {
-  // Distinct seeds, same reason as above: shared points at different
-  // flat indices must not flow between the jobs through the cache.
+  // Distinct seeds: the spaces share three thresholds, and with one seed
+  // the second job would serve those rows from the first job's cache
+  // entries. Distinct seeds make each job evaluate every row it checks.
   const std::uint64_t seed_a = 0xABCDEF, seed_b = 0xFEDCBA;
   const ParamSpace space_a = demo_space(2000, 7);
   const ParamSpace space_b = demo_space(2000, 5);

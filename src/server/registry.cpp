@@ -40,7 +40,7 @@ Registry Registry::builtin() {
 sweep::RowExperiment demo_mc_tail_experiment() {
   sweep::RowExperiment exp;
   exp.id = "demo.mc_tail";
-  exp.version = 2; // 2: draws keyed on Point::key() (sweep::point_rng)
+  exp.version = 2;
   exp.description =
       "Monte-Carlo Gaussian tail estimate: per point, `samples` standard "
       "normals against `threshold` (cost scales with `samples`)";
